@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -163,13 +162,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _map_concurrent(func, items: list) -> list:
-    if len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        return list(pool.map(func, items))
-
-
 # --- subcommand row builders ----------------------------------------------
 
 
@@ -187,7 +179,7 @@ def _rows_bound(config: RunConfig, use_oracle: bool):
         return [a.kind.value, a.magnitude, a.separation_d, t,
                 bounds.sharp_min_time(a, constants)]
 
-    return header, _map_concurrent(row, _expand_scenarios(config))
+    return header, [row(scenario) for scenario in _expand_scenarios(config)]
 
 
 def _echo_force(scenario: Scenario, constants: PhysicalConstants):
@@ -258,18 +250,30 @@ def _rows_causality(config: RunConfig, use_oracle: bool):
         return [scenario.R, report.T_A_bound, report.T_B, report.eta,
                 report.satisfied]
 
-    return header, _map_concurrent(row, _expand_scenarios(config))
+    return header, [row(scenario) for scenario in _expand_scenarios(config)]
 
 
-def _radiation_profile(config: RunConfig, t0: float) -> radiation.TrajectoryProfile:
+def _radiation_profiles(config: RunConfig) -> list[radiation.TrajectoryProfile]:
+    """One profile per output row: the tabulated trajectory, or one per t0."""
     section = config.extras["radiation"]
-    d = config.scenario.alice.separation_d
+    t0_swept = config.sweep is not None and config.sweep["parameter"] == "t0"
     if "trajectory_csv" in section:
+        if t0_swept or "t0" in section:
+            raise ValidationError(
+                "radiation.trajectory_csv takes t0 from its last sample; "
+                "remove radiation.t0 and any t0 sweep")
         samples = _read_two_column_csv(section["trajectory_csv"])
-        return radiation.TrajectoryProfile(
+        return [radiation.TrajectoryProfile(
             d=float(samples[-1, 1]), t0=float(samples[-1, 0]),
-            shape=radiation.Shape.TABULATED, samples=samples)
-    return radiation.TrajectoryProfile(d=d, t0=t0)
+            shape=radiation.Shape.TABULATED, samples=samples)]
+    if t0_swept:
+        t0_values = [float(v) for v in _sweep_values(config.sweep)]
+    elif "t0" in section:
+        t0_values = [float(section["t0"])]
+    else:
+        raise ValidationError("radiation section requires t0 or trajectory_csv")
+    d = config.scenario.alice.separation_d
+    return [radiation.TrajectoryProfile(d=d, t0=t0) for t0 in t0_values]
 
 
 def _rows_radiation(config: RunConfig, use_oracle: bool):
@@ -277,23 +281,15 @@ def _rows_radiation(config: RunConfig, use_oracle: bool):
     a = config.scenario.alice
     if a.kind is not Kind.CHARGE:
         raise ValidationError("radiation subcommand needs a charge scenario")
-    section = config.extras["radiation"]
-    if config.sweep is not None and config.sweep["parameter"] == "t0":
-        t0_values = [float(v) for v in _sweep_values(config.sweep)]
-    else:
-        if "t0" not in section and "trajectory_csv" not in section:
-            raise ValidationError("radiation section requires t0 or trajectory_csv")
-        t0_values = [float(section.get("t0", 0.0))]
     header = ["t0_seconds", "exponent", "vacuum_overlap",
               "min_radiationless_time_seconds"]
 
-    def row(t0: float):
-        profile = _radiation_profile(config, t0)
+    def row(profile: radiation.TrajectoryProfile):
         exponent = radiation.mode_integral(profile, a.magnitude, constants)
         return [profile.t0, exponent, math.exp(-exponent),
                 radiation.min_radiationless_time(a.magnitude, profile.d, constants)]
 
-    return header, _map_concurrent(row, t0_values)
+    return header, [row(profile) for profile in _radiation_profiles(config)]
 
 
 def _rows_vacuum(config: RunConfig, use_oracle: bool):

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .constants import CODATA, PhysicalConstants, planck_scales
 from .errors import DivergentIntegralError, ValidationError
+from .tabulated import sample_columns, spectral_moment, spline_fourier
 
 __all__ = [
     "WindowShape",
@@ -36,6 +37,8 @@ __all__ = [
 # 1 / sqrt(3 pi^3) ~ 0.10: prefactor of the minimum measurement time.
 MIN_TIME_PREFACTOR = 1.0 / math.sqrt(3.0 * math.pi**3)
 
+_MIN_WINDOW_SAMPLES = 8
+
 
 class WindowShape(enum.Enum):
     GAUSSIAN = "gaussian"
@@ -44,11 +47,17 @@ class WindowShape(enum.Enum):
 
 @dataclass(frozen=True)
 class WindowFunction:
-    """Normalized time-averaging profile phi(t) of characteristic width T."""
+    """Normalized time-averaging profile phi(t) of characteristic width T.
+
+    For TABULATED windows, ``samples`` is an (n, 2) array of (t, phi)
+    pairs with unit trapezoid integral; phi is interpolated with a cubic
+    spline, built once here, and taken as zero outside the samples.
+    """
 
     shape: WindowShape = WindowShape.GAUSSIAN
     width_T: float = 1.0
     samples: np.ndarray | None = None
+    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.width_T > 0.0 and math.isfinite(self.width_T)):
@@ -56,18 +65,14 @@ class WindowFunction:
         if self.shape is WindowShape.TABULATED:
             if self.samples is None:
                 raise ValidationError("TABULATED window requires samples")
-            samples = np.asarray(self.samples, dtype=float)
-            if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 8:
-                raise ValidationError("samples must be an (n>=8, 2) array of (t, phi)")
-            t = samples[:, 0]
-            if not np.all(np.diff(t) > 0.0):
-                raise ValidationError("sample times must be strictly increasing")
-            norm = np.trapezoid(samples[:, 1], t)
+            t, phi = sample_columns(self.samples, _MIN_WINDOW_SAMPLES, "phi")
+            norm = np.trapezoid(phi, t)
             if abs(norm - 1.0) > 1e-8:
                 raise ValidationError(
                     f"window must integrate to 1 (got {norm:.10f})"
                 )
-            object.__setattr__(self, "samples", samples)
+            object.__setattr__(self, "samples", np.column_stack([t, phi]))
+            object.__setattr__(self, "_spline", CubicSpline(t, phi))
         elif self.samples is not None:
             raise ValidationError("samples are only meaningful for TABULATED windows")
 
@@ -75,35 +80,14 @@ class WindowFunction:
 def window_fourier(window: WindowFunction, omega):
     """phi_tilde(omega) = int phi(t) exp(i omega t) dt.
 
-    Gaussian closed form exp(-omega^2 T^2 / 2); spline quadrature otherwise.
+    Gaussian closed form exp(-omega^2 T^2 / 2); for tabulated windows, the
+    exact transform of the spline (``tabulated.spline_fourier``).
     """
     if window.shape is WindowShape.GAUSSIAN:
         w = np.asarray(omega, dtype=float)
         value = np.exp(-0.5 * (w * window.width_T) ** 2) + 0.0j
         return complex(value) if np.isscalar(omega) else value
-    out = _tabulated_fourier(window, np.atleast_1d(np.asarray(omega, dtype=float)))
-    return complex(out[0]) if np.isscalar(omega) else out
-
-
-def _tabulated_fourier(window: WindowFunction, omega: np.ndarray,
-                       n_time: int = 8193) -> np.ndarray:
-    """Vectorized spline-resampled Fourier transform of a tabulated window.
-
-    Dense uniform resampling keeps omega*dt small so the composite Simpson
-    rule stays accurate for every frequency of interest at once.
-    """
-    samples = window.samples
-    t_s, phi_s = samples[:, 0], samples[:, 1]
-    spline = CubicSpline(t_s, phi_s)
-    t = np.linspace(t_s[0], t_s[-1], n_time)
-    phi = spline(t)
-    out = np.empty(omega.shape, dtype=complex)
-    chunk = 256
-    for start in range(0, len(omega), chunk):
-        w = omega[start:start + chunk]
-        kernel = np.exp(1j * np.outer(w, t))
-        out[start:start + chunk] = simpson(kernel * phi, x=t, axis=-1)
-    return out
+    return spline_fourier(window._spline, omega)
 
 
 def averaged_variance(window: WindowFunction,
@@ -111,9 +95,15 @@ def averaged_variance(window: WindowFunction,
     """(1/2 pi^2) int_0^inf |phi_tilde|^2 omega domega (natural units).
 
     For the Gaussian window the closed form 1/(4 pi^2 T^2) is asserted
-    against the quadrature before returning.  A window whose integrand tail
-    does not decay (e.g. a sharp box, |phi_tilde|^2 ~ 1/omega^2) raises
-    DivergentIntegralError.
+    against the quadrature before returning.  For a tabulated window the
+    integral is ``tabulated.spectral_moment`` of the spline, accurate to
+    ``rel_tol``.  At high frequency |phi_tilde|^2 omega / (2 pi^2) tends
+    to (phi(a)^2 + phi(b)^2) / (2 pi^2 omega), with a and b the first and
+    last sample times, so the variance grows by (phi(a)^2 + phi(b)^2) /
+    (2 pi^2) per factor e of the cutoff.  DivergentIntegralError is raised
+    when that growth exceeds ``rel_tol`` times the finite part (a sharp box
+    always; a Gaussian cut at +-4T at the default tolerance, but not one
+    cut at +-5T).
     """
     T = window.width_T
     if window.shape is WindowShape.GAUSSIAN:
@@ -129,35 +119,7 @@ def averaged_variance(window: WindowFunction,
                 f"Gaussian quadrature {by_quad} disagrees with closed form {closed}"
             )
         return closed
-    # Tabulated: integrate on doubling frequency blocks until the running
-    # increment falls below rel_tol of the total; non-decaying increments
-    # signal divergence.
-    total = 0.0
-    lo = 0.0
-    block = 4.0 / T
-    increments: list[float] = []
-    for _ in range(16):
-        n = 513
-        w = np.linspace(lo, lo + block, n)
-        integrand = np.abs(_tabulated_fourier(window, w)) ** 2 * w / (2.0 * math.pi**2)
-        inc = float(simpson(integrand, x=w))
-        total += inc
-        increments.append(inc)
-        if total > 0.0 and inc < rel_tol * total:
-            return total
-        if len(increments) >= 6:
-            recent = increments[-4:]
-            # Log-divergent integrands give near-constant block increments
-            # once the block width doubles each step.
-            if all(r > 0.25 * recent[0] for r in recent) and total > 0.0 \
-                    and recent[-1] > 1e-4 * total:
-                raise DivergentIntegralError(
-                    "window variance integral does not converge "
-                    f"(running total {total:.6g}, stuck increment {inc:.3g})"
-                )
-        lo += block
-        block *= 2.0
-    raise DivergentIntegralError("window variance integral did not converge")
+    return spectral_moment(window._spline, rel_tol) / (2.0 * math.pi**2)
 
 
 def instantaneous_variance(cutoff_Lambda: float) -> float:

@@ -209,15 +209,19 @@ def test_echo_table_and_oracle_column(tmp_path):
     assert all(b <= a for a, b in zip(overlaps, overlaps[1:]))
 
 
-def test_trajectory_csv_ingestion(tmp_path):
-    t0, d = 1e-12, 1e-9
-    t = np.linspace(0.0, t0, 200)
+def _write_sin2_trajectory(path, t0, d, n=200):
+    t = np.linspace(0.0, t0, n)
     x = d * np.sin(math.pi * t / (2.0 * t0)) ** 2
-    traj = tmp_path / "traj.csv"
-    with open(traj, "w", newline="") as handle:
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t_seconds", "x_meters"])
         writer.writerows(zip(t, x))
+    return path
+
+
+def test_trajectory_csv_ingestion(tmp_path):
+    t0, d = 1e-12, 1e-9
+    traj = _write_sin2_trajectory(tmp_path / "traj.csv", t0, d)
     payload = json.loads(json.dumps(CHARGE_CONFIG))
     payload["scenario"]["alice"]["separation_d"] = d
     payload["radiation"] = {"trajectory_csv": str(traj)}
@@ -233,7 +237,25 @@ def test_trajectory_csv_ingestion(tmp_path):
                  "--output", str(out2)]) == 0
     _, rows = _read_csv(out)
     _, rows2 = _read_csv(out2)
-    assert float(rows[0][1]) == pytest.approx(float(rows2[0][1]), rel=5e-3)
+    assert float(rows[0][1]) == pytest.approx(float(rows2[0][1]), rel=1e-6)
+
+
+def test_trajectory_csv_rejects_t0(tmp_path, capsys):
+    # The tabulated trajectory fixes t0 (its last sample time), so a t0 in
+    # the radiation section or a t0 sweep beside it would be ignored.
+    traj = _write_sin2_trajectory(tmp_path / "traj.csv", 1e-12, 1e-9)
+    sweep = {"parameter": "t0", "min": 1e-13, "max": 1e-12, "points": 3}
+    for extra in ({"radiation": {"trajectory_csv": str(traj), "t0": 1e-12}},
+                  {"radiation": {"trajectory_csv": str(traj)}, "sweep": sweep}):
+        config = _write(tmp_path, "cfg.json", {**CHARGE_CONFIG, **extra})
+        out = tmp_path / "rad.csv"
+        assert main(["radiation", "--config", str(config),
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("supertime: error:")
+        assert "trajectory_csv" in err[0] and "t0" in err[0]
+        assert not out.exists()
 
 
 def test_window_csv_ingestion(tmp_path):
@@ -253,7 +275,7 @@ def test_window_csv_ingestion(tmp_path):
     header, rows = _read_csv(out)
     variance = float(rows[0][header.index("averaged_variance_natural")])
     assert variance == pytest.approx(1.0 / (4.0 * math.pi**2 * T_nat**2),
-                                     rel=1e-4)
+                                     rel=1e-8)
 
 
 def test_two_column_csv_errors(tmp_path):

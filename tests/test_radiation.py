@@ -128,7 +128,16 @@ def test_tabulated_profile_reproduces_sin2_exponent():
     tab = _tabulated_sin2()
     e_exact = mode_integral(exact, Q)
     e_tab = mode_integral(tab, Q)
-    assert e_tab == pytest.approx(e_exact, rel=5e-3)
+    assert e_tab == pytest.approx(e_exact, rel=1e-6)
+
+
+def test_tabulated_velocity_fourier_matches_closed_form():
+    exact = _sin2_profile()
+    tab = _tabulated_sin2()
+    omega = np.linspace(0.0, 40.0 / exact.t0, 200)
+    error = np.abs(velocity_fourier(tab, omega) - velocity_fourier(exact, omega))
+    assert np.max(error) <= 1e-10 * exact.d
+    assert isinstance(velocity_fourier(tab, 1e12), complex)
 
 
 def test_tabulated_profile_validation():

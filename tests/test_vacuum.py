@@ -52,7 +52,7 @@ def test_tabulated_gaussian_matches_closed_form():
     window = WindowFunction(shape=WindowShape.TABULATED, width_T=T,
                             samples=np.column_stack([t, phi]))
     closed = 1.0 / (4.0 * math.pi**2 * T**2)
-    assert averaged_variance(window) == pytest.approx(closed, rel=1e-5)
+    assert averaged_variance(window) == pytest.approx(closed, rel=1e-8)
 
 
 def test_variance_positive_and_dilation_scaling():
@@ -61,7 +61,7 @@ def test_variance_positive_and_dilation_scaling():
     assert base > 0.0
     for s in (0.5, 2.0, 10.0):
         scaled = averaged_variance(_hann_window(1.0, scale=s))
-        assert scaled == pytest.approx(base / s**2, rel=1e-4)
+        assert scaled == pytest.approx(base / s**2, rel=1e-8)
 
 
 def test_box_window_divergence_detected():
