@@ -21,6 +21,7 @@ from .errors import ValidationError
 __all__ = [
     "Scenario",
     "TimelineReport",
+    "force_pair",
     "tb_at_localization_limit",
     "optimize_eta",
     "audit_timeline",
@@ -74,16 +75,15 @@ class TimelineReport:
     satisfied: bool
 
 
-def _force_difference(scenario: Scenario,
-                      constants: PhysicalConstants) -> float:
+def force_pair(scenario: Scenario,
+               constants: PhysicalConstants = CODATA) -> echo.ForcePair:
+    """Branch forces on the test particle: gravitational or Coulomb by kind."""
     a = scenario.alice
     if a.kind is Kind.MASS:
-        pair = echo.force_difference_gravity(
+        return echo.force_difference_gravity(
             a.magnitude, scenario.bob_mass, a.separation_d, scenario.R, constants)
-    else:
-        pair = echo.force_difference_coulomb(
-            a.magnitude, scenario.bob_charge, a.separation_d, scenario.R, constants)
-    return abs(pair.delta_F)
+    return echo.force_difference_coulomb(
+        a.magnitude, scenario.bob_charge, a.separation_d, scenario.R, constants)
 
 
 def tb_at_localization_limit(scenario: Scenario,
@@ -93,9 +93,9 @@ def tb_at_localization_limit(scenario: Scenario,
     Solves dF T_B^2 / (2 mB sigma) = 1 with the dipole dF; independent of the
     test particle's own mass (and charge) after the cancellations.
     """
-    delta_F = _force_difference(scenario, constants)
+    delta_F = force_pair(scenario, constants).delta_F
     sigma = scenario.effective_sigma(constants)
-    return math.sqrt(2.0 * scenario.bob_mass * sigma / delta_F)
+    return echo.entanglement_time(delta_F, scenario.bob_mass, sigma, convention="main_text")
 
 
 def optimize_eta(alice: SuperpositionSpec,

@@ -4,9 +4,10 @@ Usage: supertime <subcommand> --config cfg.json [--output out.csv]
                  [--seed N] [--oracle]
 
 Config files are strict JSON: unknown keys are rejected so a typo in a
-physics parameter can never be silently ignored.  Every CSV column name
-carries its unit.  A metadata record (inputs, constants, version) is
-written next to each CSV so any run can be reproduced exactly.
+physics parameter can never be silently ignored, and every error names the
+JSON path of the bad value.  Every CSV column name carries its unit.  A
+metadata record (inputs, constants, version) is written next to each CSV so
+any run can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,10 +33,34 @@ from .constants import CODATA, PhysicalConstants, planck_scales
 from .echo import GaussianState
 from .errors import SupertimeError, ValidationError
 
-SUBCOMMANDS = ("bound", "echo", "causality", "radiation", "vacuum", "interference")
-
 _CONSTANT_KEYS = {"hbar", "c", "G", "epsilon0", "e_charge"}
 _SWEEPABLE = {"magnitude", "separation_d", "bob_mass", "bob_charge", "R", "sigma", "t0"}
+
+# The config schema: a dict is a JSON object of the given keys, a
+# one-element list a JSON list of that schema, a tuple the allowed strings,
+# and float, int or str a JSON number, integer or string.
+_SCHEMA = {
+    "constants": {key: float for key in _CONSTANT_KEYS},
+    "scenario": {
+        "alice": {"kind": tuple(kind.value for kind in Kind),
+                  "magnitude": float, "separation_d": float},
+        "bob_mass": float, "R": float, "bob_charge": float, "sigma": float,
+    },
+    "sweep": {"parameter": tuple(sorted(_SWEEPABLE)), "min": float, "max": float,
+              "points": int, "scale": ("linear", "log")},
+    "seed": int,
+    "output": str,
+    "radiation": {"t0": float, "trajectory_csv": str},
+    "vacuum": {"window_T": float, "window_csv": str},
+    "interference": {"n": int, "trials": int, "noise_multiples": [float],
+                     "d_over_sigma": float},
+    "causality": {"T_A": float},
+}
+_REQUIRED = {"scenario", "scenario.alice", "scenario.alice.kind", "scenario.alice.magnitude",
+             "scenario.alice.separation_d", "scenario.bob_mass", "scenario.R",
+             "sweep.parameter", "sweep.min", "sweep.max", "sweep.points"}
+_JSON_TYPES = {dict: (dict, "an object"), list: (list, "a list"), str: (str, "a string"),
+               float: ((int, float), "a number"), int: (int, "an integer")}
 
 
 @dataclass(frozen=True)
@@ -47,162 +73,123 @@ class RunConfig:
     extras: dict
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+def _read(value, schema, path: str):
+    """``value`` checked against ``schema``, with numbers as floats.
 
-
-def _parse_scenario(raw: dict, constants: PhysicalConstants) -> Scenario:
-    _reject_unknown(raw, {"alice", "bob_mass", "bob_charge", "R", "sigma"}, "scenario")
-    alice_raw = raw.get("alice")
-    if not isinstance(alice_raw, dict):
-        raise ValidationError("scenario.alice must be an object")
-    _reject_unknown(alice_raw, {"kind", "magnitude", "separation_d"}, "scenario.alice")
-    try:
-        kind = Kind(alice_raw.get("kind"))
-    except ValueError:
-        raise ValidationError(
-            f"scenario.alice.kind must be 'mass' or 'charge', got {alice_raw.get('kind')!r}"
-        ) from None
-    alice = SuperpositionSpec(
-        kind=kind,
-        magnitude=float(alice_raw["magnitude"]),
-        separation_d=float(alice_raw["separation_d"]),
-    )
-    return Scenario(
-        alice=alice,
-        bob_mass=float(raw["bob_mass"]),
-        R=float(raw["R"]),
-        bob_charge=float(raw.get("bob_charge", 0.0)),
-        sigma=float(raw["sigma"]) if "sigma" in raw else None,
-    )
+    Errors name the JSON path of the offending value (``scenario.alice.magnitude``).
+    """
+    where = path or "config"
+    if isinstance(schema, tuple):
+        if value in schema:
+            return value
+        raise ValidationError(f"{where}: expected one of {list(schema)}, got {json.dumps(value)}")
+    json_type = schema if isinstance(schema, type) else type(schema)
+    types, name = _JSON_TYPES[json_type]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"{where}: expected {name}, got {json.dumps(value)}")
+    if json_type is dict:
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise ValidationError(f"{where}: unknown key {json.dumps(unknown[0])}")
+        paths = {key: f"{path}.{key}" if path else key for key in schema}
+        missing = [paths[key] for key in schema if key not in value and paths[key] in _REQUIRED]
+        if missing:
+            raise ValidationError(f"{missing[0]}: missing")
+        return {key: _read(item, schema[key], paths[key]) for key, item in value.items()}
+    if json_type is list:
+        return [_read(item, schema[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    return float(value) if json_type is float else value
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long integers
         raise ValidationError(f"malformed JSON config: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
-    allowed = {"constants", "scenario", "sweep", "seed", "output",
-               "radiation", "vacuum", "interference", "causality"}
-    _reject_unknown(raw, allowed, "config")
-
-    const_raw = raw.get("constants", {})
-    _reject_unknown(const_raw, _CONSTANT_KEYS, "constants")
-    constants = replace(CODATA, **{k: float(v) for k, v in const_raw.items()})
-
-    if "scenario" not in raw:
-        raise ValidationError("config requires a 'scenario' section")
-    scenario = _parse_scenario(raw["scenario"], constants)
-
+    raw = _read(document, _SCHEMA, "")
+    # The schema's keys are the constructors' own argument names.
+    constants = replace(CODATA, **raw.get("constants", {}))
+    alice = raw["scenario"]["alice"]
+    alice = SuperpositionSpec(**{**alice, "kind": Kind(alice["kind"])})
+    scenario = Scenario(**{**raw["scenario"], "alice": alice})
     sweep = raw.get("sweep")
     if sweep is not None:
-        _reject_unknown(sweep, {"parameter", "min", "max", "points", "scale"}, "sweep")
-        if sweep.get("parameter") not in _SWEEPABLE:
-            raise ValidationError(
-                f"sweep.parameter must be one of {sorted(_SWEEPABLE)}, "
-                f"got {sweep.get('parameter')!r}"
-            )
-        if sweep.get("scale", "linear") not in ("linear", "log"):
-            raise ValidationError("sweep.scale must be 'linear' or 'log'")
-        if int(sweep.get("points", 0)) < 1:
-            raise ValidationError("sweep.points must be >= 1")
-
-    extras = {key: raw.get(key, {}) for key in ("radiation", "vacuum",
-                                                "interference", "causality")}
-    _reject_unknown(extras["radiation"], {"t0", "trajectory_csv"}, "radiation")
-    _reject_unknown(extras["vacuum"], {"window_T", "window_csv"}, "vacuum")
-    _reject_unknown(extras["interference"],
-                    {"n", "trials", "noise_multiples", "d_over_sigma"}, "interference")
-    _reject_unknown(extras["causality"], {"T_A"}, "causality")
-
-    return RunConfig(
-        constants=constants,
-        scenario=scenario,
-        sweep=sweep,
-        seed=int(raw.get("seed", 0)),
-        output=raw.get("output"),
-        extras=extras,
-    )
+        if sweep["points"] < 1:
+            raise ValidationError(f"sweep.points: must be >= 1, got {sweep['points']}")
+        for end in ("min", "max"):
+            if sweep.get("scale") == "log" and not sweep[end] > 0.0:
+                raise ValidationError(f"sweep.{end}: a log sweep needs > 0, got {sweep[end]}")
+    extras = {k: raw.get(k, {}) for k in ("radiation", "vacuum", "interference", "causality")}
+    return RunConfig(constants, scenario, sweep, raw.get("seed", 0), raw.get("output"), extras)
 
 
-def _sweep_values(sweep: dict) -> np.ndarray:
-    lo, hi, n = float(sweep["min"]), float(sweep["max"]), int(sweep["points"])
-    if sweep.get("scale", "linear") == "log":
-        if lo <= 0.0:
-            raise ValidationError("log sweep requires min > 0")
-        return np.logspace(math.log10(lo), math.log10(hi), n)
-    return np.linspace(lo, hi, n)
+def _config_with(config: RunConfig, parameter: str, value: float) -> RunConfig:
+    """``config`` with one sweep parameter set to ``value``."""
+    # Copied through vars(): dataclasses.replace costs up to twice as much, once per row.
+    scenario, extras = config.scenario, config.extras
+    if parameter == "t0":
+        extras = {**extras, "radiation": {**extras["radiation"], "t0": value}}
+    elif parameter in ("magnitude", "separation_d"):
+        alice = SuperpositionSpec(**{**vars(scenario.alice), parameter: value})
+        scenario = Scenario(**{**vars(scenario), "alice": alice})
+    else:
+        scenario = Scenario(**{**vars(scenario), parameter: value})
+    return RunConfig(config.constants, scenario, config.sweep, config.seed, config.output, extras)
 
 
-def _scenario_with(scenario: Scenario, parameter: str, value: float) -> Scenario:
-    if parameter in ("magnitude", "separation_d"):
-        alice = replace(scenario.alice, **{parameter: value})
-        return replace(scenario, alice=alice)
-    return replace(scenario, **{parameter: value})
-
-
-def _expand_scenarios(config: RunConfig) -> list[Scenario]:
-    if config.sweep is None or config.sweep["parameter"] == "t0":
-        return [config.scenario]
-    parameter = config.sweep["parameter"]
-    return [_scenario_with(config.scenario, parameter, float(v))
-            for v in _sweep_values(config.sweep)]
+def _sweep_points(subcommand: str, config: RunConfig) -> Iterator[RunConfig]:
+    """``config`` at each sweep value; rejects parameters the subcommand does not read."""
+    sweep = config.sweep
+    if sweep is None:
+        return iter([config])
+    sweeps, note = SUBCOMMANDS[subcommand].sweeps, ""
+    if config.scenario.alice.kind is Kind.MASS:
+        sweeps = sweeps - {"bob_charge"}  # only the Coulomb force reads it
+    if subcommand == "radiation" and "trajectory_csv" in config.extras["radiation"]:
+        sweeps, note = sweeps - {"t0", "separation_d"}, " next to radiation.trajectory_csv"
+    parameter = sweep["parameter"]
+    if parameter not in sweeps:
+        raise ValidationError(f"sweep.parameter: {subcommand} cannot sweep {parameter!r}"
+                              f"{note} (sweepable: {', '.join(sorted(sweeps)) or 'none'})")
+    lo, hi, n = sweep["min"], sweep["max"], sweep["points"]
+    if sweep.get("scale") == "log":
+        values = np.logspace(math.log10(lo), math.log10(hi), n)
+    else:
+        values = np.linspace(lo, hi, n)
+    # Lazily: holding every point of a long sweep alive slows each garbage collection.
+    return (_config_with(config, parameter, float(v)) for v in values)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12e}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
-# --- subcommand row builders ----------------------------------------------
+# --- subcommand rows, one sweep point at a time ------------------------------
 
 
 def _rows_bound(config: RunConfig, use_oracle: bool):
     constants = config.constants
-    header = ["kind", "magnitude_kg_or_C", "separation_d_m",
-              "min_time_seconds", "sharp_min_time_seconds"]
-
-    def row(scenario: Scenario):
-        a = scenario.alice
-        if a.kind is Kind.MASS:
-            t = bounds.min_time_mass(a.magnitude, a.separation_d, constants)
-        else:
-            t = bounds.min_time_charge(a.magnitude, a.separation_d, constants)
-        return [a.kind.value, a.magnitude, a.separation_d, t,
-                bounds.sharp_min_time(a, constants)]
-
-    return header, [row(scenario) for scenario in _expand_scenarios(config)]
-
-
-def _echo_force(scenario: Scenario, constants: PhysicalConstants):
-    a = scenario.alice
-    if a.kind is Kind.MASS:
-        return echo.force_difference_gravity(
-            a.magnitude, scenario.bob_mass, a.separation_d, scenario.R, constants)
-    return echo.force_difference_coulomb(
-        a.magnitude, scenario.bob_charge, a.separation_d, scenario.R, constants)
+    a = config.scenario.alice
+    min_time = bounds.min_time_mass if a.kind is Kind.MASS else bounds.min_time_charge
+    return [[a.kind.value, a.magnitude, a.separation_d,
+             min_time(a.magnitude, a.separation_d, constants),
+             bounds.sharp_min_time(a, constants)]]
 
 
 def _rows_echo(config: RunConfig, use_oracle: bool):
     constants = config.constants
     scenario = config.scenario
-    pair = _echo_force(scenario, constants)
+    pair = causality.force_pair(scenario, constants)
     sigma = scenario.effective_sigma(constants)
     mB = scenario.bob_mass
-    t_ent = math.sqrt(2.0 * mB * sigma / abs(pair.delta_F))
+    t_ent = echo.entanglement_time(pair.delta_F, mB, sigma, convention="main_text")
     times = np.linspace(0.0, 2.0 * t_ent, 41)
     state = GaussianState(sigma=sigma)
-    header = ["t_seconds", "delta_x_m", "delta_p_kg_m_per_s", "overlap"]
-    if use_oracle:
-        header.append("overlap_numeric")
     rows = []
     for t in times:
         result = echo.echo_displacements(pair.delta_F, mB,
@@ -212,7 +199,7 @@ def _rows_echo(config: RunConfig, use_oracle: bool):
         if use_oracle:
             row.append(_oracle_overlap(result, state, constants))
         rows.append(row)
-    return header, rows
+    return rows
 
 
 def _oracle_overlap(result, state: GaussianState,
@@ -240,40 +227,12 @@ def _oracle_overlap(result, state: GaussianState,
 
 def _rows_causality(config: RunConfig, use_oracle: bool):
     constants = config.constants
-    t_a = config.extras["causality"].get("T_A")
-    header = ["R_m", "T_A_seconds", "T_B_seconds", "eta", "satisfied"]
-
-    def row(scenario: Scenario):
-        T_A = float(t_a) if t_a is not None else bounds.sharp_min_time(
-            scenario.alice, constants)
-        report = causality.audit_timeline(scenario, T_A, constants)
-        return [scenario.R, report.T_A_bound, report.T_B, report.eta,
-                report.satisfied]
-
-    return header, [row(scenario) for scenario in _expand_scenarios(config)]
-
-
-def _radiation_profiles(config: RunConfig) -> list[radiation.TrajectoryProfile]:
-    """One profile per output row: the tabulated trajectory, or one per t0."""
-    section = config.extras["radiation"]
-    t0_swept = config.sweep is not None and config.sweep["parameter"] == "t0"
-    if "trajectory_csv" in section:
-        if t0_swept or "t0" in section:
-            raise ValidationError(
-                "radiation.trajectory_csv takes t0 from its last sample; "
-                "remove radiation.t0 and any t0 sweep")
-        samples = _read_two_column_csv(section["trajectory_csv"])
-        return [radiation.TrajectoryProfile(
-            d=float(samples[-1, 1]), t0=float(samples[-1, 0]),
-            shape=radiation.Shape.TABULATED, samples=samples)]
-    if t0_swept:
-        t0_values = [float(v) for v in _sweep_values(config.sweep)]
-    elif "t0" in section:
-        t0_values = [float(section["t0"])]
-    else:
-        raise ValidationError("radiation section requires t0 or trajectory_csv")
-    d = config.scenario.alice.separation_d
-    return [radiation.TrajectoryProfile(d=d, t0=t0) for t0 in t0_values]
+    scenario = config.scenario
+    T_A = config.extras["causality"].get("T_A")
+    if T_A is None:
+        T_A = bounds.sharp_min_time(scenario.alice, constants)
+    report = causality.audit_timeline(scenario, T_A, constants)
+    return [[scenario.R, report.T_A_bound, report.T_B, report.eta, report.satisfied]]
 
 
 def _rows_radiation(config: RunConfig, use_oracle: bool):
@@ -281,15 +240,23 @@ def _rows_radiation(config: RunConfig, use_oracle: bool):
     a = config.scenario.alice
     if a.kind is not Kind.CHARGE:
         raise ValidationError("radiation subcommand needs a charge scenario")
-    header = ["t0_seconds", "exponent", "vacuum_overlap",
-              "min_radiationless_time_seconds"]
-
-    def row(profile: radiation.TrajectoryProfile):
-        exponent = radiation.mode_integral(profile, a.magnitude, constants)
-        return [profile.t0, exponent, math.exp(-exponent),
-                radiation.min_radiationless_time(a.magnitude, profile.d, constants)]
-
-    return header, [row(profile) for profile in _radiation_profiles(config)]
+    section = config.extras["radiation"]
+    if "trajectory_csv" in section:
+        if "t0" in section:
+            raise ValidationError(
+                "radiation.trajectory_csv takes t0 from its last sample; "
+                "remove radiation.t0")
+        samples = _read_two_column_csv(section["trajectory_csv"])
+        profile = radiation.TrajectoryProfile(
+            d=float(samples[-1, 1]), t0=float(samples[-1, 0]),
+            shape=radiation.Shape.TABULATED, samples=samples)
+    elif "t0" in section:
+        profile = radiation.TrajectoryProfile(d=a.separation_d, t0=section["t0"])
+    else:
+        raise ValidationError("radiation section requires t0 or trajectory_csv")
+    exponent = radiation.mode_integral(profile, a.magnitude, constants)
+    return [[profile.t0, exponent, math.exp(-exponent),
+             radiation.min_radiationless_time(a.magnitude, profile.d, constants)]]
 
 
 def _rows_vacuum(config: RunConfig, use_oracle: bool):
@@ -301,45 +268,42 @@ def _rows_vacuum(config: RunConfig, use_oracle: bool):
     if "window_csv" in section:
         samples = _read_two_column_csv(section["window_csv"])
         window = vacuum.WindowFunction(shape=vacuum.WindowShape.TABULATED,
-                                       width_T=float(section.get("window_T", 1.0)),
+                                       width_T=section.get("window_T", 1.0),
                                        samples=samples)
         T_seconds = window.width_T / constants.c
-    else:
-        if "window_T" not in section:
-            raise ValidationError("vacuum section requires window_T or window_csv")
-        T_seconds = float(section["window_T"])
+    elif "window_T" in section:
+        T_seconds = section["window_T"]
         window = vacuum.WindowFunction(width_T=T_seconds * constants.c)
+    else:
+        raise ValidationError("vacuum section requires window_T or window_csv")
     variance = vacuum.averaged_variance(window)
-    header = ["T_seconds", "averaged_variance_natural",
-              "momentum_error_kg_m_per_s", "min_measurement_time_seconds"]
-    rows = [[T_seconds, variance,
+    return [[T_seconds, variance,
              vacuum.momentum_error(a.magnitude, T_seconds, constants),
              vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)]]
-    return header, rows
 
 
 def _rows_interference(config: RunConfig, use_oracle: bool):
     section = config.extras["interference"]
     d = config.scenario.alice.separation_d
-    d_over_sigma = float(section.get("d_over_sigma", 20.0))
+    d_over_sigma = section.get("d_over_sigma", 20.0)
+    if not d_over_sigma > 0.0:
+        raise ValidationError(f"interference.d_over_sigma: must be positive, got {d_over_sigma}")
     packet = interference.SuperposedWavepacket(sigma=d / d_over_sigma, d=d)
-    n = int(section.get("n", 10000))
-    trials = int(section.get("trials", 100))
-    multiples = [float(v) for v in section.get(
-        "noise_multiples", [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0])]
+    multiples = section.get("noise_multiples", [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0])
     base = math.pi / d
     powers = interference.power_curve(
-        packet, n, [m * base for m in multiples], trials, config.seed)
-    header = ["noise_multiple_of_pi_over_d", "noise_dP_natural", "power"]
-    rows = [[m, m * base, float(p)] for m, p in zip(multiples, powers)]
-    return header, rows
+        packet, section.get("n", 10000), [m * base for m in multiples],
+        section.get("trials", 100), config.seed)
+    return [[m, m * base, float(p)] for m, p in zip(multiples, powers)]
 
 
 def _read_two_column_csv(path: str) -> np.ndarray:
     """Two-column CSV with a header row, as used for trajectories/windows."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (ValueError, csv.Error) as exc:  # undecodable text, NUL in the path
+        raise ValidationError(f"{path!r}: {exc}") from None
     if len(rows) < 2:
         raise ValidationError(f"{path}: expected a header row plus data")
     data = []
@@ -353,13 +317,31 @@ def _read_two_column_csv(path: str) -> np.ndarray:
     return np.asarray(data)
 
 
-_ROW_BUILDERS = {
-    "bound": _rows_bound,
-    "echo": _rows_echo,
-    "causality": _rows_causality,
-    "radiation": _rows_radiation,
-    "vacuum": _rows_vacuum,
-    "interference": _rows_interference,
+class _Subcommand(NamedTuple):
+    """CSV header, rows of one sweep point, sweepable parameters, --oracle column."""
+
+    header: tuple[str, ...]
+    rows: Callable[[RunConfig, bool], list]
+    sweeps: frozenset = frozenset()
+    oracle_column: str | None = None
+
+
+SUBCOMMANDS = {
+    "bound": _Subcommand(("kind", "magnitude_kg_or_C", "separation_d_m", "min_time_seconds",
+                          "sharp_min_time_seconds"),
+                         _rows_bound, frozenset({"magnitude", "separation_d"})),
+    "echo": _Subcommand(("t_seconds", "delta_x_m", "delta_p_kg_m_per_s", "overlap"),
+                        _rows_echo, oracle_column="overlap_numeric"),
+    "causality": _Subcommand(("R_m", "T_A_seconds", "T_B_seconds", "eta", "satisfied"),
+                             _rows_causality, frozenset({"magnitude", "separation_d",
+                                                         "bob_mass", "bob_charge", "R", "sigma"})),
+    "radiation": _Subcommand(("t0_seconds", "exponent", "vacuum_overlap",
+                              "min_radiationless_time_seconds"),
+                             _rows_radiation, frozenset({"t0", "magnitude", "separation_d"})),
+    "vacuum": _Subcommand(("T_seconds", "averaged_variance_natural", "momentum_error_kg_m_per_s",
+                           "min_measurement_time_seconds"), _rows_vacuum),
+    "interference": _Subcommand(("noise_multiple_of_pi_over_d", "noise_dP_natural", "power"),
+                                _rows_interference),
 }
 
 
@@ -397,12 +379,16 @@ def run(subcommand: str, config: RunConfig, output: Path,
     Both files appear together or not at all: a failure at any point
     leaves neither of them and no temporary file behind.
     """
-    header, rows = _ROW_BUILDERS[subcommand](config, use_oracle)
+    entry = SUBCOMMANDS[subcommand]
+    if use_oracle and entry.oracle_column is None:
+        raise ValidationError(f"--oracle: {subcommand} has no cross-check column")
+    header = [*entry.header, entry.oracle_column] if use_oracle else list(entry.header)
     table = io.StringIO()
     writer = csv.writer(table)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    for point in _sweep_points(subcommand, config):
+        for row in entry.rows(point, use_oracle):
+            writer.writerow(map(_fmt, row))
     scales = planck_scales(config.constants)
     meta = {
         "subcommand": subcommand,
@@ -449,7 +435,8 @@ def main(argv: "list[str] | None" = None) -> int:
             config = replace(config, seed=args.seed)
         output = Path(args.output or config.output or f"{args.subcommand}.csv")
         run(args.subcommand, config, output, use_oracle=args.oracle)
-    except (SupertimeError, OSError) as exc:
+    # UnicodeDecodeError: a non-UTF-8 config; OverflowError: an integer beyond any float.
+    except (SupertimeError, OSError, UnicodeDecodeError, OverflowError) as exc:
         print(f"supertime: error: {exc}", file=sys.stderr)
         return 2
     return 0

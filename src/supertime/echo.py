@@ -162,19 +162,23 @@ def echo_result_with_overlap(state: GaussianState, echo: EchoResult,
     return replace(echo, overlap=echo_overlap(state, echo, constants))
 
 
-def entanglement_time(delta_F: float, mB: float, sigma: float) -> float:
-    """Time sqrt(mB sigma / |dF|) for the position shift to reach Delta X.
+def entanglement_time(delta_F: float, mB: float, sigma: float, *,
+                      convention: str = "trap") -> float:
+    """Time for the position shift of the test particle to reach Delta X.
 
-    Uses the convention under which the trap condition
-    sigma^3 <= hbar^2/(mB dF) makes the position route exactly no slower than
-    the momentum route.  The main-text entanglement criterion carries an extra
-    factor sqrt(2) absorbed here as an order-unity convention.
+    ``convention="trap"`` gives sqrt(mB sigma / |dF|), under which the trap
+    condition sigma^3 <= hbar^2/(mB dF) makes the position route exactly no
+    slower than the momentum route.  ``convention="main_text"`` solves the
+    main-text criterion dF T^2 / (2 mB sigma) = 1, sqrt(2) longer.
     """
+    factors = {"trap": 1.0, "main_text": 2.0}  # k in sqrt(k mB sigma / |dF|)
+    if convention not in factors:
+        raise ValidationError(f"convention must be 'trap' or 'main_text', got {convention!r}")
     if not (mB > 0.0 and sigma > 0.0):
         raise ValidationError("mB and sigma must be positive")
     if delta_F == 0.0:
         raise NoEntanglementError("delta_F = 0: entanglement is never generated")
-    return math.sqrt(mB * sigma / abs(delta_F))
+    return math.sqrt(factors[convention] * mB * sigma / abs(delta_F))
 
 
 def momentum_route_time(delta_F: float, sigma: float,

@@ -69,16 +69,19 @@ class SuperposedWavepacket:
         return 1.0 / (2.0 * self.sigma)
 
     @property
+    def _overlap(self) -> float:
+        """Packet-overlap term cos(phi) exp(-d^2 s^2 / 2) = cos(phi) exp(-d^2/(8 sigma^2))."""
+        return math.cos(self.phase_phi) * math.exp(-0.5 * (self.d * self.momentum_spread) ** 2)
+
+    @property
     def _norm(self) -> float:
-        """1 / (1 + cos(phi) exp(-d^2/(8 sigma^2))), exact normalization."""
-        overlap = math.exp(-0.5 * (self.d * self.momentum_spread) ** 2)
-        return 1.0 / (1.0 + math.cos(self.phase_phi) * overlap)
+        """1 / (1 + overlap term), exact normalization."""
+        return 1.0 / (1.0 + self._overlap)
 
     @property
     def _log_norm(self) -> float:
         """log of _norm, kept accurate when the packet overlap is tiny."""
-        overlap = math.exp(-0.5 * (self.d * self.momentum_spread) ** 2)
-        return -math.log1p(math.cos(self.phase_phi) * overlap)
+        return -math.log1p(self._overlap)
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,9 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     noise deviates; every noise level observes the same base draw scaled by
     its own noise std, so the empirical power is comparable across levels.
     """
+    if n < 1 or trials < 1 or seed < 0:
+        raise ValidationError("power_curve needs n >= 1, trials >= 1 and seed >= 0, "
+                              f"got n={n}, trials={trials}, seed={seed}")
     noise_levels = np.asarray(noise_levels, dtype=float)
     root = np.random.SeedSequence(seed)
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)

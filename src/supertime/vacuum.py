@@ -50,8 +50,8 @@ class WindowFunction:
     """Normalized time-averaging profile phi(t) of characteristic width T.
 
     For TABULATED windows, ``samples`` is an (n, 2) array of (t, phi)
-    pairs with unit trapezoid integral; phi is interpolated with a cubic
-    spline, built once here, and taken as zero outside the samples.
+    pairs; phi is interpolated with a cubic spline, built once here, whose
+    integral must be 1, and taken as zero outside the samples.
     """
 
     shape: WindowShape = WindowShape.GAUSSIAN
@@ -66,13 +66,14 @@ class WindowFunction:
             if self.samples is None:
                 raise ValidationError("TABULATED window requires samples")
             t, phi = sample_columns(self.samples, _MIN_WINDOW_SAMPLES, "phi")
-            norm = np.trapezoid(phi, t)
+            spline = CubicSpline(t, phi)
+            norm = spline.integrate(t[0], t[-1])
             if abs(norm - 1.0) > 1e-8:
                 raise ValidationError(
-                    f"window must integrate to 1 (got {norm:.10f})"
+                    f"window spline must integrate to 1 (got {norm:.10f})"
                 )
             object.__setattr__(self, "samples", np.column_stack([t, phi]))
-            object.__setattr__(self, "_spline", CubicSpline(t, phi))
+            object.__setattr__(self, "_spline", spline)
         elif self.samples is not None:
             raise ValidationError("samples are only meaningful for TABULATED windows")
 

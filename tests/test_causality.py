@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from supertime.bounds import Kind, SuperpositionSpec, sharp_min_time
+from supertime import echo
 from supertime.causality import (
     Scenario,
     audit_timeline,
+    force_pair,
     optimize_eta,
     tb_at_localization_limit,
 )
@@ -37,6 +39,22 @@ def test_tb_mass_case_closed_form():
         2.0 * scales.l_P * 10.0**3
         / (CODATA.G * HEAVY.magnitude * HEAVY.separation_d))
     assert tb_at_localization_limit(scen) == pytest.approx(expected, rel=1e-12)
+
+
+def test_force_pair_dispatches_on_kind():
+    mass = _mass_scenario(R=10.0)
+    assert force_pair(mass) == echo.force_difference_gravity(
+        HEAVY.magnitude, mass.bob_mass, HEAVY.separation_d, 10.0)
+    alice = SuperpositionSpec(kind=Kind.CHARGE, magnitude=1e-10, separation_d=1e-4)
+    charge = Scenario(alice=alice, bob_mass=1e-12, R=1.0, bob_charge=-2e-19)
+    assert force_pair(charge) == echo.force_difference_coulomb(1e-10, -2e-19, 1e-4, 1.0)
+
+
+def test_tb_is_the_main_text_entanglement_time():
+    scen = _mass_scenario(R=10.0)
+    expected = echo.entanglement_time(force_pair(scen).delta_F, scen.bob_mass,
+                                      scen.effective_sigma(), convention="main_text")
+    assert tb_at_localization_limit(scen) == expected
 
 
 def test_tb_independent_of_bob_mass():

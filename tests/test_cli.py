@@ -1,11 +1,19 @@
 """Command-line front end: config validation, CSV output, determinism."""
 
+import contextlib
+import copy
 import csv
+import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supertime
 from supertime.cli import main, parse_config
@@ -286,3 +294,192 @@ def test_two_column_csv_errors(tmp_path):
     config = _write(tmp_path, "cfg.json", payload)
     assert main(["radiation", "--config", str(config),
                  "--output", str(tmp_path / "x.csv")]) == 2
+
+
+# SHA-256 of each subcommand's CSV on the configs above, captured before the
+# CLI was rebuilt around its subcommand table; any change to the CSV bytes of
+# an existing config shows here.
+GOLDEN_SHA256 = {
+    "bound": "49cbfb96a41622fd9975b9244d296d11ef61ae37b9ec4edad186d89a7009ef9f",
+    "causality": "822c5ee40467bf6d035172d7f95c65b704e2fdcd0575b51d81bb69134ba89444",
+    "echo": "0eefa55f862cec112bb5300f008e87505796bfbc0ad23a25cc440ff3367506e9",
+    "radiation": "af84772cc6fbc720e47af970ea47cd72a91195c9071eb96363d4c09e46630118",
+    "vacuum": "f06bee97d73b4810f8a4b2c10b0c844b705641cc15071b1aa745a7e8ab0f2212",
+    "interference": "cc4cd5b3e0f41f0524d3a86626c5986678e33c00af5242a9c71aca153bdd8638",
+}
+
+
+def test_csv_bytes_unchanged(tmp_path):
+    runs = {
+        "bound": (MASS_CONFIG, []),
+        "causality": ({**MASS_CONFIG, "sweep": {"parameter": "R", "min": 0.5,
+                                                "max": 2.5, "points": 5}}, []),
+        "echo": (MASS_CONFIG, []),
+        "radiation": ({**CHARGE_CONFIG, "sweep": {"parameter": "t0", "min": 1e-13,
+                                                  "max": 1e-11, "points": 3,
+                                                  "scale": "log"}}, []),
+        "vacuum": (CHARGE_CONFIG, []),
+        "interference": (CHARGE_CONFIG, ["--seed", "3"]),
+    }
+    for sub, (payload, extra) in runs.items():
+        config = _write(tmp_path, f"{sub}.json", payload)
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--config", str(config), "--output", str(out), *extra]) == 0
+        text = out.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[sub], text
+
+
+def _mutated(base, edit):
+    payload = copy.deepcopy(base)
+    edit(payload)
+    return payload
+
+
+def _sweep(parameter, **fields):
+    return {"parameter": parameter, "min": 1.0, "max": 2.0, "points": 3, **fields}
+
+
+BAD_CONFIGS = [
+    ("bound", _mutated(MASS_CONFIG, lambda c: c["scenario"]["alice"].pop("magnitude")),
+     "scenario.alice.magnitude"),
+    ("bound", {**MASS_CONFIG, "constants": {"c": "x"}}, "constants.c"),
+    ("bound", _mutated(MASS_CONFIG, lambda c: c["scenario"]["alice"].update(magnitude=True)),
+     "scenario.alice.magnitude"),
+    ("bound", {**MASS_CONFIG, "seed": "abc"}, "seed"),
+    ("bound", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(R=10**400)), "float"),
+    ("bound", {**MASS_CONFIG, "sweep": {**_sweep("magnitude"), "points": 2.7}},
+     "sweep.points"),
+    ("bound", {**MASS_CONFIG, "sweep": _sweep("magnitude", max=0, scale="log")},
+     "sweep.max"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        noise_multiples="abc")), "interference.noise_multiples"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(trials=0)),
+     "trials"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        d_over_sigma=0)), "interference.d_over_sigma"),
+    ("bound", {**MASS_CONFIG, "sweep": _sweep("R")}, "'R'"),
+    ("bound", {**MASS_CONFIG, "sweep": _sweep("t0")}, "'t0'"),
+    ("causality", {**MASS_CONFIG, "sweep": _sweep("t0")}, "'t0'"),
+    ("causality", {**MASS_CONFIG, "sweep": _sweep("bob_charge")}, "'bob_charge'"),
+    ("echo", {**MASS_CONFIG, "sweep": _sweep("R")}, "'R'"),
+    ("vacuum", {**CHARGE_CONFIG, "sweep": _sweep("magnitude")}, "'magnitude'"),
+    ("interference", {**CHARGE_CONFIG, "sweep": _sweep("separation_d")}, "'separation_d'"),
+]
+
+
+@pytest.mark.parametrize("sub,payload,names", BAD_CONFIGS)
+def test_bad_config_is_one_error_line_and_no_output(tmp_path, capsys, sub, payload, names):
+    config = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out.csv"
+    assert main([sub, "--config", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("supertime: error:"), err
+    assert names in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_non_utf8_config_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert main(["bound", "--config", str(config), "--output",
+                 str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("supertime: error:")
+
+
+def test_oracle_flag_only_where_there_is_an_oracle(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    assert main(["bound", "--config", str(config), "--output",
+                 str(tmp_path / "b.csv"), "--oracle"]) == 2
+    assert "--oracle" in capsys.readouterr().err
+
+
+def test_radiation_magnitude_sweep_scales_as_charge_squared(tmp_path):
+    payload = {**CHARGE_CONFIG, "sweep": {"parameter": "magnitude", "min": 1e-19,
+                                          "max": 1e-17, "points": 5, "scale": "log"}}
+    config = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "rad.csv"
+    assert main(["radiation", "--config", str(config), "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 5
+    charges = np.logspace(-19, -17, 5)
+    exponents = np.array([float(r[1]) for r in rows])
+    ratios = exponents / charges**2
+    assert ratios == pytest.approx(np.full(5, ratios[0]), rel=1e-12)
+    # min_radiationless_time is linear in the charge.
+    times = np.array([float(r[3]) for r in rows])
+    assert times / charges == pytest.approx(np.full(5, times[0] / charges[0]), rel=1e-12)
+
+
+# --- property test: mutated configs never escape main ----------------------
+
+FUZZ_BASES = [
+    ("bound", {**MASS_CONFIG, "sweep": {"parameter": "magnitude", "min": 1e-6,
+                                        "max": 1e-5, "points": 3, "scale": "log"}}),
+    ("causality", {**MASS_CONFIG, "causality": {"T_A": 1e-12},
+                   "sweep": {"parameter": "R", "min": 0.5, "max": 2.5, "points": 3}}),
+    ("echo", {**MASS_CONFIG, "seed": 1}),
+    ("radiation", {**CHARGE_CONFIG, "sweep": {"parameter": "t0", "min": 1e-13,
+                                              "max": 1e-11, "points": 3, "scale": "log"}}),
+    ("vacuum", {**CHARGE_CONFIG, "constants": {"c": 2.99792458e8}}),
+    ("interference", {**CHARGE_CONFIG, "seed": 3}),
+]
+
+_VALUES = st.one_of(st.text(max_size=8), st.booleans(), st.none(),
+                    st.lists(st.sampled_from([0, 1.5, "x", None]), max_size=3))
+_KEYS = st.one_of(st.sampled_from(["magnitude", "sweep", "t0", "seed", "scale", "alice"]),
+                  st.text(max_size=8))
+
+
+def _nodes(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(data, payload):
+    """Delete a key, swap a value's type, add a key or wrap a value in a list.
+
+    Values are only ever replaced by strings, booleans, null or short lists,
+    never by larger numbers, so no mutant allocates more than its base.
+    """
+    holder = {"root": payload}
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_nodes(holder["root"]))))
+        parent, key = holder, "root"
+        for step in path:
+            parent, key = parent[key], step
+        op = data.draw(st.sampled_from(["delete", "swap", "add", "wrap"]))
+        if op == "delete" and parent is not holder:
+            del parent[key]
+        elif op == "add" and isinstance(parent[key], dict):
+            parent[key][data.draw(_KEYS)] = data.draw(_VALUES)
+        elif op == "wrap":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = data.draw(_VALUES)
+    return holder["root"]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.data())
+def test_mutated_configs_exit_cleanly(data):
+    sub, base = data.draw(st.sampled_from(FUZZ_BASES))
+    payload = _mutate(data, copy.deepcopy(base))
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir)
+        config = workdir / "cfg.json"
+        config.write_text(json.dumps(payload))
+        out = workdir / "out.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([sub, "--config", str(config), "--output", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("supertime: error:"), lines
+        written = sorted(p.name for p in workdir.iterdir())
+        assert written in (["cfg.json"], ["cfg.json", "out.csv", "out.csv.meta.json"]), written
+        assert (code == 0) == (len(written) == 3)

@@ -125,6 +125,18 @@ def test_position_route_wins_inside_the_trap_condition():
             momentum_route_time(dF, sigma, NATURAL)
 
 
+def test_entanglement_time_conventions_differ_by_sqrt2():
+    # Main text: dF T^2 / (2 mB sigma) = 1; trap convention: dF T^2 = mB sigma.
+    dF, mB, sigma = 0.3, 2.0, 0.5
+    trap = entanglement_time(dF, mB, sigma)
+    main_text = entanglement_time(-dF, mB, sigma, convention="main_text")
+    assert trap == math.sqrt(mB * sigma / dF)
+    assert main_text == math.sqrt(2.0 * mB * sigma / dF)
+    assert dF * main_text**2 / (2.0 * mB * sigma) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ValidationError, match="convention"):
+        entanglement_time(dF, mB, sigma, convention="paper")
+
+
 def test_zero_force_raises_no_entanglement():
     with pytest.raises(NoEntanglementError):
         entanglement_time(0.0, 1.0, 1.0)

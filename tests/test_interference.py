@@ -138,6 +138,13 @@ def test_power_crossing_near_required_precision():
         assert lo > 0.75 > hi, f"crossing outside [pi/3, 3 pi] for sd={sd}"
 
 
+def test_power_curve_rejects_empty_runs():
+    # trials = 0 used to return nan powers; n = 0 has no samples to test.
+    for n, trials, seed in ((2000, 0, 1), (0, 5, 1), (2000, 5, -1)):
+        with pytest.raises(ValidationError):
+            power_curve(PACKET, n, [1.0], trials=trials, seed=seed)
+
+
 def test_power_curve_deterministic_in_seed():
     levels = [0.5 * math.pi, 2.0 * math.pi]
     a = power_curve(PACKET, 2000, levels, trials=30, seed=11)

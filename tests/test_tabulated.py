@@ -122,9 +122,11 @@ def test_gauss_legendre_rejects_bad_order():
 
 
 def _window(phi_of_t, t):
+    # Normalized by the integral of the spline the window is built on.
     phi = phi_of_t(t)
+    norm = CubicSpline(t, phi).integrate(t[0], t[-1])
     return WindowFunction(shape=WindowShape.TABULATED, width_T=1.0,
-                          samples=np.column_stack([t, phi / np.trapezoid(phi, t)]))
+                          samples=np.column_stack([t, phi / norm]))
 
 
 def _gaussian_cut(cut):

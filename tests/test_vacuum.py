@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from supertime.constants import CODATA, planck_scales
 from supertime.errors import DivergentIntegralError, ValidationError
@@ -69,12 +70,27 @@ def test_box_window_divergence_detected():
     n = 512
     t = np.linspace(0.0, T, n)
     phi = np.full(n, 1.0 / T)
-    phi[0] = phi[-1] = 0.5 / T  # trapezoid-normalized sharp box
-    norm = np.trapezoid(phi, t)
+    phi[0] = phi[-1] = 0.5 / T  # sharp box with half-height ends
+    norm = CubicSpline(t, phi).integrate(t[0], t[-1])
     window = WindowFunction(shape=WindowShape.TABULATED, width_T=T,
                             samples=np.column_stack([t, phi / norm]))
     with pytest.raises(DivergentIntegralError):
         averaged_variance(window)
+
+
+def test_window_norm_is_the_spline_integral():
+    # 16 samples of sin^2(pi t) on [0, 1] have trapezoid integral 1 after
+    # normalizing, but the cubic spline every transform uses integrates to
+    # 1 - 5.6e-5: the window is rejected as not normalized.
+    t = np.linspace(0.0, 1.0, 16)
+    phi = np.sin(math.pi * t) ** 2
+    samples = np.column_stack([t, phi / np.trapezoid(phi, t)])
+    with pytest.raises(ValidationError, match="integrate to 1"):
+        WindowFunction(shape=WindowShape.TABULATED, width_T=1.0, samples=samples)
+    spline_norm = CubicSpline(t, phi).integrate(0.0, 1.0)
+    window = WindowFunction(shape=WindowShape.TABULATED, width_T=1.0,
+                            samples=np.column_stack([t, phi / spline_norm]))
+    assert window_fourier(window, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_instantaneous_variance_is_quadratic_in_cutoff():
