@@ -11,8 +11,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CODATA, PhysicalConstants, planck_scales
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 __all__ = [
     "Kind",
@@ -40,7 +42,9 @@ class SuperpositionSpec:
     """A macroscopic superposition: what is superposed and how far apart.
 
     ``magnitude`` is a mass in kg for kind=MASS, a charge in C for
-    kind=CHARGE.  ``separation_d`` is the spatial separation in m.
+    kind=CHARGE.  ``separation_d`` is the spatial separation in m.  Either
+    may be an array of sweep values; every function of this module then
+    returns the array of its values at each point.
     """
 
     kind: Kind
@@ -61,8 +65,8 @@ class SuperpositionSpec:
 
 def _require_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
+        require((value > 0.0) & np.isfinite(value), ValidationError,
+                f"{name} must be positive and finite, got {{value}}", value=value)
 
 
 def min_time_mass(m: float, d: float,

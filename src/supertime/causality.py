@@ -8,15 +8,15 @@ T_A + T_B >= R / c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import bounds, echo
 from .bounds import Kind, SuperpositionSpec
 from .constants import CODATA, PhysicalConstants
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 __all__ = [
     "Scenario",
@@ -34,7 +34,9 @@ class Scenario:
 
     ``sigma`` is the localization of the test particle; when omitted it
     defaults to the relevant fundamental limit (Planck length for the mass
-    case, the charge radius for the charge case).
+    case, the charge radius for the charge case).  Any number here, the
+    ``alice`` fields included, may be an array of sweep values, and every
+    function of this module then returns arrays over the sweep.
     """
 
     alice: SuperpositionSpec
@@ -44,10 +46,11 @@ class Scenario:
     sigma: float | None = None
 
     def __post_init__(self):
-        if not (self.bob_mass > 0.0 and self.R > 0.0):
-            raise ValidationError("bob_mass and R must be positive")
-        if self.alice.kind is Kind.CHARGE and self.bob_charge == 0.0:
-            raise ValidationError("charge scenario requires a nonzero bob_charge")
+        require((self.bob_mass > 0.0) & (self.R > 0.0), ValidationError,
+                "bob_mass and R must be positive")
+        if self.alice.kind is Kind.CHARGE:
+            require(self.bob_charge != 0.0, ValidationError,
+                    "charge scenario requires a nonzero bob_charge")
 
     def min_localization(self, constants: PhysicalConstants = CODATA) -> float:
         if self.alice.kind is Kind.MASS:
@@ -58,10 +61,9 @@ class Scenario:
         limit = self.min_localization(constants)
         if self.sigma is None:
             return limit
-        if self.sigma < limit:
-            raise ValidationError(
-                f"sigma={self.sigma} below the localization limit {limit}"
-            )
+        require(np.logical_not(self.sigma < limit), ValidationError,
+                "sigma={sigma} below the localization limit {limit}",
+                sigma=self.sigma, limit=limit)
         return self.sigma
 
 
@@ -126,8 +128,8 @@ def audit_timeline(scenario: Scenario, T_A: float,
                    constants: PhysicalConstants = CODATA,
                    rel_tol: float = 1e-12) -> TimelineReport:
     """Check T_A + T_B >= R/c for the given scenario and measurement time."""
-    if not (T_A >= 0.0 and math.isfinite(T_A)):
-        raise ValidationError(f"T_A must be non-negative, got {T_A}")
+    require((T_A >= 0.0) & np.isfinite(T_A), ValidationError,
+            "T_A must be non-negative, got {T_A}", T_A=T_A)
     T_B = tb_at_localization_limit(scenario, constants)
     light_time = scenario.R / constants.c
     satisfied = T_A + T_B >= light_time * (1.0 - rel_tol)

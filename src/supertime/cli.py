@@ -5,9 +5,11 @@ Usage: supertime <subcommand> --config cfg.json [--output out.csv]
 
 Config files are strict JSON: unknown keys are rejected so a typo in a
 physics parameter can never be silently ignored, and every error names the
-JSON path of the bad value.  Every CSV column name carries its unit.  A
-metadata record (inputs, constants, version) is written next to each CSV so
-any run can be reproduced exactly.
+JSON path of the bad value.  A sweep is evaluated in one pass, with the
+swept parameter holding the array of all its values.  Every CSV column name
+carries its unit.  A metadata record (inputs, constants, version, row count
+and time per stage) is written next to each CSV so any run can be
+reproduced exactly.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import json
 import math
 import os
 import sys
+import time
 import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -124,25 +127,14 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(constants, scenario, sweep, raw.get("seed", 0), raw.get("output"), extras)
 
 
-def _config_with(config: RunConfig, parameter: str, value: float) -> RunConfig:
-    """``config`` with one sweep parameter set to ``value``."""
-    # Copied through vars(): dataclasses.replace costs up to twice as much, once per row.
-    scenario, extras = config.scenario, config.extras
-    if parameter == "t0":
-        extras = {**extras, "radiation": {**extras["radiation"], "t0": value}}
-    elif parameter in ("magnitude", "separation_d"):
-        alice = SuperpositionSpec(**{**vars(scenario.alice), parameter: value})
-        scenario = Scenario(**{**vars(scenario), "alice": alice})
-    else:
-        scenario = Scenario(**{**vars(scenario), parameter: value})
-    return RunConfig(config.constants, scenario, config.sweep, config.seed, config.output, extras)
+def _swept(subcommand: str, config: RunConfig) -> RunConfig:
+    """``config`` with the swept parameter holding the array of all sweep values.
 
-
-def _sweep_points(subcommand: str, config: RunConfig) -> Iterator[RunConfig]:
-    """``config`` at each sweep value; rejects parameters the subcommand does not read."""
+    Rejects a sweep of a parameter the subcommand does not read.
+    """
     sweep = config.sweep
     if sweep is None:
-        return iter([config])
+        return config
     sweeps, note = SUBCOMMANDS[subcommand].sweeps, ""
     if config.scenario.alice.kind is Kind.MASS:
         sweeps = sweeps - {"bob_charge"}  # only the Coulomb force reads it
@@ -157,31 +149,31 @@ def _sweep_points(subcommand: str, config: RunConfig) -> Iterator[RunConfig]:
         values = np.logspace(math.log10(lo), math.log10(hi), n)
     else:
         values = np.linspace(lo, hi, n)
-    # Lazily: holding every point of a long sweep alive slows each garbage collection.
-    return (_config_with(config, parameter, float(v)) for v in values)
+    scenario, extras = config.scenario, config.extras
+    if parameter == "t0":
+        extras = {**extras, "radiation": {**extras["radiation"], "t0": values}}
+    elif parameter in ("magnitude", "separation_d"):
+        scenario = replace(scenario, alice=replace(scenario.alice, **{parameter: values}))
+    else:
+        scenario = replace(scenario, **{parameter: values})
+    return replace(config, scenario=scenario, extras=extras)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+# --- subcommand columns, over all sweep points at once ------------------------
+# Each returns one entry per CSV column: an array over the sweep points, a
+# sequence over the subcommand's own rows, or one value for every row.
 
 
-# --- subcommand rows, one sweep point at a time ------------------------------
-
-
-def _rows_bound(config: RunConfig, use_oracle: bool):
+def _columns_bound(config: RunConfig, use_oracle: bool):
     constants = config.constants
     a = config.scenario.alice
     min_time = bounds.min_time_mass if a.kind is Kind.MASS else bounds.min_time_charge
-    return [[a.kind.value, a.magnitude, a.separation_d,
-             min_time(a.magnitude, a.separation_d, constants),
-             bounds.sharp_min_time(a, constants)]]
+    return [a.kind.value, a.magnitude, a.separation_d,
+            min_time(a.magnitude, a.separation_d, constants),
+            bounds.sharp_min_time(a, constants)]
 
 
-def _rows_echo(config: RunConfig, use_oracle: bool):
+def _columns_echo(config: RunConfig, use_oracle: bool):
     constants = config.constants
     scenario = config.scenario
     pair = causality.force_pair(scenario, constants)
@@ -199,7 +191,7 @@ def _rows_echo(config: RunConfig, use_oracle: bool):
         if use_oracle:
             row.append(_oracle_overlap(result, state, constants))
         rows.append(row)
-    return rows
+    return list(zip(*rows))
 
 
 def _oracle_overlap(result, state: GaussianState,
@@ -225,17 +217,17 @@ def _oracle_overlap(result, state: GaussianState,
     return abs(oracle.echo_overlap_numeric(grid0, f_n, 0.0, 1.0, t_n, 200))
 
 
-def _rows_causality(config: RunConfig, use_oracle: bool):
+def _columns_causality(config: RunConfig, use_oracle: bool):
     constants = config.constants
     scenario = config.scenario
     T_A = config.extras["causality"].get("T_A")
     if T_A is None:
         T_A = bounds.sharp_min_time(scenario.alice, constants)
     report = causality.audit_timeline(scenario, T_A, constants)
-    return [[scenario.R, report.T_A_bound, report.T_B, report.eta, report.satisfied]]
+    return [scenario.R, report.T_A_bound, report.T_B, report.eta, report.satisfied]
 
 
-def _rows_radiation(config: RunConfig, use_oracle: bool):
+def _columns_radiation(config: RunConfig, use_oracle: bool):
     constants = config.constants
     a = config.scenario.alice
     if a.kind is not Kind.CHARGE:
@@ -247,19 +239,28 @@ def _rows_radiation(config: RunConfig, use_oracle: bool):
                 "radiation.trajectory_csv takes t0 from its last sample; "
                 "remove radiation.t0")
         samples = _read_two_column_csv(section["trajectory_csv"])
-        profile = radiation.TrajectoryProfile(
+        tabulated = radiation.TrajectoryProfile(
             d=float(samples[-1, 1]), t0=float(samples[-1, 0]),
             shape=radiation.Shape.TABULATED, samples=samples)
+        points = (tabulated.t0, a.magnitude, tabulated.d)
     elif "t0" in section:
-        profile = radiation.TrajectoryProfile(d=a.separation_d, t0=section["t0"])
+        tabulated, points = None, (section["t0"], a.magnitude, a.separation_d)
     else:
         raise ValidationError("radiation section requires t0 or trajectory_csv")
-    exponent = radiation.mode_integral(profile, a.magnitude, constants)
-    return [[profile.t0, exponent, math.exp(-exponent),
-             radiation.min_radiationless_time(a.magnitude, profile.d, constants)]]
+    # One point at a time: numpy's exp and ** round some values one ulp away
+    # from math.exp and Python's pow.  The tabulated profile is built once,
+    # so its spectral moment is computed once for all charges.
+    rows = []
+    for t0, q, d in zip(*(column.tolist() for column in
+                          np.broadcast_arrays(*np.atleast_1d(*points)))):
+        profile = tabulated or radiation.TrajectoryProfile(d=d, t0=t0)
+        exponent = radiation.mode_integral(profile, q, constants)
+        rows.append([profile.t0, exponent, math.exp(-exponent),
+                     radiation.min_radiationless_time(q, profile.d, constants)])
+    return list(zip(*rows))
 
 
-def _rows_vacuum(config: RunConfig, use_oracle: bool):
+def _columns_vacuum(config: RunConfig, use_oracle: bool):
     constants = config.constants
     a = config.scenario.alice
     if a.kind is not Kind.CHARGE:
@@ -277,12 +278,12 @@ def _rows_vacuum(config: RunConfig, use_oracle: bool):
     else:
         raise ValidationError("vacuum section requires window_T or window_csv")
     variance = vacuum.averaged_variance(window)
-    return [[T_seconds, variance,
-             vacuum.momentum_error(a.magnitude, T_seconds, constants),
-             vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)]]
+    return [T_seconds, variance,
+            vacuum.momentum_error(a.magnitude, T_seconds, constants),
+            vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)]
 
 
-def _rows_interference(config: RunConfig, use_oracle: bool):
+def _columns_interference(config: RunConfig, use_oracle: bool):
     section = config.extras["interference"]
     d = config.scenario.alice.separation_d
     d_over_sigma = section.get("d_over_sigma", 20.0)
@@ -294,7 +295,7 @@ def _rows_interference(config: RunConfig, use_oracle: bool):
     powers = interference.power_curve(
         packet, section.get("n", 10000), [m * base for m in multiples],
         section.get("trials", 100), config.seed)
-    return [[m, m * base, float(p)] for m, p in zip(multiples, powers)]
+    return [multiples, [m * base for m in multiples], [float(p) for p in powers]]
 
 
 def _read_two_column_csv(path: str) -> np.ndarray:
@@ -318,10 +319,10 @@ def _read_two_column_csv(path: str) -> np.ndarray:
 
 
 class _Subcommand(NamedTuple):
-    """CSV header, rows of one sweep point, sweepable parameters, --oracle column."""
+    """CSV header, columns over all sweep points, sweepable parameters, --oracle column."""
 
     header: tuple[str, ...]
-    rows: Callable[[RunConfig, bool], list]
+    columns: Callable[[RunConfig, bool], list]
     sweeps: frozenset = frozenset()
     oracle_column: str | None = None
 
@@ -329,19 +330,19 @@ class _Subcommand(NamedTuple):
 SUBCOMMANDS = {
     "bound": _Subcommand(("kind", "magnitude_kg_or_C", "separation_d_m", "min_time_seconds",
                           "sharp_min_time_seconds"),
-                         _rows_bound, frozenset({"magnitude", "separation_d"})),
+                         _columns_bound, frozenset({"magnitude", "separation_d"})),
     "echo": _Subcommand(("t_seconds", "delta_x_m", "delta_p_kg_m_per_s", "overlap"),
-                        _rows_echo, oracle_column="overlap_numeric"),
+                        _columns_echo, oracle_column="overlap_numeric"),
     "causality": _Subcommand(("R_m", "T_A_seconds", "T_B_seconds", "eta", "satisfied"),
-                             _rows_causality, frozenset({"magnitude", "separation_d",
+                             _columns_causality, frozenset({"magnitude", "separation_d",
                                                          "bob_mass", "bob_charge", "R", "sigma"})),
     "radiation": _Subcommand(("t0_seconds", "exponent", "vacuum_overlap",
                               "min_radiationless_time_seconds"),
-                             _rows_radiation, frozenset({"t0", "magnitude", "separation_d"})),
+                             _columns_radiation, frozenset({"t0", "magnitude", "separation_d"})),
     "vacuum": _Subcommand(("T_seconds", "averaged_variance_natural", "momentum_error_kg_m_per_s",
-                           "min_measurement_time_seconds"), _rows_vacuum),
+                           "min_measurement_time_seconds"), _columns_vacuum),
     "interference": _Subcommand(("noise_multiple_of_pi_over_d", "noise_dP_natural", "power"),
-                                _rows_interference),
+                                _columns_interference),
 }
 
 
@@ -372,23 +373,45 @@ def _write_all_or_nothing(files: "list[tuple[Path, str]]") -> None:
         raise
 
 
+def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int]":
+    """CSV text of ``header`` and ``columns``, and its number of rows.
+
+    Single values repeat on every row.  Floats are written as ``%.12e``,
+    booleans as ``true``/``false``, anything else as its ``str``; no field
+    needs quoting, and lines end in CRLF as ``csv.writer`` ends them.
+    """
+    n_rows = max(np.size(column) for column in columns)
+    formats, cells = [], []
+    for column in columns:
+        column = np.broadcast_to(column, n_rows)
+        if column.dtype == bool:
+            column = np.where(column, "true", "false")
+        formats.append("%.12e" if column.dtype.kind == "f" else "%s")
+        cells.append(column)
+    table = io.StringIO()
+    table.write(",".join(header) + "\r\n")
+    line = ",".join(formats) + "\r\n"
+    table.writelines(line % row for row in zip(*cells))
+    return table.getvalue(), n_rows
+
+
 def run(subcommand: str, config: RunConfig, output: Path,
-        use_oracle: bool = False) -> None:
+        use_oracle: bool = False, parse_s: "float | None" = None) -> None:
     """Execute one subcommand, writing CSV plus a metadata record.
 
     Both files appear together or not at all: a failure at any point
-    leaves neither of them and no temporary file behind.
+    leaves neither of them and no temporary file behind.  ``parse_s``, the
+    time taken to read the config, is recorded with the other stage times.
     """
     entry = SUBCOMMANDS[subcommand]
     if use_oracle and entry.oracle_column is None:
         raise ValidationError(f"--oracle: {subcommand} has no cross-check column")
     header = [*entry.header, entry.oracle_column] if use_oracle else list(entry.header)
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(header)
-    for point in _sweep_points(subcommand, config):
-        for row in entry.rows(point, use_oracle):
-            writer.writerow(map(_fmt, row))
+    start = time.perf_counter()
+    columns = entry.columns(_swept(subcommand, config), use_oracle)
+    evaluated = time.perf_counter()
+    text, n_rows = _csv_table(header, columns)
+    formatted = time.perf_counter()
     scales = planck_scales(config.constants)
     meta = {
         "subcommand": subcommand,
@@ -408,13 +431,16 @@ def run(subcommand: str, config: RunConfig, output: Path,
         },
         "sweep": config.sweep,
         "extras": config.extras,
+        "rows": n_rows,
+        "timings_s": {"parse": parse_s, "evaluate": evaluated - start,
+                      "format": formatted - evaluated},
     }
     # The sidecar is renamed into place first, so a CSV never exists
     # without its metadata record.
     _write_all_or_nothing([
         (output.with_suffix(output.suffix + ".meta.json"),
          json.dumps(meta, indent=2, sort_keys=True) + "\n"),
-        (output, table.getvalue()),
+        (output, text),
     ])
 
 
@@ -430,11 +456,13 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="add grid-propagation cross-check columns (echo)")
     args = parser.parse_args(argv)
     try:
+        start = time.perf_counter()
         config = parse_config(Path(args.config).read_text())
         if args.seed is not None:
             config = replace(config, seed=args.seed)
+        parse_s = time.perf_counter() - start
         output = Path(args.output or config.output or f"{args.subcommand}.csv")
-        run(args.subcommand, config, output, use_oracle=args.oracle)
+        run(args.subcommand, config, output, use_oracle=args.oracle, parse_s=parse_s)
     # UnicodeDecodeError: a non-UTF-8 config; OverflowError: an integer beyond any float.
     except (SupertimeError, OSError, UnicodeDecodeError, OverflowError) as exc:
         print(f"supertime: error: {exc}", file=sys.stderr)

@@ -9,11 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import CODATA, PhysicalConstants
 from .errors import (
     DipoleApproximationError,
     NoEntanglementError,
     ValidationError,
+    require,
 )
 
 __all__ = [
@@ -79,46 +82,44 @@ class EchoResult:
     overlap: float | None = None
 
 
-def _check_dipole_geometry(d: float, R: float) -> None:
-    if not (d > 0.0 and R > 0.0):
-        raise ValidationError(f"d and R must be positive, got d={d}, R={R}")
-    if d >= DIPOLE_GATE_RATIO * R:
-        raise DipoleApproximationError(
-            f"dipole approximation requires d < R/10, got d={d}, R={R}"
-        )
+def _dipole_pair(prefactor: float, d: float, R: float) -> ForcePair:
+    """Branch forces prefactor / (R -+ d/2)^2 and the dipole difference prefactor d / R^3.
+
+    Powers go through libm's pow, as Python's ``**`` on floats does: numpy's
+    SIMD ``**`` on arrays rounds some cubes and squares one ulp differently,
+    and a swept array must give exactly the values of its points one by one.
+    """
+    require((d > 0.0) & (R > 0.0), ValidationError,
+            "d and R must be positive, got d={d}, R={R}", d=d, R=R)
+    require(d < DIPOLE_GATE_RATIO * R, DipoleApproximationError,
+            "dipole approximation requires d < R/10, got d={d}, R={R}", d=d, R=R)
+    return ForcePair(
+        F_L=prefactor / np.float_power(R - d / 2.0, 2),
+        F_R=prefactor / np.float_power(R + d / 2.0, 2),
+        delta_F=prefactor * d / np.float_power(R, 3),
+    )
 
 
 def force_difference_gravity(mA: float, mB: float, d: float, R: float,
                              constants: PhysicalConstants = CODATA) -> ForcePair:
-    """Gravitational dipole force difference G mA mB d / R^3."""
-    if not (mA > 0.0 and mB > 0.0):
-        raise ValidationError("masses must be positive")
-    _check_dipole_geometry(d, R)
-    G = constants.G
-    prefactor = G * mA * mB
-    return ForcePair(
-        F_L=prefactor / (R - d / 2.0) ** 2,
-        F_R=prefactor / (R + d / 2.0) ** 2,
-        delta_F=prefactor * d / R**3,
-    )
+    """Gravitational dipole force difference G mA mB d / R^3.
+
+    Any argument may be an array of sweep values.
+    """
+    require((mA > 0.0) & (mB > 0.0), ValidationError, "masses must be positive")
+    return _dipole_pair(constants.G * mA * mB, d, R)
 
 
 def force_difference_coulomb(qA: float, qB: float, d: float, R: float,
                              constants: PhysicalConstants = CODATA) -> ForcePair:
     """Coulomb dipole force difference qA qB d / (4 pi eps0 R^3).
 
-    Charges may carry either sign; delta_F flips sign with them.
+    Charges may carry either sign; delta_F flips sign with them.  Any
+    argument may be an array of sweep values.
     """
-    if qA == 0.0 or qB == 0.0:
-        raise ValidationError("charges must be nonzero")
-    _check_dipole_geometry(d, R)
+    require((qA != 0.0) & (qB != 0.0), ValidationError, "charges must be nonzero")
     k = 1.0 / (4.0 * math.pi * constants.epsilon0)
-    prefactor = k * qA * qB
-    return ForcePair(
-        F_L=prefactor / (R - d / 2.0) ** 2,
-        F_R=prefactor / (R + d / 2.0) ** 2,
-        delta_F=prefactor * d / R**3,
-    )
+    return _dipole_pair(k * qA * qB, d, R)
 
 
 def echo_displacements(delta_F: float, mB: float, F_sum: float, t: float,
@@ -170,15 +171,14 @@ def entanglement_time(delta_F: float, mB: float, sigma: float, *,
     condition sigma^3 <= hbar^2/(mB dF) makes the position route exactly no
     slower than the momentum route.  ``convention="main_text"`` solves the
     main-text criterion dF T^2 / (2 mB sigma) = 1, sqrt(2) longer.
+    Any argument but ``convention`` may be an array of sweep values.
     """
     factors = {"trap": 1.0, "main_text": 2.0}  # k in sqrt(k mB sigma / |dF|)
     if convention not in factors:
         raise ValidationError(f"convention must be 'trap' or 'main_text', got {convention!r}")
-    if not (mB > 0.0 and sigma > 0.0):
-        raise ValidationError("mB and sigma must be positive")
-    if delta_F == 0.0:
-        raise NoEntanglementError("delta_F = 0: entanglement is never generated")
-    return math.sqrt(factors[convention] * mB * sigma / abs(delta_F))
+    require((mB > 0.0) & (sigma > 0.0), ValidationError, "mB and sigma must be positive")
+    require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: entanglement is never generated")
+    return np.sqrt(factors[convention] * mB * sigma / abs(delta_F))
 
 
 def momentum_route_time(delta_F: float, sigma: float,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises them."""
+
+import numpy as np
 
 
 class SupertimeError(Exception):
@@ -27,3 +29,18 @@ class GridError(SupertimeError):
 
 class NoEntanglementError(ValidationError):
     """Zero force difference: entanglement is never generated."""
+
+
+def require(ok, error: type, message: str, **values) -> None:
+    """Raise ``error(message)`` unless ``ok`` holds at every point.
+
+    ``ok`` and ``values`` are numbers or arrays over the points of one
+    sweep.  ``message`` is formatted with ``values`` at the first point
+    where ``ok`` fails, so it reads as it would for that point alone.
+    """
+    if np.all(ok):
+        return
+    ok, *columns = np.broadcast_arrays(ok, *values.values())
+    first = int(np.argmin(ok.ravel()))  # the first False
+    raise error(message.format(**{name: column.flat[first].item()
+                                  for name, column in zip(values, columns)}))

@@ -113,6 +113,22 @@ class TrajectoryProfile:
         # zero, preventing spurious high-frequency radiation.
         return CubicSpline(t, x, bc_type="clamped")
 
+    @functools.cached_property
+    def _tabulated_spectral_integral(self) -> float:
+        """int_0^inf |v(u/t0)|^2 u du / d^2 for a tabulated profile, once per profile.
+
+        With omega = u / t0 this is t0^2 / d^2 times the spectral moment
+        int_0^inf |v(omega)|^2 omega domega of the clamped spline's derivative:
+        a Gauss-Legendre panel body plus the analytic endpoint tail, whose
+        leading term is (v'(0)^2 + v'(t0)^2) t0^4 / (2 d^2 U^2) at cutoff
+        u = U (see ``tabulated.spectral_moment``).  Accurate to
+        _TABULATED_REL_TOL for the spline; its agreement with the curve the
+        samples came from is that of the spline (a few 1e-8 for 64 samples of
+        the sin^2 shape, 1e-10 for 400).
+        """
+        moment = spectral_moment(self._spline.derivative(), _TABULATED_REL_TOL)
+        return moment * (self.t0 / self.d) ** 2
+
     def velocity(self, t: np.ndarray) -> np.ndarray:
         """Instantaneous velocity; zero outside [0, t0]."""
         t = np.asarray(t, dtype=float)
@@ -200,24 +216,7 @@ def mode_integral(profile: TrajectoryProfile, q: float,
     prefactor = (4.0 * math.pi * q_ratio**2) / (6.0 * math.pi**2) * beta**2
     if profile.shape is Shape.SIN_SQUARED:
         return prefactor * _sin2_spectral_integral()
-    return prefactor * _tabulated_spectral_integral(profile)
-
-
-def _tabulated_spectral_integral(profile: TrajectoryProfile) -> float:
-    """int_0^inf |v(u/t0)|^2 u du / d^2 for a tabulated profile.
-
-    With omega = u / t0 this is t0^2 / d^2 times the spectral moment
-    int_0^inf |v(omega)|^2 omega domega of the clamped spline's derivative:
-    a Gauss-Legendre panel body plus the analytic endpoint tail, whose
-    leading term is (v'(0)^2 + v'(t0)^2) t0^4 / (2 d^2 U^2) at cutoff
-    u = U (see ``tabulated.spectral_moment``).  Accurate to
-    _TABULATED_REL_TOL for the spline; its agreement with the curve the
-    samples came from is that of the spline (a few 1e-8 for 64 samples of
-    the sin^2 shape, 1e-10 for 400).
-    """
-    velocity = profile._spline.derivative()
-    moment = spectral_moment(velocity, _TABULATED_REL_TOL)
-    return moment * (profile.t0 / profile.d) ** 2
+    return prefactor * profile._tabulated_spectral_integral
 
 
 def closed_form_exponent(profile: TrajectoryProfile, q: float,

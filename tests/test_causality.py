@@ -165,3 +165,24 @@ def test_charge_scenario_requires_bob_charge():
 def test_audit_rejects_negative_measurement_time():
     with pytest.raises(ValidationError):
         audit_timeline(_mass_scenario(R=1.0), -1.0)
+
+
+def test_swept_audit_equals_its_points_bitwise():
+    # With T_A = 0 the audit flips to satisfied at R = G m d / (2 l_P c^2), about 2 m.
+    R = np.logspace(-2.0, 2.0, 500)
+    T_A = 0.0
+    swept = audit_timeline(_mass_scenario(R), T_A)
+    points = [audit_timeline(_mass_scenario(r), T_A) for r in R.tolist()]
+    for name in ("T_B", "eta", "satisfied"):
+        assert getattr(swept, name).tolist() == [getattr(p, name) for p in points]
+    assert 0 < np.count_nonzero(swept.satisfied) < len(R)
+
+
+def test_swept_sigma_names_the_first_value_below_the_limit():
+    l_P = planck_scales(CODATA).l_P
+    sigma = np.array([1e3, 10.0, 0.5, 2.0, 1e-3]) * l_P
+    scenario = _mass_scenario(10.0, sigma=sigma)
+    with pytest.raises(ValidationError, match=f"sigma={sigma[2].item()!r} below"):
+        tb_at_localization_limit(scenario)
+    with pytest.raises(ValidationError, match="bob_mass and R must be positive"):
+        _mass_scenario(np.array([1.0, 0.0]))

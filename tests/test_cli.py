@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supertime
+from supertime import radiation
 from supertime.cli import main, parse_config
 from supertime.errors import ValidationError
 
@@ -115,6 +119,9 @@ def test_bound_subcommand_end_to_end(tmp_path):
     assert meta["constants"]["G"] == pytest.approx(6.6743e-11)
     assert meta["subcommand"] == "bound"
     assert meta["version"] == supertime.__version__
+    assert meta["rows"] == 1
+    assert sorted(meta["timings_s"]) == ["evaluate", "format", "parse"]
+    assert all(isinstance(s, float) and s >= 0.0 for s in meta["timings_s"].values())
 
 
 def test_headers_carry_units(tmp_path):
@@ -483,3 +490,128 @@ def test_mutated_configs_exit_cleanly(data):
         written = sorted(p.name for p in workdir.iterdir())
         assert written in (["cfg.json"], ["cfg.json", "out.csv", "out.csv.meta.json"]), written
         assert (code == 0) == (len(written) == 3)
+
+
+# --- sweeps evaluated as arrays ---------------------------------------------
+
+ARRAY_SWEEPS = [
+    ("bound", MASS_CONFIG, "magnitude", 1e-7, 1e-5),
+    ("bound", MASS_CONFIG, "separation_d", 1e-4, 1e-2),
+    ("bound", CHARGE_CONFIG, "magnitude", 1e-19, 1e-17),
+    ("causality", MASS_CONFIG, "magnitude", 1e-7, 1e-5),
+    ("causality", MASS_CONFIG, "separation_d", 1e-4, 4e-2),
+    ("causality", MASS_CONFIG, "bob_mass", 1e-12, 1e-6),
+    ("causality", MASS_CONFIG, "R", 2e-2, 5.0),
+    ("causality", MASS_CONFIG, "sigma", 1e-30, 1e-20),
+    ("causality", CHARGE_CONFIG, "magnitude", 1e-19, 1e-17),
+    ("causality", CHARGE_CONFIG, "separation_d", 1e-7, 1e-2),
+    ("causality", CHARGE_CONFIG, "bob_mass", 1e-13, 1e-10),
+    ("causality", CHARGE_CONFIG, "R", 1e-4, 5.0),
+    ("causality", CHARGE_CONFIG, "bob_charge", 1e-19, 1e-17),
+    ("causality", CHARGE_CONFIG, "sigma", 1e-20, 1e-10),
+]
+
+
+def _with_parameter(base, parameter, value):
+    payload = copy.deepcopy(base)
+    section = payload["scenario"]
+    if parameter in ("magnitude", "separation_d"):
+        section = section["alice"]
+    section[parameter] = value
+    return payload
+
+
+def _csv_of(tmp_path, sub, payload, name="run"):
+    config = _write(tmp_path, f"{name}.json", payload)
+    out = tmp_path / f"{name}.csv"
+    assert main([sub, "--config", str(config), "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("sub,base,parameter,lo,hi", ARRAY_SWEEPS)
+def test_array_sweep_equals_its_points_run_alone(tmp_path, sub, base, parameter, lo, hi, scale):
+    sweep = {"parameter": parameter, "min": lo, "max": hi, "points": 50, "scale": scale}
+    swept = _csv_of(tmp_path, sub, {**base, "sweep": sweep})
+    if scale == "log":
+        values = np.logspace(math.log10(lo), math.log10(hi), 50)
+    else:
+        values = np.linspace(lo, hi, 50)
+    header, _ = swept.split(b"\r\n", 1)
+    points = [_csv_of(tmp_path, sub, _with_parameter(base, parameter, v), "point")
+              .split(b"\r\n", 1)[1] for v in values.tolist()]
+    assert swept == header + b"\r\n" + b"".join(points)
+
+
+def _only_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("supertime: error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("sub,base,sweep,offending", [
+    # d = 2e-3 leaves the dipole gate d < R/10 at the fifth radius, R = 0.01.
+    ("causality", _with_parameter(MASS_CONFIG, "separation_d", 2e-3),
+     {"parameter": "R", "min": 1.0, "max": 1e-3, "points": 7, "scale": "log"}, 4),
+    # The Planck length, 1.6e-35 m, lies between the second and third values.
+    ("causality", MASS_CONFIG,
+     {"parameter": "sigma", "min": 1e-33, "max": 1e-37, "points": 5, "scale": "log"}, 2),
+    ("bound", MASS_CONFIG,
+     {"parameter": "magnitude", "min": 1e-6, "max": -1e-6, "points": 5}, 2),
+])
+def test_array_sweep_error_names_first_offending_value(tmp_path, capsys, sub, base, sweep,
+                                                        offending):
+    out = tmp_path / "out.csv"
+    config = _write(tmp_path, "cfg.json", {**base, "sweep": sweep})
+    assert main([sub, "--config", str(config), "--output", str(out)]) == 2
+    swept_error = _only_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    # The same line as for the offending point run alone.
+    lo, hi, n = sweep["min"], sweep["max"], sweep["points"]
+    if sweep.get("scale") == "log":
+        values = np.logspace(math.log10(lo), math.log10(hi), n)
+    else:
+        values = np.linspace(lo, hi, n)
+    value = values[offending].item()
+    alone = _write(tmp_path, "alone.json", _with_parameter(base, sweep["parameter"], value))
+    assert main([sub, "--config", str(alone), "--output", str(out)]) == 2
+    assert _only_error_line(capsys) == swept_error
+    assert repr(value) in swept_error
+
+
+def test_tabulated_magnitude_sweep_computes_the_moment_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectral_moment(*args, **kwargs)
+
+    spectral_moment = radiation.spectral_moment
+    monkeypatch.setattr(radiation, "spectral_moment", counted)
+    traj = _write_sin2_trajectory(tmp_path / "traj.csv", 1e-12, 1e-9, n=400)
+    payload = _with_parameter(CHARGE_CONFIG, "separation_d", 1e-9)
+    payload["radiation"] = {"trajectory_csv": str(traj)}
+    payload["sweep"] = {"parameter": "magnitude", "min": 1e-19, "max": 1e-17, "points": 5,
+                        "scale": "log"}
+    written = _csv_of(tmp_path, "radiation", payload)
+    assert len(calls) == 1
+    # Captured when every point reread the trajectory and recomputed its moment.
+    assert hashlib.sha256(written).hexdigest() == (
+        "f1383cd6930386e3394695e36e6bb891b2c8547c918e74c8e65a2199f24b87a0"), written
+
+
+def test_python_dash_m_supertime(tmp_path):
+    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    out = tmp_path / "bound.csv"
+    src = str(Path(supertime.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "supertime", "bound", "--config", str(config),
+                           "--output", str(out)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == _csv_of(tmp_path, "bound", MASS_CONFIG)
+    bad = subprocess.run([sys.executable, "-m", "supertime", "bound", "--config",
+                          str(tmp_path / "missing.json")], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert bad.returncode == 2 and bad.stderr.startswith("supertime: error:")

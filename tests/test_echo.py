@@ -161,3 +161,34 @@ def test_validation_errors():
         force_difference_gravity(-1.0, 1.0, 0.01, 1.0)
     with pytest.raises(ValidationError):
         force_difference_coulomb(0.0, 1e-19, 1e-3, 1.0)
+
+
+def test_swept_forces_equal_their_points_bitwise():
+    # Arrays of sweep values give exactly the floats of each point alone:
+    # numpy's own ** on arrays rounds about one cube in twenty differently.
+    R = np.logspace(-1.5, 1.0, 2000)
+    q = np.linspace(-3e-19, 3e-19, 2000)
+    q = q[q != 0.0]
+    gravity = force_difference_gravity(1e-6, 1e-9, 1e-3, R)
+    coulomb = force_difference_coulomb(q, 1.6e-19, 1e-6, 0.5)
+    for swept, points in ((gravity, [force_difference_gravity(1e-6, 1e-9, 1e-3, r)
+                                     for r in R.tolist()]),
+                          (coulomb, [force_difference_coulomb(v, 1.6e-19, 1e-6, 0.5)
+                                     for v in q.tolist()])):
+        for name in ("F_L", "F_R", "delta_F"):
+            assert getattr(swept, name).tolist() == [getattr(p, name) for p in points]
+    times = entanglement_time(gravity.delta_F, 1e-9, 1e-30, convention="main_text")
+    assert times.tolist() == [entanglement_time(dF, 1e-9, 1e-30, convention="main_text")
+                              for dF in gravity.delta_F.tolist()]
+
+
+def test_swept_check_names_the_first_offending_point():
+    R = np.array([1.0, 0.5, 0.02, 0.005, 0.001])
+    with pytest.raises(DipoleApproximationError) as swept:
+        force_difference_gravity(1e-6, 1e-9, 1e-3, R)
+    with pytest.raises(DipoleApproximationError) as alone:
+        force_difference_gravity(1e-6, 1e-9, 1e-3, 0.005)
+    assert str(swept.value) == str(alone.value) == (
+        "dipole approximation requires d < R/10, got d=0.001, R=0.005")
+    with pytest.raises(NoEntanglementError):
+        entanglement_time(np.array([1.0, 0.0]), 1.0, 1.0)

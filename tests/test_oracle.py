@@ -139,3 +139,25 @@ def test_propagation_validation():
         propagate_linear(grid, F_L, m, -t, 10)
     with pytest.raises(ValidationError):
         propagate_linear(grid, F_L, m, t, 0)
+
+
+def test_batched_branches_match_single_branch_propagation_bitwise():
+    # echo_overlap_numeric propagates both branches as one stack; each row
+    # must be exactly what propagate_linear gives for its force alone.
+    state, spec, F_L, F_R, m, t = _reference_case()
+    grid = init_gaussian(spec, state)
+    left = propagate_linear(grid, F_L, m, t, 200)
+    right = propagate_linear(grid, F_R, m, t, 200)
+    expected = complex(np.sum(np.conj(right.amplitudes) * left.amplitudes) * spec.dx)
+    assert echo_overlap_numeric(grid, F_L, F_R, m, t, 200) == expected
+
+
+def test_each_batched_branch_is_checked_for_the_boundary():
+    # The force-free branch stays clear of the edges; the pushed one does not.
+    state = GaussianState(sigma=1.0)
+    spec = GridSpec(x_min=-16.0, x_max=16.0, n_points=1024)
+    grid = init_gaussian(spec, state)
+    assert echo_overlap_numeric(grid, 0.0, 0.0, 1.0, 2.0, 200) == pytest.approx(1.0)
+    for F_L, F_R in ((40.0, 0.0), (0.0, 40.0)):
+        with pytest.raises(GridError):
+            echo_overlap_numeric(grid, F_L, F_R, 1.0, 2.0, 200)
