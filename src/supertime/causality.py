@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import bounds, echo
 from .bounds import Kind, SuperpositionSpec
@@ -108,6 +107,8 @@ def optimize_eta(alice: SuperpositionSpec,
     (1/2) * ratio * (d/c) * f(eta_star).  The analytic answer eta_star = 2/3,
     f = 4/27 serves as the test oracle.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     result = minimize_scalar(
         lambda eta: -(eta**2 - eta**3),
         bounds=(0.0, 1.0),

@@ -127,10 +127,11 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(constants, scenario, sweep, raw.get("seed", 0), raw.get("output"), extras)
 
 
-def _swept(subcommand: str, config: RunConfig) -> RunConfig:
-    """``config`` with the swept parameter holding the array of all sweep values.
+def _swept(subcommand: str, config: RunConfig, stop: "int | None" = None) -> RunConfig:
+    """``config`` with the swept parameter holding the array of sweep values.
 
-    Rejects a sweep of a parameter the subcommand does not read.
+    The values are all of them, or the first ``stop``.  Rejects a sweep of
+    a parameter the subcommand does not read.
     """
     sweep = config.sweep
     if sweep is None:
@@ -149,6 +150,7 @@ def _swept(subcommand: str, config: RunConfig) -> RunConfig:
         values = np.logspace(math.log10(lo), math.log10(hi), n)
     else:
         values = np.linspace(lo, hi, n)
+    values = values[:stop]
     scenario, extras = config.scenario, config.extras
     if parameter == "t0":
         extras = {**extras, "radiation": {**extras["radiation"], "t0": values}}
@@ -157,6 +159,33 @@ def _swept(subcommand: str, config: RunConfig) -> RunConfig:
     else:
         scenario = replace(scenario, **{parameter: values})
     return replace(config, scenario=scenario, extras=extras)
+
+
+def _evaluate(subcommand: str, config: RunConfig, use_oracle: bool) -> list:
+    """The subcommand's columns over all sweep points.
+
+    A swept check reports its own first failing point, but a check that
+    runs earlier may fail further along the sweep.  So on failure the
+    shortest failing prefix of the sweep is found by bisection, and its
+    error raised: that of the earliest failing point, from the check that
+    fails first there.
+    """
+    columns = SUBCOMMANDS[subcommand].columns
+    try:
+        return columns(_swept(subcommand, config), use_oracle)
+    except SupertimeError as exc:
+        if config.sweep is None:
+            raise
+        error = exc
+    passing, failing = 0, config.sweep["points"]
+    while failing - passing > 1:
+        middle = (passing + failing) // 2
+        try:
+            columns(_swept(subcommand, config, middle), use_oracle)
+            passing = middle
+        except SupertimeError as exc:
+            error, failing = exc, middle
+    raise error
 
 
 # --- subcommand columns, over all sweep points at once ------------------------
@@ -189,32 +218,11 @@ def _columns_echo(config: RunConfig, use_oracle: bool):
         overlap = echo.echo_overlap(state, result, constants)
         row = [float(t), result.delta_x, result.delta_p, overlap]
         if use_oracle:
-            row.append(_oracle_overlap(result, state, constants))
+            row.append(oracle.matched_echo_overlap(
+                abs(result.delta_x) / (2.0 * sigma),
+                abs(result.delta_p) * sigma / constants.hbar))
         rows.append(row)
     return list(zip(*rows))
-
-
-def _oracle_overlap(result, state: GaussianState,
-                    constants: PhysicalConstants) -> float:
-    """Dimensionless grid-propagation overlap matched on the two shift groups.
-
-    a = dx/(2 sigma) and b = dp sigma/hbar determine the overlap
-    exp(-a^2/2 - b^2/2); a scaled run with sigma = m = hbar = 1 needs
-    dx' = 2a and dp' = b, i.e. t' = 4a/b and F' = b^2/(4a).
-    """
-    a = abs(result.delta_x) / (2.0 * state.sigma)
-    b = abs(result.delta_p) * state.sigma / constants.hbar
-    if a == 0.0 and b == 0.0:
-        return 1.0
-    if not (1e-3 < (b / a if a > 0.0 else math.inf) < 1e3):
-        # Extreme delta_x / delta_p ratios need grids no float can resolve;
-        # check an exponent-equivalent balanced pair instead (same overlap).
-        a = b = math.sqrt(0.5 * (a**2 + b**2))
-    t_n, f_n = 4.0 * a / b, b**2 / (4.0 * a)
-    unit_state = GaussianState(sigma=1.0)
-    spec = oracle.auto_grid(unit_state, [f_n, 0.0], m=1.0, t=t_n)
-    grid0 = oracle.init_gaussian(spec, unit_state)
-    return abs(oracle.echo_overlap_numeric(grid0, f_n, 0.0, 1.0, t_n, 200))
 
 
 def _columns_causality(config: RunConfig, use_oracle: bool):
@@ -319,12 +327,14 @@ def _read_two_column_csv(path: str) -> np.ndarray:
 
 
 class _Subcommand(NamedTuple):
-    """CSV header, columns over all sweep points, sweepable parameters, --oracle column."""
+    """CSV header, columns over all sweep points, sweepable parameters, --oracle
+    column and the column it cross-checks."""
 
     header: tuple[str, ...]
     columns: Callable[[RunConfig, bool], list]
     sweeps: frozenset = frozenset()
     oracle_column: str | None = None
+    oracle_checks: str | None = None
 
 
 SUBCOMMANDS = {
@@ -332,7 +342,8 @@ SUBCOMMANDS = {
                           "sharp_min_time_seconds"),
                          _columns_bound, frozenset({"magnitude", "separation_d"})),
     "echo": _Subcommand(("t_seconds", "delta_x_m", "delta_p_kg_m_per_s", "overlap"),
-                        _columns_echo, oracle_column="overlap_numeric"),
+                        _columns_echo, oracle_column="overlap_numeric",
+                        oracle_checks="overlap"),
     "causality": _Subcommand(("R_m", "T_A_seconds", "T_B_seconds", "eta", "satisfied"),
                              _columns_causality, frozenset({"magnitude", "separation_d",
                                                          "bob_mass", "bob_charge", "R", "sigma"})),
@@ -408,7 +419,7 @@ def run(subcommand: str, config: RunConfig, output: Path,
         raise ValidationError(f"--oracle: {subcommand} has no cross-check column")
     header = [*entry.header, entry.oracle_column] if use_oracle else list(entry.header)
     start = time.perf_counter()
-    columns = entry.columns(_swept(subcommand, config), use_oracle)
+    columns = _evaluate(subcommand, config, use_oracle)
     evaluated = time.perf_counter()
     text, n_rows = _csv_table(header, columns)
     formatted = time.perf_counter()
@@ -435,6 +446,13 @@ def run(subcommand: str, config: RunConfig, output: Path,
         "timings_s": {"parse": parse_s, "evaluate": evaluated - start,
                       "format": formatted - evaluated},
     }
+    if use_oracle:
+        analytic = columns[entry.header.index(entry.oracle_checks)]
+        meta["oracle_check"] = {
+            "grid_points": oracle.MATCHED_GRID_POINTS,
+            "steps": oracle.MATCHED_STEPS,
+            "max_abs_err": float(np.max(np.abs(np.subtract(columns[-1], analytic)))),
+        }
     # The sidecar is renamed into place first, so a CSV never exists
     # without its metadata record.
     _write_all_or_nothing([

@@ -165,31 +165,82 @@ def sample_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
     if noise_dP < 0.0:
         raise ValidationError(f"noise_dP must be non-negative, got {noise_dP}")
     rng = np.random.default_rng(seed)
-    true_k = _sample_true_momenta(packet, hypothesis, n, rng)
+    true_k = np.empty(n)
+    _sample_true_momenta(packet, hypothesis, rng, true_k, _RejectionScratch(n))
     if noise_dP > 0.0:
         true_k = true_k + noise_dP * rng.standard_normal(n)
     return true_k
 
 
+class _RejectionScratch:
+    """Buffers for one rejection pass of ``_sample_true_momenta``.
+
+    A pass draws at most max(2 n, 128) candidates; allocating them once
+    per curve instead of once per trial keeps large temporaries from
+    costing page faults on every trial.
+    """
+
+    def __init__(self, n: int):
+        size = max(2 * n, 128)
+        self.draws = np.empty(size)
+        self.uniform = np.empty(size)
+        self.work = np.empty(size)
+        self.accept = np.empty(size, dtype=bool)
+
+
 def _sample_true_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
-                         n: int, rng: np.random.Generator) -> np.ndarray:
+                         rng: np.random.Generator, out: np.ndarray,
+                         scratch: _RejectionScratch) -> None:
+    """Fill ``out`` with true momenta drawn under ``hypothesis``.
+
+    Every step writes into ``out`` or ``scratch`` and keeps the operand
+    order of the plain expressions, so the draws equal theirs bit for bit.
+    """
     s = packet.momentum_spread
+    n = len(out)
     if hypothesis is Hypothesis.MIXED:
-        return s * rng.standard_normal(n)
+        rng.standard_normal(out=out)
+        np.multiply(s, out, out=out)
+        return
     # Rejection from the single-packet Gaussian with acceptance
     # (1 + cos(k d - phi)) / 2; the exact normalization is automatic.
-    out = np.empty(n)
     filled = 0
     while filled < n:
         batch = max(2 * (n - filled), 128)
-        k = s * rng.standard_normal(batch)
-        accept = rng.random(batch) < 0.5 * (
-            1.0 + np.cos(k * packet.d - packet.phase_phi))
-        k = k[accept]
-        take = min(len(k), n - filled)
-        out[filled:filled + take] = k[:take]
+        k = scratch.draws[:batch]
+        uniform = scratch.uniform[:batch]
+        threshold = scratch.work[:batch]
+        accept = scratch.accept[:batch]
+        rng.standard_normal(out=k)
+        np.multiply(s, k, out=k)
+        rng.random(out=uniform)
+        np.multiply(k, packet.d, out=threshold)
+        np.subtract(threshold, packet.phase_phi, out=threshold)
+        np.cos(threshold, out=threshold)
+        np.add(1.0, threshold, out=threshold)
+        np.multiply(0.5, threshold, out=threshold)
+        np.less(uniform, threshold, out=accept)
+        # The thresholds are spent; their buffer takes the accepted draws.
+        accepted = np.compress(accept, k, out=scratch.work[:np.count_nonzero(accept)])
+        take = min(len(accepted), n - filled)
+        out[filled:filled + take] = accepted[:take]
         filled += take
-    return out
+
+
+def _log_likelihood_ratio(samples: np.ndarray, packet: SuperposedWavepacket,
+                          noise_dP: float, work: np.ndarray) -> float:
+    """Coherent-vs-mixed log-likelihood ratio of ``samples``, computed in ``work``.
+
+    ``work`` has the shape of ``samples`` and may be ``samples`` itself.
+    """
+    _, visibility, beta = _noisy_fringe_params(packet, noise_dP)
+    np.multiply(beta * packet.d, samples, out=work)
+    np.subtract(work, packet.phase_phi, out=work)
+    np.cos(work, out=work)
+    np.multiply(visibility, work, out=work)
+    np.maximum(work, -1.0 + 1e-15, out=work)
+    np.log1p(work, out=work)
+    return float(np.sum(work) + samples.size * packet._log_norm)
 
 
 def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
@@ -205,10 +256,7 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValidationError("samples must be non-empty")
-    _, visibility, beta = _noisy_fringe_params(packet, noise_dP)
-    vcos = visibility * np.cos(beta * packet.d * samples - packet.phase_phi)
-    llr = float(np.sum(np.log1p(np.maximum(vcos, -1.0 + 1e-15)))
-                + samples.size * packet._log_norm)
+    llr = _log_likelihood_ratio(samples, packet, noise_dP, np.empty_like(samples))
     decision = Hypothesis.COHERENT if llr > 0.0 else Hypothesis.MIXED
     return DiscriminationResult(
         n_samples=samples.size,
@@ -227,6 +275,8 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     Each trial draws one set of true coherent momenta and one set of unit
     noise deviates; every noise level observes the same base draw scaled by
     its own noise std, so the empirical power is comparable across levels.
+    The decision at each level is that of ``discriminate``.  Every array is
+    allocated once per call and reused by each trial.
     """
     if n < 1 or trials < 1 or seed < 0:
         raise ValidationError("power_curve needs n >= 1, trials >= 1 and seed >= 0, "
@@ -234,14 +284,16 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     noise_levels = np.asarray(noise_levels, dtype=float)
     root = np.random.SeedSequence(seed)
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
+    true_k, unit_noise, observed = np.empty(n), np.empty(n), np.empty(n)
+    scratch = _RejectionScratch(n)
     for trial, child in enumerate(root.spawn(trials)):
         rng = np.random.default_rng(child)
-        true_k = _sample_true_momenta(packet, Hypothesis.COHERENT, n, rng)
-        unit_noise = rng.standard_normal(n)
+        _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
+        rng.standard_normal(out=unit_noise)
         for j, level in enumerate(noise_levels):
-            observed = true_k + level * unit_noise
-            result = discriminate(observed, packet, level)
-            decisions[trial, j] = result.decision is Hypothesis.COHERENT
+            np.multiply(level, unit_noise, out=observed)
+            np.add(true_k, observed, out=observed)
+            decisions[trial, j] = _log_likelihood_ratio(observed, packet, level, observed) > 0.0
     return decisions.mean(axis=0)
 
 

@@ -14,15 +14,16 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import sici
 
 from .constants import CODATA, PhysicalConstants, planck_scales
 from .errors import RelativisticMotionError, ValidationError
 from .tabulated import gauss_legendre, sample_columns, spectral_moment, spline_fourier
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Shape",
@@ -42,8 +43,11 @@ __all__ = [
     "composition_phase",
 ]
 
+# Si(pi), written out so that importing this module loads no scipy: the
+# value is float(scipy.special.sici(math.pi)[0]).
+SI_PI = 1.8519370519824658
 # pi (pi Si(pi) - 2) / 6: exact constant of the sin^2 trajectory exponent.
-SIN2_EXPONENT_CONSTANT = math.pi * (math.pi * float(sici(math.pi)[0]) - 2.0) / 6.0
+SIN2_EXPONENT_CONSTANT = math.pi * (math.pi * SI_PI - 2.0) / 6.0
 
 # Hard gate encoding d << c t0 (nonrelativistic motion).
 NONRELATIVISTIC_GATE = 1.0 / 3.0
@@ -109,6 +113,8 @@ class TrajectoryProfile:
                     f"endpoint velocity at {where} must vanish "
                     f"(finite difference {v_fd:.3e}, tol {v_tol:.3e})"
                 )
+        from scipy.interpolate import CubicSpline
+
         # Clamped spline: the interpolant's endpoint velocities are exactly
         # zero, preventing spurious high-frequency radiation.
         return CubicSpline(t, x, bc_type="clamped")
@@ -176,6 +182,8 @@ def _sin2_spectral_integral() -> float:
     quadrature for the oscillatory half.  A constant, computed once per
     process.
     """
+    from scipy.integrate import quad
+
     U0 = 50.0
     head, _ = quad(lambda u: u * _sin2_envelope(u) ** 2, 0.0, U0,
                    limit=400, epsabs=0.0, epsrel=1e-13)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import DivergentIntegralError, ValidationError
 
@@ -278,6 +277,8 @@ def _exact_tail(jumps: np.ndarray, span: float, cutoff: float) -> float:
     from E_1 by integration by parts:
     I_p = (cutoff^(1-p) e^{i span cutoff} + i span I_{p-1}) / (p - 1).
     """
+    from scipy.special import exp1
+
     ends = jumps[:, [0, -1]]
     same = jumps @ jumps.T
     phase = np.exp(1j * span * cutoff)

@@ -14,14 +14,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .constants import CODATA, PhysicalConstants, planck_scales
 from .errors import DivergentIntegralError, ValidationError
 from .tabulated import sample_columns, spectral_moment, spline_fourier
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "WindowShape",
@@ -63,6 +65,8 @@ class WindowFunction:
         if not (self.width_T > 0.0 and math.isfinite(self.width_T)):
             raise ValidationError(f"width_T must be positive, got {self.width_T}")
         if self.shape is WindowShape.TABULATED:
+            from scipy.interpolate import CubicSpline
+
             if self.samples is None:
                 raise ValidationError("TABULATED window requires samples")
             t, phi = sample_columns(self.samples, _MIN_WINDOW_SAMPLES, "phi")
@@ -108,6 +112,8 @@ def averaged_variance(window: WindowFunction,
     """
     T = window.width_T
     if window.shape is WindowShape.GAUSSIAN:
+        from scipy.integrate import quad
+
         # Substituting u = omega T makes the integrand dimensionless and
         # O(1), so the quadrature cross-check is scale independent; the
         # 1/T^2 prefactor is applied after integrating.

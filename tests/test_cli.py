@@ -222,6 +222,17 @@ def test_echo_table_and_oracle_column(tmp_path):
     overlaps = [float(r[3]) for r in rows]
     assert overlaps[0] == 1.0
     assert all(b <= a for a, b in zip(overlaps, overlaps[1:]))
+    # Captured before the shift matching moved from the CLI into the oracle.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ac5009e1e11ffa3236d809380105a67276898ae55fb85dc5e7e3add108b27001")
+    check = json.loads(out.with_suffix(".csv.meta.json").read_text())["oracle_check"]
+    assert check["grid_points"] == 4096 and check["steps"] == 200
+    # The CSV holds 13 significant digits of overlaps <= 1.
+    assert check["max_abs_err"] == pytest.approx(
+        max(abs(float(r[4]) - float(r[3])) for r in rows), abs=1e-12)
+    assert check["max_abs_err"] <= 1e-6
+    assert main(["echo", "--config", str(config), "--output", str(out)]) == 0
+    assert "oracle_check" not in json.loads(out.with_suffix(".csv.meta.json").read_text())
 
 
 def _write_sin2_trajectory(path, t0, d, n=200):
@@ -558,6 +569,11 @@ def _only_error_line(capsys):
      {"parameter": "sigma", "min": 1e-33, "max": 1e-37, "points": 5, "scale": "log"}, 2),
     ("bound", MASS_CONFIG,
      {"parameter": "magnitude", "min": 1e-6, "max": -1e-6, "points": 5}, 2),
+    # Two checks fail: the dipole gate at d = 0.2 (R = 0.5), and d > 0 at
+    # the last two values.  The earliest point's dipole message wins, though
+    # the positivity check runs first.
+    ("causality", MASS_CONFIG,
+     {"parameter": "separation_d", "min": 0.2, "max": -0.1, "points": 4}, 0),
 ])
 def test_array_sweep_error_names_first_offending_value(tmp_path, capsys, sub, base, sweep,
                                                         offending):
@@ -598,6 +614,33 @@ def test_tabulated_magnitude_sweep_computes_the_moment_once(tmp_path, monkeypatc
     # Captured when every point reread the trajectory and recomputed its moment.
     assert hashlib.sha256(written).hexdigest() == (
         "f1383cd6930386e3394695e36e6bb891b2c8547c918e74c8e65a2199f24b87a0"), written
+
+
+_IMPORTS_NO_SCIPY = """
+import sys
+import supertime, supertime.cli
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.special")
+loaded = [sorted(m for m in heavy if m in sys.modules)]
+config, out = sys.argv[1:]
+for sub in ("bound", "causality", "echo"):
+    assert supertime.cli.main([sub, "--config", config, "--output", out]) == 0
+    loaded.append(sorted(m for m in heavy if m in sys.modules))
+print(loaded)
+"""
+
+
+def test_cli_and_closed_form_subcommands_load_no_scipy(tmp_path):
+    # bound, causality and echo are closed forms; scipy costs most of the
+    # start-up and is imported only by the functions that call it.
+    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    src = str(Path(supertime.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_NO_SCIPY, str(config),
+                           str(tmp_path / "out.csv")], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[[], [], [], []]"
 
 
 def test_python_dash_m_supertime(tmp_path):

@@ -19,7 +19,11 @@ from supertime.interference import (
     sample_momenta,
     spin_protocol_visibility,
 )
-from supertime.interference import noisy_density_coherent, noisy_density_mixed
+from supertime.interference import (
+    _noisy_fringe_params,
+    noisy_density_coherent,
+    noisy_density_mixed,
+)
 
 PACKET = SuperposedWavepacket(sigma=0.05, d=1.0)  # s d = 10
 
@@ -150,6 +154,43 @@ def test_power_curve_deterministic_in_seed():
     a = power_curve(PACKET, 2000, levels, trials=30, seed=11)
     b = power_curve(PACKET, 2000, levels, trials=30, seed=11)
     assert np.array_equal(a, b)
+
+
+def _reference_power_curve(packet, n, noise_levels, trials, seed):
+    """The per-trial loop with fresh arrays, deciding through ``discriminate``."""
+    decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
+    s = packet.momentum_spread
+    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        true_k, filled = np.empty(n), 0
+        while filled < n:
+            batch = max(2 * (n - filled), 128)
+            k = s * rng.standard_normal(batch)
+            k = k[rng.random(batch) < 0.5 * (1.0 + np.cos(k * packet.d - packet.phase_phi))]
+            take = min(len(k), n - filled)
+            true_k[filled:filled + take] = k[:take]
+            filled += take
+        unit_noise = rng.standard_normal(n)
+        for j, level in enumerate(noise_levels):
+            observed = true_k + level * unit_noise
+            result = discriminate(observed, packet, level)
+            decisions[trial, j] = result.decision is Hypothesis.COHERENT
+            # discriminate's ratio is the plain expression, bit for bit.
+            _, visibility, beta = _noisy_fringe_params(packet, level)
+            vcos = visibility * np.cos(beta * packet.d * observed - packet.phase_phi)
+            assert result.log_likelihood_ratio == float(
+                np.sum(np.log1p(np.maximum(vcos, -1.0 + 1e-15)))
+                + observed.size * packet._log_norm)
+    return decisions.mean(axis=0)
+
+
+@pytest.mark.parametrize("seed", [4, 2024])
+@pytest.mark.parametrize("d,phase", [(1.0, 0.0), (3e-7, 0.3)])
+def test_power_curve_in_reused_buffers_is_bitwise_the_per_trial_loop(seed, d, phase):
+    packet = SuperposedWavepacket(sigma=d / 10.0, d=d, phase_phi=phase)
+    levels = np.logspace(-1.0, 1.0, 5) * math.pi / d
+    expected = _reference_power_curve(packet, 3001, levels, 12, seed)
+    assert power_curve(packet, 3001, levels, 12, seed).tobytes() == expected.tobytes()
 
 
 def test_spin_visibility_monotone_in_t0_and_bounded():

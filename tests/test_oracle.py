@@ -11,6 +11,7 @@ from supertime.echo import GaussianState, echo_displacements, echo_overlap
 from supertime.errors import GridError, ValidationError
 from supertime.oracle import (
     GridSpec,
+    _propagate,
     auto_grid,
     echo_overlap_numeric,
     init_gaussian,
@@ -161,3 +162,28 @@ def test_each_batched_branch_is_checked_for_the_boundary():
     for F_L, F_R in ((40.0, 0.0), (0.0, 40.0)):
         with pytest.raises(GridError):
             echo_overlap_numeric(grid, F_L, F_R, 1.0, 2.0, 200)
+
+
+def _allocating_strang(state, forces, m, t, n_steps):
+    """The Strang loop with fresh temporaries per step, as first written."""
+    spec, hbar = state.spec, state.hbar
+    dt = t / n_steps
+    k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    F = np.asarray(forces, dtype=float)[:, np.newaxis]
+    half_potential = np.exp(1j * F * spec.x * dt / (2.0 * hbar))
+    kinetic = np.exp(-1j * hbar * k**2 * dt / (2.0 * m))
+    psi = np.tile(state.amplitudes, (len(forces), 1))
+    for _ in range(n_steps):
+        psi *= half_potential
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi *= half_potential
+    return psi
+
+
+def test_propagation_in_reused_buffers_is_bitwise_the_allocating_loop():
+    state, spec, F_L, F_R, m, t = _reference_case()
+    grid = init_gaussian(spec, state)
+    for forces in ([F_L, F_R], [F_R]):
+        branches = _propagate(grid, forces, m, t, 200)
+        expected = _allocating_strang(grid, forces, m, t, 200)
+        assert np.stack([b.amplitudes for b in branches]).tobytes() == expected.tobytes()
