@@ -26,6 +26,8 @@ __all__ = [
     "audit_timeline",
 ]
 
+_AUDIT_REL_TOL = 1e-12  # rounding slack of the audit's T_A + T_B >= R/c
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -126,14 +128,13 @@ def optimize_eta(alice: SuperpositionSpec,
 
 
 def audit_timeline(scenario: Scenario, T_A: float,
-                   constants: PhysicalConstants = CODATA,
-                   rel_tol: float = 1e-12) -> TimelineReport:
+                   constants: PhysicalConstants = CODATA) -> TimelineReport:
     """Check T_A + T_B >= R/c for the given scenario and measurement time."""
     require((T_A >= 0.0) & np.isfinite(T_A), ValidationError,
             "T_A must be non-negative, got {T_A}", T_A=T_A)
     T_B = tb_at_localization_limit(scenario, constants)
     light_time = scenario.R / constants.c
-    satisfied = T_A + T_B >= light_time * (1.0 - rel_tol)
+    satisfied = T_A + T_B >= light_time * (1.0 - _AUDIT_REL_TOL)
     return TimelineReport(
         T_B=T_B,
         T_A_bound=T_A,

@@ -7,7 +7,7 @@ echoed state, and the position-vs-momentum discrimination comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class EchoResult:
     delta_p: float
     cubic_phase: float
     time: float
-    overlap: float | None = None
 
 
 def _dipole_pair(prefactor: float, d: float, R: float) -> ForcePair:
@@ -155,12 +154,6 @@ def echo_overlap(state: GaussianState, echo: EchoResult,
     exponent = (echo.delta_x**2 / (8.0 * sigma**2)
                 + echo.delta_p**2 * sigma**2 / (2.0 * hbar**2))
     return math.exp(-exponent)
-
-
-def echo_result_with_overlap(state: GaussianState, echo: EchoResult,
-                             constants: PhysicalConstants = CODATA) -> EchoResult:
-    """Convenience: attach the Gaussian overlap to an EchoResult."""
-    return replace(echo, overlap=echo_overlap(state, echo, constants))
 
 
 def entanglement_time(delta_F: float, mB: float, sigma: float, *,

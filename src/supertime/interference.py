@@ -90,7 +90,6 @@ class DiscriminationResult:
     noise_dP: float
     log_likelihood_ratio: float
     decision: Hypothesis
-    power_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -244,8 +243,7 @@ def _log_likelihood_ratio(samples: np.ndarray, packet: SuperposedWavepacket,
 
 
 def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
-                 noise_dP: float,
-                 power_estimate: float | None = None) -> DiscriminationResult:
+                 noise_dP: float) -> DiscriminationResult:
     """Exact log-likelihood ratio coherent vs mixed for noisy samples.
 
     The Gaussian envelopes of the two noise-convolved densities coincide, so
@@ -263,7 +261,6 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
         noise_dP=noise_dP,
         log_likelihood_ratio=llr,
         decision=decision,
-        power_estimate=power_estimate,
     )
 
 

@@ -1,11 +1,13 @@
 """Brute-force grid propagation used to validate the analytic echo formulas.
 
 1-D split-operator (FFT) propagation under H = P^2/2m - F X with symmetric
-Strang splitting.  For a purely linear potential the splitting commutator
-errors involve only {X, P, 1}, so moments obey the Ehrenfest identities to
-spectral accuracy and tolerances can be tight.
-
-Works in natural units by default (hbar = 1); pass hbar explicitly for SI.
+Strang splitting, in natural units (hbar = 1).  With T = P^2/2m and
+V = -F X, [V, [V, T]] is a c-number and [T, [T, V]] = 0, so the BCH series
+of one symmetric step terminates: a single step of any length is the exact
+propagator times a global phase.  Moments, and the modulus of the overlap
+of two branches, are therefore exact to spectral accuracy at any step
+count.  The phase left over differs between branches of different force
+and shrinks as dt^2, so the complex overlap still converges at second order.
 """
 
 from __future__ import annotations
@@ -34,9 +36,14 @@ __all__ = [
 # edge; the threshold must sit above that but far below any real wraparound.
 _BOUNDARY_FRACTION = 1e-6
 
-# Grid size and Strang step count of ``matched_echo_overlap``.
+# Grid size and Strang step count of ``matched_echo_overlap``; one step is
+# exact up to a global phase per branch, and only the modulus is reported.
 MATCHED_GRID_POINTS = 4096
-MATCHED_STEPS = 200
+MATCHED_STEPS = 1
+# Below this b/a the spreading over t' = 4a/b stretches the grid to about
+# 32 a/b, and its Nyquist wavenumber pi N b / (32 a) falls below twice the
+# unit packet's 8-sigma momentum 4.
+_MIN_RATIO = 256.0 / (math.pi * MATCHED_GRID_POINTS)  # ~0.02
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,6 @@ class GridState:
 
     spec: GridSpec
     amplitudes: np.ndarray
-    hbar: float = 1.0
 
     @property
     def norm(self) -> float:
@@ -92,8 +98,7 @@ class GridState:
     def momentum_moments(self) -> tuple[float, float]:
         """(<p>, Delta p) via the discrete Fourier representation."""
         n, dx = self.spec.n_points, self.spec.dx
-        k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-        p = self.hbar * k
+        p = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
         phi = np.fft.fft(self.amplitudes)
         prob = np.abs(phi) ** 2
         prob /= prob.sum()
@@ -102,17 +107,16 @@ class GridState:
         return mean, math.sqrt(var)
 
 
-def init_gaussian(spec: GridSpec, state: GaussianState,
-                  hbar: float = 1.0) -> GridState:
+def init_gaussian(spec: GridSpec, state: GaussianState) -> GridState:
     """Normalized minimum-uncertainty Gaussian on the grid."""
     if state.x0 - 6.0 * state.sigma < spec.x_min or \
             state.x0 + 6.0 * state.sigma > spec.x_max:
         raise GridError("grid must contain x0 +/- 6 sigma")
     x = spec.x
     psi = np.exp(-((x - state.x0) ** 2) / (4.0 * state.sigma**2)
-                 + 1j * state.p0 * x / hbar)
+                 + 1j * state.p0 * x)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * spec.dx)
-    return GridState(spec=spec, amplitudes=psi, hbar=hbar)
+    return GridState(spec=spec, amplitudes=psi)
 
 
 def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
@@ -131,13 +135,13 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
         raise ValidationError("need m > 0 and n_steps >= 1")
     if t < 0.0:
         raise ValidationError("t must be non-negative")
-    spec, hbar = state.spec, state.hbar
+    spec = state.spec
     dt = t / n_steps
     x = spec.x
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     F = np.asarray(forces, dtype=float)[:, np.newaxis]
-    half_potential = np.exp(1j * F * x * dt / (2.0 * hbar))
-    kinetic = np.exp(-1j * hbar * k**2 * dt / (2.0 * m))
+    half_potential = np.exp(1j * F * x * dt / 2.0)
+    kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
     psi = np.tile(state.amplitudes, (len(forces), 1))
     spectrum = np.empty_like(psi)
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
@@ -154,7 +158,7 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
         norm = np.sum(np.abs(amplitudes) ** 2) * spec.dx
         if abs(norm - norm0) > 1e-8:
             raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")
-        branch = GridState(spec=spec, amplitudes=amplitudes, hbar=hbar)
+        branch = GridState(spec=spec, amplitudes=amplitudes)
         branch.check_boundaries()
         branches.append(branch)
     return branches
@@ -189,9 +193,9 @@ def matched_echo_overlap(a: float, b: float) -> float:
     """
     if a == 0.0 and b == 0.0:
         return 1.0
-    if not (1e-3 < (b / a if a > 0.0 else math.inf) < 1e3):
-        # Extreme delta_x / delta_p ratios need grids no float can resolve;
-        # check an exponent-equivalent balanced pair instead (same overlap).
+    if not (_MIN_RATIO <= (b / a if a > 0.0 else math.inf) < 1e3):
+        # Ratios beyond the grid's reach: check the exponent-equivalent
+        # balanced pair instead (same overlap).
         a = b = math.sqrt(0.5 * (a**2 + b**2))
     t_n, f_n = 4.0 * a / b, b**2 / (4.0 * a)
     unit_state = GaussianState(sigma=1.0)
@@ -201,12 +205,12 @@ def matched_echo_overlap(a: float, b: float) -> float:
 
 
 def auto_grid(state: GaussianState, forces: "list[float]", m: float, t: float,
-              hbar: float = 1.0, n_points: int = 4096) -> GridSpec:
+              n_points: int = 4096) -> GridSpec:
     """Grid bounding the classical excursion of every branch, padded by 8 sigma.
 
     Padding also covers the free spreading of the packet over [0, t].
     """
-    sigma_t = math.sqrt(state.sigma**2 + (hbar * t / (2.0 * m * state.sigma)) ** 2)
+    sigma_t = math.sqrt(state.sigma**2 + (t / (2.0 * m * state.sigma)) ** 2)
     pad = 8.0 * max(state.sigma, sigma_t)
     positions = [state.x0]
     for F in forces:

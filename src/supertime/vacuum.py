@@ -41,6 +41,9 @@ MIN_TIME_PREFACTOR = 1.0 / math.sqrt(3.0 * math.pi**3)
 
 _MIN_WINDOW_SAMPLES = 8
 
+# Relative accuracy of the tabulated-window variance (``spectral_moment``).
+_SPECTRAL_REL_TOL = 1e-10
+
 
 class WindowShape(enum.Enum):
     GAUSSIAN = "gaussian"
@@ -95,20 +98,18 @@ def window_fourier(window: WindowFunction, omega):
     return spline_fourier(window._spline, omega)
 
 
-def averaged_variance(window: WindowFunction,
-                      rel_tol: float = 1e-10) -> float:
+def averaged_variance(window: WindowFunction) -> float:
     """(1/2 pi^2) int_0^inf |phi_tilde|^2 omega domega (natural units).
 
     For the Gaussian window the closed form 1/(4 pi^2 T^2) is asserted
     against the quadrature before returning.  For a tabulated window the
     integral is ``tabulated.spectral_moment`` of the spline, accurate to
-    ``rel_tol``.  At high frequency |phi_tilde|^2 omega / (2 pi^2) tends
-    to (phi(a)^2 + phi(b)^2) / (2 pi^2 omega), with a and b the first and
-    last sample times, so the variance grows by (phi(a)^2 + phi(b)^2) /
+    ``_SPECTRAL_REL_TOL``.  At high frequency |phi_tilde|^2 omega / (2 pi^2)
+    tends to (phi(a)^2 + phi(b)^2) / (2 pi^2 omega), with a and b the first
+    and last sample times, so the variance grows by (phi(a)^2 + phi(b)^2) /
     (2 pi^2) per factor e of the cutoff.  DivergentIntegralError is raised
-    when that growth exceeds ``rel_tol`` times the finite part (a sharp box
-    always; a Gaussian cut at +-4T at the default tolerance, but not one
-    cut at +-5T).
+    when that growth exceeds ``_SPECTRAL_REL_TOL`` times the finite part (a
+    sharp box always; a Gaussian cut at +-4T, but not one cut at +-5T).
     """
     T = window.width_T
     if window.shape is WindowShape.GAUSSIAN:
@@ -126,7 +127,7 @@ def averaged_variance(window: WindowFunction,
                 f"Gaussian quadrature {by_quad} disagrees with closed form {closed}"
             )
         return closed
-    return spectral_moment(window._spline, rel_tol) / (2.0 * math.pi**2)
+    return spectral_moment(window._spline, _SPECTRAL_REL_TOL) / (2.0 * math.pi**2)
 
 
 def instantaneous_variance(cutoff_Lambda: float) -> float:

@@ -218,21 +218,34 @@ def test_echo_table_and_oracle_column(tmp_path):
     assert header == ["t_seconds", "delta_x_m", "delta_p_kg_m_per_s",
                       "overlap", "overlap_numeric"]
     for row in rows:
-        assert float(row[4]) == pytest.approx(float(row[3]), abs=1e-6)
+        assert float(row[4]) == pytest.approx(float(row[3]), abs=1e-12)
     overlaps = [float(r[3]) for r in rows]
     assert overlaps[0] == 1.0
     assert all(b <= a for a, b in zip(overlaps, overlaps[1:]))
-    # Captured before the shift matching moved from the CLI into the oracle.
+    # Captured when the matched run went from 200 Strang steps to one, which
+    # moved the numeric column onto the analytic overlaps.
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ac5009e1e11ffa3236d809380105a67276898ae55fb85dc5e7e3add108b27001")
+        "b7e561a308c3f1ebf9b3caa5155b99972e37a9a2a9e5b45b5465a6d86df28833")
     check = json.loads(out.with_suffix(".csv.meta.json").read_text())["oracle_check"]
-    assert check["grid_points"] == 4096 and check["steps"] == 200
+    assert check["grid_points"] == 4096 and check["steps"] == 1
     # The CSV holds 13 significant digits of overlaps <= 1.
     assert check["max_abs_err"] == pytest.approx(
         max(abs(float(r[4]) - float(r[3])) for r in rows), abs=1e-12)
-    assert check["max_abs_err"] <= 1e-6
+    assert check["max_abs_err"] <= 1e-12
     assert main(["echo", "--config", str(config), "--output", str(out)]) == 0
     assert "oracle_check" not in json.loads(out.with_suffix(".csv.meta.json").read_text())
+
+
+@pytest.mark.parametrize("sigma", [4.5e-13, 2e-13])
+def test_echo_oracle_with_a_wide_test_particle(tmp_path, sigma):
+    # A wide packet gives delta_p / delta_x ratios the grid cannot resolve
+    # as given; those rows must fall back to the balanced pair, not fail.
+    config = _write(tmp_path, "cfg.json", _with_parameter(MASS_CONFIG, "sigma", sigma))
+    out = tmp_path / "echo.csv"
+    assert main(["echo", "--config", str(config), "--output", str(out), "--oracle"]) == 0
+    _, rows = _read_csv(out)
+    for row in rows:
+        assert float(row[4]) == pytest.approx(float(row[3]), abs=1e-12)
 
 
 def _write_sin2_trajectory(path, t0, d, n=200):
@@ -617,30 +630,35 @@ def test_tabulated_magnitude_sweep_computes_the_moment_once(tmp_path, monkeypatc
 
 
 _IMPORTS_NO_SCIPY = """
-import sys
+import json, sys
 import supertime, supertime.cli
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.special")
 loaded = [sorted(m for m in heavy if m in sys.modules)]
-config, out = sys.argv[1:]
-for sub in ("bound", "causality", "echo"):
-    assert supertime.cli.main([sub, "--config", config, "--output", out]) == 0
+for argv in json.loads(sys.argv[1]):
+    assert supertime.cli.main(argv) == 0
     loaded.append(sorted(m for m in heavy if m in sys.modules))
 print(loaded)
 """
 
 
 def test_cli_and_closed_form_subcommands_load_no_scipy(tmp_path):
-    # bound, causality and echo are closed forms; scipy costs most of the
+    # bound, causality and echo are closed forms, the echo oracle and the
+    # interference power curve are numpy only; scipy costs most of the
     # start-up and is imported only by the functions that call it.
-    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    mass = str(_write(tmp_path, "mass.json", MASS_CONFIG))
+    charge = str(_write(tmp_path, "charge.json", _mutated(
+        CHARGE_CONFIG, lambda c: c["interference"].update(n=200, trials=5))))
+    out = str(tmp_path / "out.csv")
+    runs = [[sub, "--config", mass, "--output", out] for sub in ("bound", "causality", "echo")]
+    runs += [["echo", "--config", mass, "--output", out, "--oracle"],
+             ["interference", "--config", charge, "--output", out]]
     src = str(Path(supertime.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", _IMPORTS_NO_SCIPY, str(config),
-                           str(tmp_path / "out.csv")], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_NO_SCIPY, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[[], [], [], []]"
+    assert done.stdout.strip() == "[[], [], [], [], [], []]"
 
 
 def test_python_dash_m_supertime(tmp_path):

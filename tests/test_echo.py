@@ -13,7 +13,6 @@ from supertime.echo import (
     GaussianState,
     echo_displacements,
     echo_overlap,
-    echo_result_with_overlap,
     entanglement_time,
     force_difference_coulomb,
     force_difference_gravity,
@@ -96,13 +95,6 @@ def test_overlap_non_increasing_in_time(delta_F, mB, sigma):
     ]
     assert all(b <= a + 1e-15 for a, b in zip(overlaps, overlaps[1:]))
     assert overlaps[0] == 1.0
-
-
-def test_result_with_overlap_attaches_value():
-    state = GaussianState(sigma=1.0)
-    res = echo_displacements(0.2, 1.0, 0.0, 1.0, NATURAL)
-    full = echo_result_with_overlap(state, res, NATURAL)
-    assert full.overlap == echo_overlap(state, res, NATURAL)
 
 
 def test_route_times_cross_exactly_at_trap_width():

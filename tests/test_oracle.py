@@ -15,6 +15,7 @@ from supertime.oracle import (
     auto_grid,
     echo_overlap_numeric,
     init_gaussian,
+    matched_echo_overlap,
     propagate_linear,
 )
 
@@ -95,7 +96,10 @@ def test_second_order_convergence_of_complex_overlap():
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.15)
 
 
-def test_echo_modulus_matches_analytic_formula_random_cases():
+@pytest.mark.parametrize("n_steps", [1, 400])
+def test_echo_modulus_matches_analytic_formula_random_cases(n_steps):
+    # One Strang step is exact up to a global phase per branch, so the
+    # modulus agrees to rounding at any step count.
     rng = np.random.default_rng(42)
     for _ in range(20):
         sigma = rng.uniform(0.5, 2.0)
@@ -107,10 +111,23 @@ def test_echo_modulus_matches_analytic_formula_random_cases():
         F_L, F_R = delta_F / 2.0, -delta_F / 2.0
         spec = auto_grid(state, [F_L, F_R], m=m, t=t)
         grid = init_gaussian(spec, state)
-        numeric = abs(echo_overlap_numeric(grid, F_L, F_R, m, t, 400))
+        numeric = abs(echo_overlap_numeric(grid, F_L, F_R, m, t, n_steps))
         res = echo_displacements(delta_F, m, F_L + F_R, t, NATURAL)
         analytic = echo_overlap(state, res, NATURAL)
-        assert numeric == pytest.approx(analytic, abs=1e-6)
+        assert numeric == pytest.approx(analytic, abs=1e-12)
+
+
+def test_matched_overlap_over_shift_ratios_and_sizes():
+    # 33 ratios b/a over eight decades times 12 sizes sqrt(a^2 + b^2): every
+    # case must either run as given or fall back to the balanced pair,
+    # never reach the grid boundary, and match exp(-a^2/2 - b^2/2).
+    for ratio in np.logspace(-4.0, 4.0, 33):
+        for size in np.logspace(-3.0, 1.5, 12):
+            a = size / math.sqrt(1.0 + ratio**2)
+            b = ratio * a
+            assert matched_echo_overlap(a, b) == pytest.approx(
+                math.exp(-0.5 * (a**2 + b**2)), abs=1e-12)
+    assert matched_echo_overlap(0.0, 0.0) == 1.0
 
 
 def test_boundary_hit_raises():
@@ -166,12 +183,12 @@ def test_each_batched_branch_is_checked_for_the_boundary():
 
 def _allocating_strang(state, forces, m, t, n_steps):
     """The Strang loop with fresh temporaries per step, as first written."""
-    spec, hbar = state.spec, state.hbar
+    spec = state.spec
     dt = t / n_steps
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     F = np.asarray(forces, dtype=float)[:, np.newaxis]
-    half_potential = np.exp(1j * F * spec.x * dt / (2.0 * hbar))
-    kinetic = np.exp(-1j * hbar * k**2 * dt / (2.0 * m))
+    half_potential = np.exp(1j * F * spec.x * dt / 2.0)
+    kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
     psi = np.tile(state.amplitudes, (len(forces), 1))
     for _ in range(n_steps):
         psi *= half_potential
