@@ -38,6 +38,8 @@ from .errors import SupertimeError, ValidationError
 
 _CONSTANT_KEYS = {"hbar", "c", "G", "epsilon0", "e_charge"}
 _SWEEPABLE = {"magnitude", "separation_d", "bob_mass", "bob_charge", "R", "sigma", "t0"}
+_INTERFERENCE_DEFAULTS = {"n": 10000, "trials": 100, "d_over_sigma": 20.0,
+                          "noise_multiples": [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]}
 
 # The config schema: a dict is a JSON object of the given keys, a
 # one-element list a JSON list of that schema, a tuple the allowed strings,
@@ -225,6 +227,17 @@ def _columns_echo(config: RunConfig, use_oracle: bool):
     return list(zip(*rows))
 
 
+def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
+    if not use_oracle:
+        return {}
+    overlap, numeric = columns[3], columns[4]
+    return {"oracle_check": {
+        "grid_points": oracle.MATCHED_GRID_POINTS,
+        "steps": oracle.MATCHED_STEPS,
+        "max_abs_err": float(np.max(np.abs(np.subtract(numeric, overlap)))),
+    }}
+
+
 def _columns_causality(config: RunConfig, use_oracle: bool):
     constants = config.constants
     scenario = config.scenario
@@ -291,19 +304,37 @@ def _columns_vacuum(config: RunConfig, use_oracle: bool):
             vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)]
 
 
+def _interference_section(config: RunConfig) -> dict:
+    return {**_INTERFERENCE_DEFAULTS, **config.extras["interference"]}
+
+
 def _columns_interference(config: RunConfig, use_oracle: bool):
-    section = config.extras["interference"]
+    section = _interference_section(config)
     d = config.scenario.alice.separation_d
-    d_over_sigma = section.get("d_over_sigma", 20.0)
+    d_over_sigma = section["d_over_sigma"]
     if not d_over_sigma > 0.0:
         raise ValidationError(f"interference.d_over_sigma: must be positive, got {d_over_sigma}")
     packet = interference.SuperposedWavepacket(sigma=d / d_over_sigma, d=d)
-    multiples = section.get("noise_multiples", [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0])
-    base = math.pi / d
-    powers = interference.power_curve(
-        packet, section.get("n", 10000), [m * base for m in multiples],
-        section.get("trials", 100), config.seed)
-    return [multiples, [m * base for m in multiples], [float(p) for p in powers]]
+    multiples = section["noise_multiples"]
+    if not multiples:
+        raise ValidationError("interference.noise_multiples: must not be empty")
+    levels = [m * (math.pi / d) for m in multiples]
+    for i, (multiple, level) in enumerate(zip(multiples, levels)):
+        if not (multiple >= 0.0 and math.isfinite(level)):
+            raise ValidationError(f"interference.noise_multiples[{i}]: the noise std "
+                                  f"{multiple} pi/d must be finite and non-negative")
+    powers = interference.power_curve(packet, section["n"], levels, section["trials"],
+                                      config.seed)
+    return [multiples, levels, [float(p) for p in powers]]
+
+
+def _checks_interference(config: RunConfig, columns: list, use_oracle: bool) -> dict:
+    trials = _interference_section(config)["trials"]
+    return {"power_check": {
+        "trials": trials,
+        "workers": interference._worker_count(trials),
+        "mc_stderr": [math.sqrt(p * (1.0 - p) / trials) for p in columns[2]],
+    }}
 
 
 def _read_two_column_csv(path: str) -> np.ndarray:
@@ -328,13 +359,13 @@ def _read_two_column_csv(path: str) -> np.ndarray:
 
 class _Subcommand(NamedTuple):
     """CSV header, columns over all sweep points, sweepable parameters, --oracle
-    column and the column it cross-checks."""
+    column, and the sidecar entries that report how the columns were computed."""
 
     header: tuple[str, ...]
     columns: Callable[[RunConfig, bool], list]
     sweeps: frozenset = frozenset()
     oracle_column: str | None = None
-    oracle_checks: str | None = None
+    checks: Callable[[RunConfig, list, bool], dict] | None = None
 
 
 SUBCOMMANDS = {
@@ -343,7 +374,7 @@ SUBCOMMANDS = {
                          _columns_bound, frozenset({"magnitude", "separation_d"})),
     "echo": _Subcommand(("t_seconds", "delta_x_m", "delta_p_kg_m_per_s", "overlap"),
                         _columns_echo, oracle_column="overlap_numeric",
-                        oracle_checks="overlap"),
+                        checks=_checks_echo),
     "causality": _Subcommand(("R_m", "T_A_seconds", "T_B_seconds", "eta", "satisfied"),
                              _columns_causality, frozenset({"magnitude", "separation_d",
                                                          "bob_mass", "bob_charge", "R", "sigma"})),
@@ -353,7 +384,7 @@ SUBCOMMANDS = {
     "vacuum": _Subcommand(("T_seconds", "averaged_variance_natural", "momentum_error_kg_m_per_s",
                            "min_measurement_time_seconds"), _columns_vacuum),
     "interference": _Subcommand(("noise_multiple_of_pi_over_d", "noise_dP_natural", "power"),
-                                _columns_interference),
+                                _columns_interference, checks=_checks_interference),
 }
 
 
@@ -446,13 +477,8 @@ def run(subcommand: str, config: RunConfig, output: Path,
         "timings_s": {"parse": parse_s, "evaluate": evaluated - start,
                       "format": formatted - evaluated},
     }
-    if use_oracle:
-        analytic = columns[entry.header.index(entry.oracle_checks)]
-        meta["oracle_check"] = {
-            "grid_points": oracle.MATCHED_GRID_POINTS,
-            "steps": oracle.MATCHED_STEPS,
-            "max_abs_err": float(np.max(np.abs(np.subtract(columns[-1], analytic)))),
-        }
+    if entry.checks is not None:
+        meta.update(entry.checks(config, columns, use_oracle))
     # The sidecar is renamed into place first, so a CSV never exists
     # without its metadata record.
     _write_all_or_nothing([

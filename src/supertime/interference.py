@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,17 @@ def noisy_density_mixed(k, packet: SuperposedWavepacket, noise_dP: float):
     return _gaussian(k, c)
 
 
+def _require_noise(noise_dP: float, name: str = "noise_dP") -> None:
+    if not (noise_dP >= 0.0 and math.isfinite(noise_dP)):
+        raise ValidationError(f"{name} must be finite and non-negative, got {noise_dP}")
+
+
 def sample_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
                    n: int, noise_dP: float, seed: int) -> np.ndarray:
     """i.i.d. noisy momentum measurements under the chosen hypothesis."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if noise_dP < 0.0:
-        raise ValidationError(f"noise_dP must be non-negative, got {noise_dP}")
+    _require_noise(noise_dP)
     rng = np.random.default_rng(seed)
     true_k = np.empty(n)
     _sample_true_momenta(packet, hypothesis, rng, true_k, _RejectionScratch(n))
@@ -254,6 +259,7 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValidationError("samples must be non-empty")
+    _require_noise(noise_dP)
     llr = _log_likelihood_ratio(samples, packet, noise_dP, np.empty_like(samples))
     decision = Hypothesis.COHERENT if llr > 0.0 else Hypothesis.MIXED
     return DiscriminationResult(
@@ -264,6 +270,33 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     )
 
 
+def _worker_count(trials: int) -> int:
+    """Threads for one power curve: one per CPU the process may run on, at most one per trial."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(trials, len(os.sched_getaffinity(0)))
+    return min(trials, os.cpu_count() or 1)  # no affinity mask on macOS and Windows
+
+
+def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray,
+                  children: "list[np.random.SeedSequence]", decisions: np.ndarray,
+                  share: int, shares: int) -> None:
+    """Decide trials share, share + shares, ... into their rows of ``decisions``.
+
+    The share allocates its own arrays once and reuses them for each of its
+    trials, so shares running in parallel share no buffer.
+    """
+    true_k, unit_noise, observed = np.empty(n), np.empty(n), np.empty(n)
+    scratch = _RejectionScratch(n)
+    for trial in range(share, len(children), shares):
+        rng = np.random.default_rng(children[trial])
+        _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
+        rng.standard_normal(out=unit_noise)
+        for j, level in enumerate(noise_levels):
+            np.multiply(level, unit_noise, out=observed)
+            np.add(true_k, observed, out=observed)
+            decisions[trial, j] = _log_likelihood_ratio(observed, packet, level, observed) > 0.0
+
+
 def power_curve(packet: SuperposedWavepacket, n: int,
                 noise_levels: "list[float] | np.ndarray", trials: int,
                 seed: int) -> np.ndarray:
@@ -272,25 +305,37 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     Each trial draws one set of true coherent momenta and one set of unit
     noise deviates; every noise level observes the same base draw scaled by
     its own noise std, so the empirical power is comparable across levels.
-    The decision at each level is that of ``discriminate``.  Every array is
-    allocated once per call and reused by each trial.
+    The decision at each level is that of ``discriminate``.
+
+    Each trial has its own ``SeedSequence`` child, so trials are
+    independent.  They run in W interleaved shares, one per CPU in the
+    process's affinity (at most one per trial): the calling thread decides
+    trials 0, W, 2W, ... and W - 1 threads the others.  numpy's ``cos``,
+    ``log1p`` and generator fills release the GIL, so the shares run in
+    parallel, and the powers are the same bytes for every W.  An error in
+    any share is raised here once all shares have stopped.
     """
     if n < 1 or trials < 1 or seed < 0:
         raise ValidationError("power_curve needs n >= 1, trials >= 1 and seed >= 0, "
                               f"got n={n}, trials={trials}, seed={seed}")
     noise_levels = np.asarray(noise_levels, dtype=float)
-    root = np.random.SeedSequence(seed)
+    if noise_levels.ndim != 1 or noise_levels.size == 0:
+        raise ValidationError("power_curve needs a non-empty list of noise levels, "
+                              f"got shape {noise_levels.shape}")
+    for i, level in enumerate(noise_levels.tolist()):
+        _require_noise(level, f"noise level {i}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    children = np.random.SeedSequence(seed).spawn(trials)
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
-    true_k, unit_noise, observed = np.empty(n), np.empty(n), np.empty(n)
-    scratch = _RejectionScratch(n)
-    for trial, child in enumerate(root.spawn(trials)):
-        rng = np.random.default_rng(child)
-        _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
-        rng.standard_normal(out=unit_noise)
-        for j, level in enumerate(noise_levels):
-            np.multiply(level, unit_noise, out=observed)
-            np.add(true_k, observed, out=observed)
-            decisions[trial, j] = _log_likelihood_ratio(observed, packet, level, observed) > 0.0
+    shares = _worker_count(trials)
+    # With one share the pool never starts a thread.
+    with ThreadPoolExecutor(max(shares - 1, 1)) as pool:
+        others = [pool.submit(_decide_share, packet, n, noise_levels, children, decisions,
+                              share, shares) for share in range(1, shares)]
+        _decide_share(packet, n, noise_levels, children, decisions, 0, shares)
+        for future in others:
+            future.result()
     return decisions.mean(axis=0)
 
 

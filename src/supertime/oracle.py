@@ -140,10 +140,20 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
     x = spec.x
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     F = np.asarray(forces, dtype=float)[:, np.newaxis]
-    half_potential = np.exp(1j * F * x * dt / 2.0)
-    kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
-    psi = np.tile(state.amplitudes, (len(forces), 1))
+    # exp(-1j k^2 dt / 2m) and exp(1j F x dt / 2), built in place in the
+    # operand order of those expressions, so their bits are unchanged.
+    kinetic = np.multiply(-1j, k**2)
+    kinetic *= dt
+    kinetic /= 2.0 * m
+    np.exp(kinetic, out=kinetic)
+    psi = np.empty((len(forces), spec.n_points), dtype=complex)
     spectrum = np.empty_like(psi)
+    half_potential = np.empty_like(psi)
+    np.multiply(1j * F, x, out=half_potential)
+    half_potential *= dt
+    half_potential /= 2.0
+    np.exp(half_potential, out=half_potential)
+    psi[:] = state.amplitudes
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
     for _ in range(n_steps):
         psi *= half_potential

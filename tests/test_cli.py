@@ -144,6 +144,21 @@ def test_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_interference_sidecar_reports_the_power_check(tmp_path):
+    config = _write(tmp_path, "cfg.json", CHARGE_CONFIG)
+    out = tmp_path / "power.csv"
+    assert main(["interference", "--config", str(config), "--output", str(out),
+                 "--seed", "3"]) == 0
+    _, rows = _read_csv(out)
+    check = json.loads((tmp_path / "power.csv.meta.json").read_text())["power_check"]
+    assert check["trials"] == 20
+    assert check["workers"] == min(20, len(os.sched_getaffinity(0)))
+    powers = [float(row[2]) for row in rows]
+    assert check["mc_stderr"] == pytest.approx(
+        [math.sqrt(p * (1.0 - p) / 20) for p in powers], rel=1e-11)
+    assert any(0.0 < p < 1.0 for p in powers)
+
+
 def test_seed_changes_interference_output(tmp_path):
     config = _write(tmp_path, "cfg.json", CHARGE_CONFIG)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -395,6 +410,17 @@ BAD_CONFIGS = [
     ("echo", {**MASS_CONFIG, "sweep": _sweep("R")}, "'R'"),
     ("vacuum", {**CHARGE_CONFIG, "sweep": _sweep("magnitude")}, "'magnitude'"),
     ("interference", {**CHARGE_CONFIG, "sweep": _sweep("separation_d")}, "'separation_d'"),
+    # json reads the Infinity and NaN literals that json.dumps writes for these.
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        noise_multiples=[0.1, math.inf])), "interference.noise_multiples[1]"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        noise_multiples=[math.nan])), "interference.noise_multiples[0]"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        noise_multiples=[0.1, 1.0, -1.0])), "interference.noise_multiples[2]"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        noise_multiples=[1e308])), "interference.noise_multiples[0]"),  # pi/d overflows
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        noise_multiples=[])), "interference.noise_multiples"),
 ]
 
 
@@ -659,6 +685,19 @@ def test_cli_and_closed_form_subcommands_load_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[[], [], [], [], [], []]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # power_curve imports concurrent.futures when it runs, not at import.
+    src = str(Path(supertime.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, supertime, supertime.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_python_dash_m_supertime(tmp_path):

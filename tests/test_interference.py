@@ -1,11 +1,15 @@
 """Momentum-space discrimination: densities, likelihood ratio, power."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from supertime import interference
 from supertime.constants import CODATA
 from supertime.errors import ValidationError
 from supertime.interference import (
@@ -193,6 +197,63 @@ def test_power_curve_in_reused_buffers_is_bitwise_the_per_trial_loop(seed, d, ph
     assert power_curve(packet, 3001, levels, 12, seed).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 12 + 5])
+def test_power_curve_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # More shares than trials leaves some empty; a short switch interval
+    # interleaves the threads often, so a lost row write would change a power.
+    monkeypatch.setattr(interference, "_worker_count", lambda trials: workers)
+    packet = SuperposedWavepacket(sigma=0.1, d=1.0, phase_phi=0.3)
+    levels = np.logspace(-1.0, 1.0, 5) * math.pi
+    expected = _reference_power_curve(packet, 1501, levels, 12, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        powers = power_curve(packet, 1501, levels, 12, 7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert powers.tobytes() == expected.tobytes()
+
+
+def test_worker_count_is_the_affinity_capped_by_the_trials():
+    cpus = len(os.sched_getaffinity(0))
+    assert interference._worker_count(1) == 1
+    assert interference._worker_count(10_000) == min(10_000, cpus)
+
+
+@pytest.mark.parametrize("failing_share", ["caller", "worker"])
+def test_power_curve_raises_the_error_of_any_share(monkeypatch, failing_share):
+    monkeypatch.setattr(interference, "_worker_count", lambda trials: 3)
+    sample = interference._sample_true_momenta
+    raised, lock = [], threading.Lock()
+
+    def sampler(packet, hypothesis, rng, out, scratch):
+        in_caller = threading.current_thread() is runner
+        with lock:
+            fail = in_caller == (failing_share == "caller") and not raised
+            if fail:
+                raised.append(True)
+        if fail:
+            raise RuntimeError("sampler failed")
+        sample(packet, hypothesis, rng, out, scratch)
+
+    monkeypatch.setattr(interference, "_sample_true_momenta", sampler)
+    outcome = {}
+
+    def run():
+        try:
+            outcome["powers"] = power_curve(PACKET, 500, [1.0, 10.0], trials=9, seed=1)
+        except RuntimeError as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert raised == [True]
+    assert "powers" not in outcome and str(outcome["error"]) == "sampler failed"
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
 def test_spin_visibility_monotone_in_t0_and_bounded():
     q, d = 1e-15, 1e-9
     t0s = np.logspace(-14, -10, 12)
@@ -231,3 +292,13 @@ def test_validation():
         sample_momenta(PACKET, Hypothesis.MIXED, 10, -1.0, seed=0)
     with pytest.raises(ValidationError):
         discriminate(np.array([]), PACKET, 0.0)
+    for noise in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="noise_dP"):
+            sample_momenta(PACKET, Hypothesis.MIXED, 10, noise, seed=0)
+        with pytest.raises(ValidationError, match="noise_dP"):
+            discriminate(np.array([0.1, 0.2]), PACKET, noise)
+    for levels, first in (([1.0, math.inf], "noise level 1"), ([math.nan], "noise level 0"),
+                          ([0.5, 2.0, -1.0], "noise level 2"), ([], "non-empty"),
+                          ([[1.0]], "non-empty")):
+        with pytest.raises(ValidationError, match=first):
+            power_curve(PACKET, 100, levels, trials=2, seed=0)
