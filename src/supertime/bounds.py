@@ -8,13 +8,10 @@ exposed only through :func:`sharp_min_time`.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CODATA, PhysicalConstants, planck_scales
-from .errors import ValidationError, require
+from .errors import ValidationError, require_nonnegative, require_positive
 
 __all__ = [
     "Kind",
@@ -54,7 +51,7 @@ class SuperpositionSpec:
     def __post_init__(self):
         if not isinstance(self.kind, Kind):
             raise ValidationError(f"kind must be a Kind, got {self.kind!r}")
-        _require_positive(magnitude=self.magnitude, separation_d=self.separation_d)
+        require_positive(magnitude=self.magnitude, separation_d=self.separation_d)
 
     def planck_ratio(self, constants: PhysicalConstants = CODATA) -> float:
         """magnitude / (Planck mass or Planck charge)."""
@@ -63,23 +60,17 @@ class SuperpositionSpec:
         return self.magnitude / ref
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        require((value > 0.0) & np.isfinite(value), ValidationError,
-                f"{name} must be positive and finite, got {{value}}", value=value)
-
-
 def min_time_mass(m: float, d: float,
                   constants: PhysicalConstants = CODATA) -> float:
     """Minimum discrimination time (m / m_P) * (d / c) for a mass superposition."""
-    _require_positive(m=m, d=d)
+    require_positive(m=m, d=d)
     return (m / planck_scales(constants).m_P) * d / constants.c
 
 
 def min_time_charge(q: float, d: float,
                     constants: PhysicalConstants = CODATA) -> float:
     """Minimum discrimination time (q / q_P) * (d / c) for a charge superposition."""
-    _require_positive(q=q, d=d)
+    require_positive(q=q, d=d)
     return (q / planck_scales(constants).q_P) * d / constants.c
 
 
@@ -100,7 +91,7 @@ def charge_radius(q: float, m: float,
 
     This is a scaling limit; the paper-level order-unity constant is not fixed.
     """
-    _require_positive(q=q, m=m)
+    require_positive(q=q, m=m)
     ratio = q / planck_scales(constants).q_P
     return ratio * constants.hbar / (m * constants.c)
 
@@ -112,7 +103,6 @@ def larmor_power(q: float, omega: float, dx: float,
     Deliberately keeps the Larmor scaling without the 2/3 prefactor: only the
     scaling enters the charge-radius derivation.
     """
-    _require_positive(q=q, dx=dx)
-    if not (omega >= 0.0 and math.isfinite(omega)):
-        raise ValidationError(f"omega must be non-negative, got {omega}")
+    require_positive(q=q, dx=dx)
+    require_nonnegative(omega=omega)
     return q**2 * omega**4 * dx**2 / (constants.epsilon0 * constants.c**3)

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bounds, echo
 from .bounds import Kind, SuperpositionSpec
 from .constants import CODATA, PhysicalConstants
-from .errors import ValidationError, require
+from .errors import ValidationError, require, require_nonnegative, require_positive
 
 __all__ = [
     "Scenario",
@@ -47,8 +45,7 @@ class Scenario:
     sigma: float | None = None
 
     def __post_init__(self):
-        require((self.bob_mass > 0.0) & (self.R > 0.0), ValidationError,
-                "bob_mass and R must be positive")
+        require_positive(bob_mass=self.bob_mass, R=self.R)
         if self.alice.kind is Kind.CHARGE:
             require(self.bob_charge != 0.0, ValidationError,
                     "charge scenario requires a nonzero bob_charge")
@@ -62,7 +59,8 @@ class Scenario:
         limit = self.min_localization(constants)
         if self.sigma is None:
             return limit
-        require(np.logical_not(self.sigma < limit), ValidationError,
+        require_positive(sigma=self.sigma)
+        require(self.sigma >= limit, ValidationError,
                 "sigma={sigma} below the localization limit {limit}",
                 sigma=self.sigma, limit=limit)
         return self.sigma
@@ -130,8 +128,7 @@ def optimize_eta(alice: SuperpositionSpec,
 def audit_timeline(scenario: Scenario, T_A: float,
                    constants: PhysicalConstants = CODATA) -> TimelineReport:
     """Check T_A + T_B >= R/c for the given scenario and measurement time."""
-    require((T_A >= 0.0) & np.isfinite(T_A), ValidationError,
-            "T_A must be non-negative, got {T_A}", T_A=T_A)
+    require_nonnegative(T_A=T_A)
     T_B = tb_at_localization_limit(scenario, constants)
     light_time = scenario.R / constants.c
     satisfied = T_A + T_B >= light_time * (1.0 - _AUDIT_REL_TOL)

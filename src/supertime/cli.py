@@ -34,9 +34,9 @@ from .bounds import Kind, SuperpositionSpec
 from .causality import Scenario
 from .constants import CODATA, PhysicalConstants, planck_scales
 from .echo import GaussianState
-from .errors import SupertimeError, ValidationError
+from .errors import SupertimeError, ValidationError, require_nonnegative, require_positive
 
-_CONSTANT_KEYS = {"hbar", "c", "G", "epsilon0", "e_charge"}
+_CONSTANT_KEYS = {"hbar", "c", "G", "epsilon0"}
 _SWEEPABLE = {"magnitude", "separation_d", "bob_mass", "bob_charge", "R", "sigma", "t0"}
 _INTERFERENCE_DEFAULTS = {"n": 10000, "trials": 100, "d_over_sigma": 20.0,
                           "noise_multiples": [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]}
@@ -288,17 +288,19 @@ def _columns_vacuum(config: RunConfig, use_oracle: bool):
         raise ValidationError("vacuum subcommand needs a charge scenario")
     section = config.extras["vacuum"]
     if "window_csv" in section:
+        if "window_T" in section:
+            raise ValidationError(
+                "vacuum.window_csv takes its width from its variance; remove vacuum.window_T")
         samples = _read_two_column_csv(section["window_csv"])
-        window = vacuum.WindowFunction(shape=vacuum.WindowShape.TABULATED,
-                                       width_T=section.get("window_T", 1.0),
-                                       samples=samples)
-        T_seconds = window.width_T / constants.c
+        variance = vacuum.averaged_variance(vacuum.WindowFunction(
+            shape=vacuum.WindowShape.TABULATED, samples=samples))
+        # The width of the Gaussian window of the same variance 1/(4 pi^2 T^2).
+        T_seconds = 1.0 / (2.0 * math.pi * math.sqrt(variance)) / constants.c
     elif "window_T" in section:
         T_seconds = section["window_T"]
-        window = vacuum.WindowFunction(width_T=T_seconds * constants.c)
+        variance = vacuum.averaged_variance(vacuum.WindowFunction(width_T=T_seconds * constants.c))
     else:
         raise ValidationError("vacuum section requires window_T or window_csv")
-    variance = vacuum.averaged_variance(window)
     return [T_seconds, variance,
             vacuum.momentum_error(a.magnitude, T_seconds, constants),
             vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)]
@@ -312,17 +314,15 @@ def _columns_interference(config: RunConfig, use_oracle: bool):
     section = _interference_section(config)
     d = config.scenario.alice.separation_d
     d_over_sigma = section["d_over_sigma"]
-    if not d_over_sigma > 0.0:
-        raise ValidationError(f"interference.d_over_sigma: must be positive, got {d_over_sigma}")
+    require_positive(**{"interference.d_over_sigma": d_over_sigma})
     packet = interference.SuperposedWavepacket(sigma=d / d_over_sigma, d=d)
     multiples = section["noise_multiples"]
     if not multiples:
         raise ValidationError("interference.noise_multiples: must not be empty")
     levels = [m * (math.pi / d) for m in multiples]
-    for i, (multiple, level) in enumerate(zip(multiples, levels)):
-        if not (multiple >= 0.0 and math.isfinite(level)):
-            raise ValidationError(f"interference.noise_multiples[{i}]: the noise std "
-                                  f"{multiple} pi/d must be finite and non-negative")
+    # Each noise std, named by the JSON path of its multiple.
+    require_nonnegative(**{f"interference.noise_multiples[{i}] pi/d": level
+                           for i, level in enumerate(levels)})
     powers = interference.power_curve(packet, section["n"], levels, section["trials"],
                                       config.seed)
     return [multiples, levels, [float(p) for p in powers]]

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 
 __all__ = [
     "PhysicalConstants",
@@ -40,10 +40,8 @@ class PhysicalConstants:
     e_charge: float = 1.602176634e-19   # C
 
     def __post_init__(self):
-        for name in ("hbar", "c", "G", "epsilon0", "e_charge"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"constant {name} must be positive, got {value}")
+        require_positive(hbar=self.hbar, c=self.c, G=self.G, epsilon0=self.epsilon0,
+                         e_charge=self.e_charge)
 
 
 CODATA = PhysicalConstants()

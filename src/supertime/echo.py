@@ -17,6 +17,8 @@ from .errors import (
     NoEntanglementError,
     ValidationError,
     require,
+    require_nonnegative,
+    require_positive,
 )
 
 __all__ = [
@@ -64,8 +66,7 @@ class GaussianState:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        require_positive(sigma=self.sigma)
 
     def momentum_spread(self, hbar: float = 1.0) -> float:
         return hbar / (2.0 * self.sigma)
@@ -88,8 +89,7 @@ def _dipole_pair(prefactor: float, d: float, R: float) -> ForcePair:
     SIMD ``**`` on arrays rounds some cubes and squares one ulp differently,
     and a swept array must give exactly the values of its points one by one.
     """
-    require((d > 0.0) & (R > 0.0), ValidationError,
-            "d and R must be positive, got d={d}, R={R}", d=d, R=R)
+    require_positive(d=d, R=R)
     require(d < DIPOLE_GATE_RATIO * R, DipoleApproximationError,
             "dipole approximation requires d < R/10, got d={d}, R={R}", d=d, R=R)
     return ForcePair(
@@ -105,7 +105,7 @@ def force_difference_gravity(mA: float, mB: float, d: float, R: float,
 
     Any argument may be an array of sweep values.
     """
-    require((mA > 0.0) & (mB > 0.0), ValidationError, "masses must be positive")
+    require_positive(mA=mA, mB=mB)
     return _dipole_pair(constants.G * mA * mB, d, R)
 
 
@@ -128,10 +128,8 @@ def echo_displacements(delta_F: float, mB: float, F_sum: float, t: float,
     delta_x = dF t^2 / (2 mB), delta_p = -dF t, and the scalar phase
     dF (F_L + F_R) t^3 / (12 mB hbar).
     """
-    if not (mB > 0.0):
-        raise ValidationError(f"mB must be positive, got {mB}")
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"t must be non-negative, got {t}")
+    require_positive(mB=mB)
+    require_nonnegative(t=t)
     return EchoResult(
         delta_x=delta_F * t**2 / (2.0 * mB),
         delta_p=-delta_F * t,
@@ -169,7 +167,7 @@ def entanglement_time(delta_F: float, mB: float, sigma: float, *,
     factors = {"trap": 1.0, "main_text": 2.0}  # k in sqrt(k mB sigma / |dF|)
     if convention not in factors:
         raise ValidationError(f"convention must be 'trap' or 'main_text', got {convention!r}")
-    require((mB > 0.0) & (sigma > 0.0), ValidationError, "mB and sigma must be positive")
+    require_positive(mB=mB, sigma=sigma)
     require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: entanglement is never generated")
     return np.sqrt(factors[convention] * mB * sigma / abs(delta_F))
 
@@ -177,18 +175,14 @@ def entanglement_time(delta_F: float, mB: float, sigma: float, *,
 def momentum_route_time(delta_F: float, sigma: float,
                         constants: PhysicalConstants = CODATA) -> float:
     """Time hbar / (|dF| sigma) to resolve the momentum kick."""
-    if not (sigma > 0.0):
-        raise ValidationError("sigma must be positive")
-    if delta_F == 0.0:
-        raise NoEntanglementError("delta_F = 0: momentum kick never resolvable")
+    require_positive(sigma=sigma)
+    require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: momentum kick never resolvable")
     return constants.hbar / (abs(delta_F) * sigma)
 
 
 def trap_max_width(mB: float, delta_F: float,
                    constants: PhysicalConstants = CODATA) -> float:
     """Largest trap width (hbar^2 / (mB |dF|))^(1/3) insensitive to dF."""
-    if not (mB > 0.0):
-        raise ValidationError("mB must be positive")
-    if delta_F == 0.0:
-        raise NoEntanglementError("delta_F = 0: any trap width is insensitive")
+    require_positive(mB=mB)
+    require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: any trap width is insensitive")
     return (constants.hbar**2 / (mB * abs(delta_F))) ** (1.0 / 3.0)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the check that raises them."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import math
 
 import numpy as np
 
@@ -38,9 +40,34 @@ def require(ok, error: type, message: str, **values) -> None:
     sweep.  ``message`` is formatted with ``values`` at the first point
     where ``ok`` fails, so it reads as it would for that point alone.
     """
-    if np.all(ok):
+    # A scalar check yields a Python or numpy bool; np.all costs ~10 us.
+    if ok is True or ok is np.True_ or np.all(ok):
         return
     ok, *columns = np.broadcast_arrays(ok, *values.values())
     first = int(np.argmin(ok.ravel()))  # the first False
     raise error(message.format(**{name: column.flat[first].item()
                                   for name, column in zip(values, columns)}))
+
+
+def require_positive(**values) -> None:
+    """Raise ValidationError naming the first of ``values`` not positive and finite.
+
+    Each value is a number or an array of sweep values; the message is
+    ``<name> must be positive and finite, got <value>``.
+    """
+    for name, value in values.items():
+        # ``&`` keeps a Python float's check a Python bool, so a value that
+        # passes costs neither ``require`` nor its message.
+        ok = (value > 0.0) & (value < math.inf)
+        if ok is not True:
+            require(ok, ValidationError,
+                    f"{name} must be positive and finite, got {{value}}", value=value)
+
+
+def require_nonnegative(**values) -> None:
+    """As :func:`require_positive`, for values that may also be zero."""
+    for name, value in values.items():
+        ok = (value >= 0.0) & (value < math.inf)
+        if ok is not True:
+            require(ok, ValidationError,
+                    f"{name} must be non-negative and finite, got {{value}}", value=value)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import radiation
 from .constants import CODATA, PhysicalConstants
-from .errors import ValidationError
+from .errors import ValidationError, require_nonnegative, require_positive
 from .radiation import Shape, TrajectoryProfile
 
 __all__ = [
@@ -59,10 +59,8 @@ class SuperposedWavepacket:
     phase_phi: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if not (self.d >= 0.0 and math.isfinite(self.d)):
-            raise ValidationError(f"d must be non-negative, got {self.d}")
+        require_positive(sigma=self.sigma)
+        require_nonnegative(d=self.d)
 
     @property
     def momentum_spread(self) -> float:
@@ -122,8 +120,7 @@ def momentum_density_mixed(k, packet: SuperposedWavepacket):
 
 def required_precision(d: float, constants: PhysicalConstants = CODATA) -> float:
     """Momentum precision pi hbar / d (SI) needed to resolve the fringes."""
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValidationError(f"d must be positive, got {d}")
+    require_positive(d=d)
     return math.pi * constants.hbar / d
 
 
@@ -157,17 +154,12 @@ def noisy_density_mixed(k, packet: SuperposedWavepacket, noise_dP: float):
     return _gaussian(k, c)
 
 
-def _require_noise(noise_dP: float, name: str = "noise_dP") -> None:
-    if not (noise_dP >= 0.0 and math.isfinite(noise_dP)):
-        raise ValidationError(f"{name} must be finite and non-negative, got {noise_dP}")
-
-
 def sample_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
                    n: int, noise_dP: float, seed: int) -> np.ndarray:
     """i.i.d. noisy momentum measurements under the chosen hypothesis."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    _require_noise(noise_dP)
+    require_nonnegative(noise_dP=noise_dP)
     rng = np.random.default_rng(seed)
     true_k = np.empty(n)
     _sample_true_momenta(packet, hypothesis, rng, true_k, _RejectionScratch(n))
@@ -259,7 +251,7 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValidationError("samples must be non-empty")
-    _require_noise(noise_dP)
+    require_nonnegative(noise_dP=noise_dP)
     llr = _log_likelihood_ratio(samples, packet, noise_dP, np.empty_like(samples))
     decision = Hypothesis.COHERENT if llr > 0.0 else Hypothesis.MIXED
     return DiscriminationResult(
@@ -322,8 +314,8 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     if noise_levels.ndim != 1 or noise_levels.size == 0:
         raise ValidationError("power_curve needs a non-empty list of noise levels, "
                               f"got shape {noise_levels.shape}")
-    for i, level in enumerate(noise_levels.tolist()):
-        _require_noise(level, f"noise level {i}")
+    require_nonnegative(**{f"noise level {i}": level
+                           for i, level in enumerate(noise_levels.tolist())})
     from concurrent.futures import ThreadPoolExecutor
 
     children = np.random.SeedSequence(seed).spawn(trials)
@@ -352,8 +344,7 @@ def spin_protocol_visibility(q: float, d: float, t0: float,
     """
     if kappa not in (1, 2):
         raise ValidationError(f"kappa must be 1 or 2, got {kappa}")
-    if not (q > 0.0 and d > 0.0 and t0 > 0.0):
-        raise ValidationError("q, d and t0 must be positive")
+    require_positive(q=q, d=d, t0=t0)
     profile = TrajectoryProfile(d=d, t0=t0, shape=Shape.SIN_SQUARED)
     overlap = radiation.vacuum_overlap(profile, q, constants)
     visibility = overlap**kappa

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import GaussianState
-from .errors import GridError, ValidationError
+from .errors import GridError, ValidationError, require_nonnegative, require_positive
 
 __all__ = [
     "GridSpec",
@@ -131,29 +131,19 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
     (2, 4096) complex temporary per step sits exactly at glibc's default
     128 KiB mmap threshold, and each one then costs page faults.
     """
-    if not (m > 0.0 and n_steps >= 1):
-        raise ValidationError("need m > 0 and n_steps >= 1")
-    if t < 0.0:
-        raise ValidationError("t must be non-negative")
+    require_positive(m=m)
+    require_nonnegative(t=t)
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     spec = state.spec
     dt = t / n_steps
     x = spec.x
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     F = np.asarray(forces, dtype=float)[:, np.newaxis]
-    # exp(-1j k^2 dt / 2m) and exp(1j F x dt / 2), built in place in the
-    # operand order of those expressions, so their bits are unchanged.
-    kinetic = np.multiply(-1j, k**2)
-    kinetic *= dt
-    kinetic /= 2.0 * m
-    np.exp(kinetic, out=kinetic)
-    psi = np.empty((len(forces), spec.n_points), dtype=complex)
+    half_potential = np.exp(1j * F * x * dt / 2.0)
+    kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
+    psi = np.tile(state.amplitudes, (len(forces), 1))
     spectrum = np.empty_like(psi)
-    half_potential = np.empty_like(psi)
-    np.multiply(1j * F, x, out=half_potential)
-    half_potential *= dt
-    half_potential /= 2.0
-    np.exp(half_potential, out=half_potential)
-    psi[:] = state.amplitudes
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
     for _ in range(n_steps):
         psi *= half_potential
@@ -201,9 +191,11 @@ def matched_echo_overlap(a: float, b: float) -> float:
     dx' = 2a and dp' = b, i.e. t' = 4a/b and F' = b^2/(4a).  The run takes
     MATCHED_STEPS Strang steps on MATCHED_GRID_POINTS points.
     """
+    require_nonnegative(a=a, b=b)
     if a == 0.0 and b == 0.0:
         return 1.0
-    if not (_MIN_RATIO <= (b / a if a > 0.0 else math.inf) < 1e3):
+    ratio = b / a if a > 0.0 else math.inf
+    if ratio < _MIN_RATIO or ratio >= 1e3:
         # Ratios beyond the grid's reach: check the exponent-equivalent
         # balanced pair instead (same overlap).
         a = b = math.sqrt(0.5 * (a**2 + b**2))

@@ -19,7 +19,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants, planck_scales
-from .errors import RelativisticMotionError, ValidationError
+from .errors import (
+    RelativisticMotionError,
+    ValidationError,
+    require,
+    require_nonnegative,
+    require_positive,
+)
 from .tabulated import gauss_legendre, sample_columns, spectral_moment, spline_fourier
 
 if TYPE_CHECKING:
@@ -83,10 +89,8 @@ class TrajectoryProfile:
     _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.d >= 0.0 and math.isfinite(self.d)):
-            raise ValidationError(f"d must be non-negative, got {self.d}")
-        if not (self.t0 > 0.0 and math.isfinite(self.t0)):
-            raise ValidationError(f"t0 must be positive, got {self.t0}")
+        require_nonnegative(d=self.d)
+        require_positive(t0=self.t0)
         if self.shape is Shape.TABULATED:
             object.__setattr__(self, "_spline", self._build_spline())
         elif self.samples is not None:
@@ -196,16 +200,14 @@ def _sin2_spectral_integral() -> float:
 
 def _check_nonrelativistic(profile: TrajectoryProfile,
                            constants: PhysicalConstants) -> None:
-    if profile.d >= NONRELATIVISTIC_GATE * constants.c * profile.t0:
-        raise RelativisticMotionError(
-            f"nonrelativistic gate requires d < c t0 / 3, got d={profile.d}, "
-            f"c t0={constants.c * profile.t0}"
-        )
+    require(profile.d < NONRELATIVISTIC_GATE * constants.c * profile.t0,
+            RelativisticMotionError,
+            "nonrelativistic gate requires d < c t0 / 3, got d={d}, c t0={c_t0}",
+            d=profile.d, c_t0=constants.c * profile.t0)
 
 
 def _charge_ratio(q: float, constants: PhysicalConstants) -> float:
-    if not (q >= 0.0 and math.isfinite(q)):
-        raise ValidationError(f"q must be non-negative, got {q}")
+    require_nonnegative(q=q)
     return q / planck_scales(constants).q_P
 
 
@@ -250,8 +252,7 @@ def vacuum_overlap(profile: TrajectoryProfile, q: float,
 def min_radiationless_time(q: float, d: float,
                            constants: PhysicalConstants = CODATA) -> float:
     """Shortest motion time sqrt(2) (q/q_P) d/c with order-one vacuum overlap."""
-    if not (q > 0.0 and d > 0.0):
-        raise ValidationError("q and d must be positive")
+    require_positive(q=q, d=d)
     return math.sqrt(2.0) * _charge_ratio(q, constants) * d / constants.c
 
 
@@ -283,8 +284,9 @@ class ModeGrid:
 
 def gauss_legendre_grid(omega_max: float, n: int) -> ModeGrid:
     """Gauss-Legendre grid on (0, omega_max)."""
-    if not (omega_max > 0.0 and n >= 2):
-        raise ValidationError("need omega_max > 0 and n >= 2")
+    require_positive(omega_max=omega_max)
+    if n < 2:
+        raise ValidationError(f"n must be >= 2, got {n}")
     nodes, weights = gauss_legendre(n)
     return ModeGrid(
         omega_nodes=0.5 * omega_max * (nodes + 1.0),

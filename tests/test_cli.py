@@ -321,15 +321,15 @@ def test_window_csv_ingestion(tmp_path):
         writer = csv.writer(handle)
         writer.writerow(["t_natural", "phi"])
         writer.writerows(zip(t, phi))
-    payload = json.loads(json.dumps(CHARGE_CONFIG))
-    payload["vacuum"] = {"window_T": T_nat, "window_csv": str(win)}
-    config = _write(tmp_path, "cfg.json", payload)
-    out = tmp_path / "vac.csv"
-    assert main(["vacuum", "--config", str(config), "--output", str(out)]) == 0
-    header, rows = _read_csv(out)
-    variance = float(rows[0][header.index("averaged_variance_natural")])
-    assert variance == pytest.approx(1.0 / (4.0 * math.pi**2 * T_nat**2),
-                                     rel=1e-8)
+    rows = {}
+    for name, section in (("closed", CHARGE_CONFIG["vacuum"]), ("csv", {"window_csv": str(win)})):
+        config = _write(tmp_path, f"{name}.json", {**CHARGE_CONFIG, "vacuum": section})
+        out = tmp_path / f"{name}.csv"
+        assert main(["vacuum", "--config", str(config), "--output", str(out)]) == 0
+        rows[name] = [float(value) for value in _read_csv(out)[1][0]]
+    # The tabulated Gaussian reads as the closed-form Gaussian of the same width.
+    assert rows["closed"][0] == 1.0e-15
+    assert rows["csv"] == pytest.approx(rows["closed"], rel=1e-8)
 
 
 def test_two_column_csv_errors(tmp_path):
@@ -421,6 +421,16 @@ BAD_CONFIGS = [
         noise_multiples=[1e308])), "interference.noise_multiples[0]"),  # pi/d overflows
     ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
         noise_multiples=[])), "interference.noise_multiples"),
+    ("causality", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(sigma=math.inf)),
+     "sigma must be positive and finite, got inf"),
+    ("echo", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(sigma=math.nan)),
+     "sigma must be positive and finite, got nan"),
+    ("causality", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(bob_mass=math.inf)),
+     "bob_mass must be positive and finite, got inf"),
+    ("bound", {**MASS_CONFIG, "constants": {"e_charge": 1.602176634e-19}},
+     'constants: unknown key "e_charge"'),
+    ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_csv="window.csv")),
+     "remove vacuum.window_T"),
 ]
 
 
@@ -668,23 +678,25 @@ print(loaded)
 
 
 def test_cli_and_closed_form_subcommands_load_no_scipy(tmp_path):
-    # bound, causality and echo are closed forms, the echo oracle and the
-    # interference power curve are numpy only; scipy costs most of the
-    # start-up and is imported only by the functions that call it.
+    # bound, causality, echo and vacuum on a Gaussian window are closed
+    # forms, the echo oracle and the interference power curve are numpy
+    # only; scipy costs most of the start-up and is imported only by the
+    # functions that call it.
     mass = str(_write(tmp_path, "mass.json", MASS_CONFIG))
     charge = str(_write(tmp_path, "charge.json", _mutated(
         CHARGE_CONFIG, lambda c: c["interference"].update(n=200, trials=5))))
     out = str(tmp_path / "out.csv")
     runs = [[sub, "--config", mass, "--output", out] for sub in ("bound", "causality", "echo")]
     runs += [["echo", "--config", mass, "--output", out, "--oracle"],
-             ["interference", "--config", charge, "--output", out]]
+             ["interference", "--config", charge, "--output", out],
+             ["vacuum", "--config", charge, "--output", out]]
     src = str(Path(supertime.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", _IMPORTS_NO_SCIPY, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[[], [], [], [], [], []]"
+    assert done.stdout.strip() == "[[], [], [], [], [], [], []]"
 
 
 def test_cli_import_loads_no_thread_pool():
