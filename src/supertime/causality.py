@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import bounds, echo
 from .bounds import Kind, SuperpositionSpec
 from .constants import CODATA, PhysicalConstants
-from .errors import ValidationError, require, require_nonnegative, require_positive
+from .errors import ValidationError, require, require_finite, require_nonnegative, require_positive
 
 __all__ = [
     "Scenario",
@@ -47,6 +47,7 @@ class Scenario:
     def __post_init__(self):
         require_positive(bob_mass=self.bob_mass, R=self.R)
         if self.alice.kind is Kind.CHARGE:
+            require_finite(bob_charge=self.bob_charge)
             require(self.bob_charge != 0.0, ValidationError,
                     "charge scenario requires a nonzero bob_charge")
 

@@ -212,19 +212,14 @@ def _columns_echo(config: RunConfig, use_oracle: bool):
     mB = scenario.bob_mass
     t_ent = echo.entanglement_time(pair.delta_F, mB, sigma, convention="main_text")
     times = np.linspace(0.0, 2.0 * t_ent, 41)
-    state = GaussianState(sigma=sigma)
-    rows = []
-    for t in times:
-        result = echo.echo_displacements(pair.delta_F, mB,
-                                         pair.F_L + pair.F_R, float(t), constants)
-        overlap = echo.echo_overlap(state, result, constants)
-        row = [float(t), result.delta_x, result.delta_p, overlap]
-        if use_oracle:
-            row.append(oracle.matched_echo_overlap(
-                abs(result.delta_x) / (2.0 * sigma),
-                abs(result.delta_p) * sigma / constants.hbar))
-        rows.append(row)
-    return list(zip(*rows))
+    result = echo.echo_displacements(pair.delta_F, mB, pair.F_L + pair.F_R, times, constants)
+    columns = [times, result.delta_x, result.delta_p,
+               echo.echo_overlap(GaussianState(sigma=sigma), result, constants)]
+    if use_oracle:  # one grid run per row
+        a = np.abs(result.delta_x) / (2.0 * sigma)
+        b = np.abs(result.delta_p) * sigma / constants.hbar
+        columns.append([oracle.matched_echo_overlap(x, p) for x, p in zip(a.tolist(), b.tolist())])
+    return columns
 
 
 def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
@@ -260,25 +255,16 @@ def _columns_radiation(config: RunConfig, use_oracle: bool):
                 "radiation.trajectory_csv takes t0 from its last sample; "
                 "remove radiation.t0")
         samples = _read_two_column_csv(section["trajectory_csv"])
-        tabulated = radiation.TrajectoryProfile(
+        profile = radiation.TrajectoryProfile(
             d=float(samples[-1, 1]), t0=float(samples[-1, 0]),
             shape=radiation.Shape.TABULATED, samples=samples)
-        points = (tabulated.t0, a.magnitude, tabulated.d)
     elif "t0" in section:
-        tabulated, points = None, (section["t0"], a.magnitude, a.separation_d)
+        profile = radiation.TrajectoryProfile(d=a.separation_d, t0=section["t0"])
     else:
         raise ValidationError("radiation section requires t0 or trajectory_csv")
-    # One point at a time: numpy's exp and ** round some values one ulp away
-    # from math.exp and Python's pow.  The tabulated profile is built once,
-    # so its spectral moment is computed once for all charges.
-    rows = []
-    for t0, q, d in zip(*(column.tolist() for column in
-                          np.broadcast_arrays(*np.atleast_1d(*points)))):
-        profile = tabulated or radiation.TrajectoryProfile(d=d, t0=t0)
-        exponent = radiation.mode_integral(profile, q, constants)
-        rows.append([profile.t0, exponent, math.exp(-exponent),
-                     radiation.min_radiationless_time(q, profile.d, constants)])
-    return list(zip(*rows))
+    exponent = radiation.mode_integral(profile, a.magnitude, constants)
+    return [profile.t0, exponent, np.exp(-exponent),
+            radiation.min_radiationless_time(a.magnitude, profile.d, constants)]
 
 
 def _columns_vacuum(config: RunConfig, use_oracle: bool):

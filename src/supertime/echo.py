@@ -17,6 +17,7 @@ from .errors import (
     NoEntanglementError,
     ValidationError,
     require,
+    require_finite,
     require_nonnegative,
     require_positive,
 )
@@ -116,6 +117,7 @@ def force_difference_coulomb(qA: float, qB: float, d: float, R: float,
     Charges may carry either sign; delta_F flips sign with them.  Any
     argument may be an array of sweep values.
     """
+    require_finite(qA=qA, qB=qB)
     require((qA != 0.0) & (qB != 0.0), ValidationError, "charges must be nonzero")
     k = 1.0 / (4.0 * math.pi * constants.epsilon0)
     return _dipole_pair(k * qA * qB, d, R)
@@ -126,14 +128,15 @@ def echo_displacements(delta_F: float, mB: float, F_sum: float, t: float,
     """Displacements and cubic phase of the echo operator at time t.
 
     delta_x = dF t^2 / (2 mB), delta_p = -dF t, and the scalar phase
-    dF (F_L + F_R) t^3 / (12 mB hbar).
+    dF (F_L + F_R) t^3 / (12 mB hbar).  Any argument may be an array, such
+    as the times of an echo table; powers use libm's pow, as in ``_dipole_pair``.
     """
     require_positive(mB=mB)
     require_nonnegative(t=t)
     return EchoResult(
-        delta_x=delta_F * t**2 / (2.0 * mB),
+        delta_x=delta_F * np.float_power(t, 2) / (2.0 * mB),
         delta_p=-delta_F * t,
-        cubic_phase=delta_F * F_sum * t**3 / (12.0 * mB * constants.hbar),
+        cubic_phase=delta_F * F_sum * np.float_power(t, 3) / (12.0 * mB * constants.hbar),
         time=t,
     )
 
@@ -146,12 +149,13 @@ def echo_overlap(state: GaussianState, echo: EchoResult,
         = exp(-dx^2 / (8 sigma^2) - dp^2 sigma^2 / (2 hbar^2)).
 
     The cubic phase is a pure c-number and cannot change the modulus.
+    For an ``echo`` over an array of times, the overlap is an array over them.
     """
     hbar = constants.hbar
     sigma = state.sigma
-    exponent = (echo.delta_x**2 / (8.0 * sigma**2)
-                + echo.delta_p**2 * sigma**2 / (2.0 * hbar**2))
-    return math.exp(-exponent)
+    exponent = (np.float_power(echo.delta_x, 2) / (8.0 * sigma**2)
+                + np.float_power(echo.delta_p, 2) * sigma**2 / (2.0 * hbar**2))
+    return np.exp(-exponent)
 
 
 def entanglement_time(delta_F: float, mB: float, sigma: float, *,
@@ -168,6 +172,7 @@ def entanglement_time(delta_F: float, mB: float, sigma: float, *,
     if convention not in factors:
         raise ValidationError(f"convention must be 'trap' or 'main_text', got {convention!r}")
     require_positive(mB=mB, sigma=sigma)
+    require_finite(delta_F=delta_F)
     require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: entanglement is never generated")
     return np.sqrt(factors[convention] * mB * sigma / abs(delta_F))
 
@@ -176,6 +181,7 @@ def momentum_route_time(delta_F: float, sigma: float,
                         constants: PhysicalConstants = CODATA) -> float:
     """Time hbar / (|dF| sigma) to resolve the momentum kick."""
     require_positive(sigma=sigma)
+    require_finite(delta_F=delta_F)
     require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: momentum kick never resolvable")
     return constants.hbar / (abs(delta_F) * sigma)
 
@@ -184,5 +190,6 @@ def trap_max_width(mB: float, delta_F: float,
                    constants: PhysicalConstants = CODATA) -> float:
     """Largest trap width (hbar^2 / (mB |dF|))^(1/3) insensitive to dF."""
     require_positive(mB=mB)
+    require_finite(delta_F=delta_F)
     require(delta_F != 0.0, NoEntanglementError, "delta_F = 0: any trap width is insensitive")
     return (constants.hbar**2 / (mB * abs(delta_F))) ** (1.0 / 3.0)

@@ -71,3 +71,11 @@ def require_nonnegative(**values) -> None:
         if ok is not True:
             require(ok, ValidationError,
                     f"{name} must be non-negative and finite, got {{value}}", value=value)
+
+
+def require_finite(**values) -> None:
+    """As :func:`require_positive`, for values of either sign or zero."""
+    for name, value in values.items():
+        ok = abs(value) < math.inf
+        if ok is not True:
+            require(ok, ValidationError, f"{name} must be finite, got {{value}}", value=value)

@@ -104,20 +104,6 @@ def _gaussian(k: np.ndarray, std: float) -> np.ndarray:
     return np.exp(-0.5 * (k / std) ** 2) / (math.sqrt(2.0 * math.pi) * std)
 
 
-def momentum_density_coherent(k, packet: SuperposedWavepacket):
-    """Fringed momentum density N (1 + cos(k d - phi)) |phi(k)|^2."""
-    k = np.asarray(k, dtype=float)
-    s = packet.momentum_spread
-    fringe = 1.0 + np.cos(k * packet.d - packet.phase_phi)
-    return packet._norm * fringe * _gaussian(k, s)
-
-
-def momentum_density_mixed(k, packet: SuperposedWavepacket):
-    """Fringe-free density |phi(k)|^2 of the incoherent mixture."""
-    k = np.asarray(k, dtype=float)
-    return _gaussian(k, packet.momentum_spread)
-
-
 def required_precision(d: float, constants: PhysicalConstants = CODATA) -> float:
     """Momentum precision pi hbar / d (SI) needed to resolve the fringes."""
     require_positive(d=d)
@@ -139,19 +125,20 @@ def _noisy_fringe_params(packet: SuperposedWavepacket,
     return math.sqrt(c_sq), visibility, beta
 
 
-def noisy_density_coherent(k, packet: SuperposedWavepacket, noise_dP: float):
-    """Coherent density convolved with Gaussian measurement noise."""
+def momentum_density_coherent(k, packet: SuperposedWavepacket, noise_dP: float = 0.0):
+    """Fringed density N (1 + cos(k d - phi)) |phi(k)|^2, convolved with noise of std noise_dP."""
+    require_nonnegative(noise_dP=noise_dP)
     k = np.asarray(k, dtype=float)
     c, visibility, beta = _noisy_fringe_params(packet, noise_dP)
     fringe = 1.0 + visibility * np.cos(beta * packet.d * k - packet.phase_phi)
     return packet._norm * fringe * _gaussian(k, c)
 
 
-def noisy_density_mixed(k, packet: SuperposedWavepacket, noise_dP: float):
-    """Mixed density convolved with Gaussian measurement noise."""
+def momentum_density_mixed(k, packet: SuperposedWavepacket, noise_dP: float = 0.0):
+    """Fringe-free density |phi(k)|^2 of the mixture, convolved with noise of std noise_dP."""
+    require_nonnegative(noise_dP=noise_dP)
     k = np.asarray(k, dtype=float)
-    c = math.sqrt(packet.momentum_spread**2 + noise_dP**2)
-    return _gaussian(k, c)
+    return _gaussian(k, math.sqrt(packet.momentum_spread**2 + noise_dP**2))
 
 
 def sample_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,

@@ -76,6 +76,8 @@ class Shape(enum.Enum):
 class TrajectoryProfile:
     """Particle path x(t) moving from 0 to d over [0, t0].
 
+    For the sin^2 shape, ``d`` and ``t0`` may be arrays of sweep values for
+    ``mode_integral``; ``velocity`` and ``velocity_fourier`` need scalars.
     For TABULATED shapes, ``samples`` is an (n, 2) array of (t, x) pairs
     covering [0, t0]; the profile is interpolated with a cubic spline and the
     velocity is the spline derivative.  Endpoint conditions x(0)=0, x(t0)=d,
@@ -136,6 +138,8 @@ class TrajectoryProfile:
         samples came from is that of the spline (a few 1e-8 for 64 samples of
         the sin^2 shape, 1e-10 for 400).
         """
+        if self.d == 0.0:
+            return 0.0
         moment = spectral_moment(self._spline.derivative(), _TABULATED_REL_TOL)
         return moment * (self.t0 / self.d) ** 2
 
@@ -202,8 +206,8 @@ def _check_nonrelativistic(profile: TrajectoryProfile,
                            constants: PhysicalConstants) -> None:
     require(profile.d < NONRELATIVISTIC_GATE * constants.c * profile.t0,
             RelativisticMotionError,
-            "nonrelativistic gate requires d < c t0 / 3, got d={d}, c t0={c_t0}",
-            d=profile.d, c_t0=constants.c * profile.t0)
+            "nonrelativistic gate requires d < c t0 / 3, got d={d}, t0={t0}, c t0={c_t0}",
+            d=profile.d, t0=profile.t0, c_t0=constants.c * profile.t0)
 
 
 def _charge_ratio(q: float, constants: PhysicalConstants) -> float:
@@ -216,14 +220,15 @@ def mode_integral(profile: TrajectoryProfile, q: float,
     """Exponent E with vacuum overlap exp(-E).
 
     E = (q^2 / 6 pi^2) int_0^inf |v(omega)|^2 omega domega in natural units
-    (q_P^2 = 4 pi), evaluated by quadrature.
+    (q_P^2 = 4 pi), evaluated by quadrature.  ``q`` and the profile's ``d``
+    and ``t0`` may be arrays of sweep values; powers use libm's pow, as in
+    ``echo._dipole_pair``, so a swept point equals that point alone.
     """
     _check_nonrelativistic(profile, constants)
     q_ratio = _charge_ratio(q, constants)
-    if q_ratio == 0.0 or profile.d == 0.0:
-        return 0.0
     beta = profile.d / (constants.c * profile.t0)
-    prefactor = (4.0 * math.pi * q_ratio**2) / (6.0 * math.pi**2) * beta**2
+    prefactor = ((4.0 * math.pi * np.float_power(q_ratio, 2)) / (6.0 * math.pi**2)
+                 * np.float_power(beta, 2))
     if profile.shape is Shape.SIN_SQUARED:
         return prefactor * _sin2_spectral_integral()
     return prefactor * profile._tabulated_spectral_integral

@@ -427,6 +427,10 @@ BAD_CONFIGS = [
      "sigma must be positive and finite, got nan"),
     ("causality", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(bob_mass=math.inf)),
      "bob_mass must be positive and finite, got inf"),
+    ("causality", _mutated(CHARGE_CONFIG, lambda c: c["scenario"].update(bob_charge=math.inf)),
+     "bob_charge must be finite, got inf"),
+    ("echo", _mutated(CHARGE_CONFIG, lambda c: c["scenario"].update(bob_charge=math.nan)),
+     "bob_charge must be finite, got nan"),
     ("bound", {**MASS_CONFIG, "constants": {"e_charge": 1.602176634e-19}},
      'constants: unknown key "e_charge"'),
     ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_csv="window.csv")),
@@ -569,13 +573,18 @@ ARRAY_SWEEPS = [
     ("causality", CHARGE_CONFIG, "R", 1e-4, 5.0),
     ("causality", CHARGE_CONFIG, "bob_charge", 1e-19, 1e-17),
     ("causality", CHARGE_CONFIG, "sigma", 1e-20, 1e-10),
+    ("radiation", CHARGE_CONFIG, "t0", 1e-13, 1e-10),
+    ("radiation", CHARGE_CONFIG, "magnitude", 1e-19, 1e-16),
+    ("radiation", CHARGE_CONFIG, "separation_d", 1e-9, 1e-5),
 ]
 
 
 def _with_parameter(base, parameter, value):
     payload = copy.deepcopy(base)
     section = payload["scenario"]
-    if parameter in ("magnitude", "separation_d"):
+    if parameter == "t0":
+        section = payload["radiation"]
+    elif parameter in ("magnitude", "separation_d"):
         section = section["alice"]
     section[parameter] = value
     return payload
@@ -623,6 +632,10 @@ def _only_error_line(capsys):
     # the positivity check runs first.
     ("causality", MASS_CONFIG,
      {"parameter": "separation_d", "min": 0.2, "max": -0.1, "points": 4}, 0),
+    # With d = 1e-6 m the nonrelativistic gate d < c t0 / 3 fails below
+    # t0 = 3 d / c = 1.0007e-14 s: first at the third value, 1e-14 s.
+    ("radiation", CHARGE_CONFIG,
+     {"parameter": "t0", "min": 1e-13, "max": 1e-15, "points": 5, "scale": "log"}, 2),
 ])
 def test_array_sweep_error_names_first_offending_value(tmp_path, capsys, sub, base, sweep,
                                                         offending):

@@ -49,6 +49,10 @@ _CHECKED = [
                                        n=4, noise_dP=0.0, seed=0), ["noise_dP"]),
     (interference.discriminate, dict(samples=np.array([0.1]), packet=_PACKET, noise_dP=0.0),
      ["noise_dP"]),
+    (interference.momentum_density_coherent, dict(k=0.0, packet=_PACKET, noise_dP=0.0),
+     ["noise_dP"]),
+    (interference.momentum_density_mixed, dict(k=0.0, packet=_PACKET, noise_dP=0.0),
+     ["noise_dP"]),
     (interference.spin_protocol_visibility, dict(q=1e-19, d=1e-9, t0=1e-12), ["q", "d", "t0"]),
     (oracle.propagate_linear, dict(state=_GRID, F=0.1, m=1.0, t=0.5, n_steps=1), ["m", "t"]),
     (oracle.matched_echo_overlap, dict(a=0.5, b=0.5), ["a", "b"]),
@@ -84,3 +88,28 @@ def test_checks_name_the_first_failing_value_of_scalars_and_sweeps():
         require_nonnegative(x=np.array([0.0, 1.0, -2.0, math.inf]))
     require_positive(a=1, b=np.float64(2.0), c=np.array([3.0, 4.0]))
     require_nonnegative(a=0.0, b=np.zeros(3))
+
+
+# (callable, valid keyword arguments, the parameters of either sign that must
+# be finite)
+_FINITE = [
+    (echo.force_difference_coulomb, dict(qA=1e-19, qB=-1e-19, d=1e-6, R=0.5), ["qA", "qB"]),
+    (echo.entanglement_time, dict(delta_F=-1e-20, mB=1e-9, sigma=1e-10), ["delta_F"]),
+    (echo.momentum_route_time, dict(delta_F=1e-20, sigma=1e-10), ["delta_F"]),
+    (echo.trap_max_width, dict(mB=1e-9, delta_F=1e-20), ["delta_F"]),
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("func,kwargs,name", [
+    pytest.param(func, kwargs, name, id=f"{func.__qualname__}-{name}")
+    for func, kwargs, names in _FINITE for name in names])
+def test_non_finite_signed_parameter_is_rejected_by_name(func, kwargs, name, bad):
+    func(**kwargs)
+    with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must be finite, got {bad}$"):
+        func(**{**kwargs, name: bad})
+    # The first non-finite point of a sweep is named.
+    sweep = np.array([kwargs[name], bad, math.inf])
+    with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must be finite, got {bad}$"):
+        func(**{**kwargs, name: sweep})
+

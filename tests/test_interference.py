@@ -23,11 +23,7 @@ from supertime.interference import (
     sample_momenta,
     spin_protocol_visibility,
 )
-from supertime.interference import (
-    _noisy_fringe_params,
-    noisy_density_coherent,
-    noisy_density_mixed,
-)
+from supertime.interference import _noisy_fringe_params
 
 PACKET = SuperposedWavepacket(sigma=0.05, d=1.0)  # s d = 10
 
@@ -45,7 +41,7 @@ def test_densities_nonnegative_and_normalized():
 
 def test_noisy_densities_normalized():
     noise = 2.0 * PACKET.momentum_spread
-    for density in (noisy_density_coherent, noisy_density_mixed):
+    for density in (momentum_density_coherent, momentum_density_mixed):
         total, _ = quad(lambda k: density(k, PACKET, noise), -np.inf, np.inf,
                         limit=400)
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -62,7 +58,7 @@ def test_noisy_density_matches_numerical_convolution():
             * math.exp(-0.5 * ((k0 - kp) / noise) ** 2)
             / (math.sqrt(2.0 * math.pi) * noise),
             -np.inf, np.inf, limit=400)
-        assert noisy_density_coherent(k0, packet, noise) == pytest.approx(
+        assert momentum_density_coherent(k0, packet, noise) == pytest.approx(
             direct, rel=1e-8)
 
 

@@ -95,6 +95,9 @@ def test_vacuum_overlap_in_unit_interval():
     assert vacuum_overlap(profile, 0.0) == 1.0
     zero_d = TrajectoryProfile(d=0.0, t0=1e-12)
     assert vacuum_overlap(zero_d, Q) == 1.0
+    at_rest = TrajectoryProfile(d=0.0, t0=1e-12, shape=Shape.TABULATED, samples=np.column_stack(
+        [np.linspace(0.0, 1e-12, 16), np.zeros(16)]))
+    assert vacuum_overlap(at_rest, Q) == 1.0
     assert mode_integral(profile, Q) > 0.0
 
 
