@@ -60,7 +60,6 @@ from .radiation import (
     ModeGrid,
     Shape,
     TrajectoryProfile,
-    closed_form_exponent,
     coherent_overlap,
     displacement_from_trajectory,
     min_radiationless_time,

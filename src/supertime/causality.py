@@ -33,20 +33,27 @@ class Scenario:
 
     ``sigma`` is the localization of the test particle; when omitted it
     defaults to the relevant fundamental limit (Planck length for the mass
-    case, the charge radius for the charge case).  Any number here, the
-    ``alice`` fields included, may be an array of sweep values, and every
-    function of this module then returns arrays over the sweep.
+    case, the charge radius for the charge case).  ``bob_charge``, the test
+    particle's charge, is given in a charge scenario and only there.  Any
+    number here, the ``alice`` fields included, may be an array of sweep
+    values, and every function of this module then returns arrays over the
+    sweep.
     """
 
     alice: SuperpositionSpec
     bob_mass: float
     R: float
-    bob_charge: float = 0.0
+    bob_charge: float | None = None
     sigma: float | None = None
 
     def __post_init__(self):
         require_positive(bob_mass=self.bob_mass, R=self.R)
-        if self.alice.kind is Kind.CHARGE:
+        if self.alice.kind is Kind.MASS:
+            if self.bob_charge is not None:
+                raise ValidationError("bob_charge: a mass scenario reads no charge; remove it")
+        elif self.bob_charge is None:
+            raise ValidationError("charge scenario requires a nonzero bob_charge")
+        else:
             require_finite(bob_charge=self.bob_charge)
             require(self.bob_charge != 0.0, ValidationError,
                     "charge scenario requires a nonzero bob_charge")

@@ -37,11 +37,9 @@ class PhysicalConstants:
     c: float = 2.99792458e8             # m / s
     G: float = 6.67430e-11              # m^3 / (kg s^2)
     epsilon0: float = 8.8541878128e-12  # F / m
-    e_charge: float = 1.602176634e-19   # C
 
     def __post_init__(self):
-        require_positive(hbar=self.hbar, c=self.c, G=self.G, epsilon0=self.epsilon0,
-                         e_charge=self.e_charge)
+        require_positive(hbar=self.hbar, c=self.c, G=self.G, epsilon0=self.epsilon0)
 
 
 CODATA = PhysicalConstants()

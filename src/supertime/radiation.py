@@ -39,7 +39,6 @@ __all__ = [
     "SIN2_EXPONENT_CONSTANT",
     "velocity_fourier",
     "mode_integral",
-    "closed_form_exponent",
     "vacuum_overlap",
     "min_radiationless_time",
     "gauss_legendre_grid",
@@ -78,10 +77,11 @@ class TrajectoryProfile:
 
     For the sin^2 shape, ``d`` and ``t0`` may be arrays of sweep values for
     ``mode_integral``; ``velocity`` and ``velocity_fourier`` need scalars.
-    For TABULATED shapes, ``samples`` is an (n, 2) array of (t, x) pairs
-    covering [0, t0]; the profile is interpolated with a cubic spline and the
-    velocity is the spline derivative.  Endpoint conditions x(0)=0, x(t0)=d,
-    v(0)=v(t0)=0 are checked at construction.
+    For TABULATED shapes, ``d`` and ``t0`` are scalars and ``samples`` is an
+    (n, 2) array of (t, x) pairs covering [0, t0]; the profile is
+    interpolated with a cubic spline and the velocity is the spline
+    derivative.  Endpoint conditions x(0)=0, x(t0)=d, v(0)=v(t0)=0 are
+    checked at construction.
     """
 
     d: float
@@ -94,6 +94,8 @@ class TrajectoryProfile:
         require_nonnegative(d=self.d)
         require_positive(t0=self.t0)
         if self.shape is Shape.TABULATED:
+            if np.ndim(self.d) or np.ndim(self.t0):
+                raise ValidationError("a tabulated profile takes a scalar d and t0")
             object.__setattr__(self, "_spline", self._build_spline())
         elif self.samples is not None:
             raise ValidationError("samples are only meaningful for TABULATED shapes")
@@ -181,27 +183,6 @@ def velocity_fourier(profile: TrajectoryProfile, omega):
     return spline_fourier(profile._spline.derivative(), omega)
 
 
-@functools.cache
-def _sin2_spectral_integral() -> float:
-    """J = int_0^inf u cos^2(u/2) / (1 - u^2/pi^2)^2 du by quadrature.
-
-    Splits at U0: a smooth finite part, an exact algebraic tail for the
-    non-oscillatory half of cos^2 = (1 + cos u)/2, and a Fourier (QAWF)
-    quadrature for the oscillatory half.  A constant, computed once per
-    process.
-    """
-    from scipy.integrate import quad
-
-    U0 = 50.0
-    head, _ = quad(lambda u: u * _sin2_envelope(u) ** 2, 0.0, U0,
-                   limit=400, epsabs=0.0, epsrel=1e-13)
-    # int_U0^inf pi^4 u / (2 (u^2 - pi^2)^2) du = pi^4 / (4 (U0^2 - pi^2))
-    tail_smooth = math.pi**4 / (4.0 * (U0**2 - math.pi**2))
-    tail_osc, _ = quad(lambda u: math.pi**4 * u / (2.0 * (u**2 - math.pi**2) ** 2),
-                       U0, np.inf, weight="cos", wvar=1.0)
-    return head + tail_smooth + tail_osc
-
-
 def _check_nonrelativistic(profile: TrajectoryProfile,
                            constants: PhysicalConstants) -> None:
     require(profile.d < NONRELATIVISTIC_GATE * constants.c * profile.t0,
@@ -220,32 +201,21 @@ def mode_integral(profile: TrajectoryProfile, q: float,
     """Exponent E with vacuum overlap exp(-E).
 
     E = (q^2 / 6 pi^2) int_0^inf |v(omega)|^2 omega domega in natural units
-    (q_P^2 = 4 pi), evaluated by quadrature.  ``q`` and the profile's ``d``
-    and ``t0`` may be arrays of sweep values; powers use libm's pow, as in
+    (q_P^2 = 4 pi).  On the sin^2 path the integral over u = omega t0 is
+    J = pi^2 (pi Si(pi) - 2) / 4, so E is the closed form
+    SIN2_EXPONENT_CONSTANT (q/q_P)^2 (d / c t0)^2; on a tabulated path it is
+    the spline's spectral moment.  ``q`` and the profile's ``d`` and ``t0``
+    may be arrays of sweep values; powers use libm's pow, as in
     ``echo._dipole_pair``, so a swept point equals that point alone.
     """
     _check_nonrelativistic(profile, constants)
     q_ratio = _charge_ratio(q, constants)
     beta = profile.d / (constants.c * profile.t0)
+    if profile.shape is Shape.SIN_SQUARED:
+        return SIN2_EXPONENT_CONSTANT * np.float_power(q_ratio, 2) * np.float_power(beta, 2)
     prefactor = ((4.0 * math.pi * np.float_power(q_ratio, 2)) / (6.0 * math.pi**2)
                  * np.float_power(beta, 2))
-    if profile.shape is Shape.SIN_SQUARED:
-        return prefactor * _sin2_spectral_integral()
     return prefactor * profile._tabulated_spectral_integral
-
-
-def closed_form_exponent(profile: TrajectoryProfile, q: float,
-                         constants: PhysicalConstants = CODATA) -> float:
-    """Closed form of the sin^2 exponent via the sine integral:
-
-    E = pi (pi Si(pi) - 2)/6 * (q/q_P)^2 * (d / (c t0))^2.
-    """
-    if profile.shape is not Shape.SIN_SQUARED:
-        raise ValidationError("closed form exists only for the sin^2 shape")
-    _check_nonrelativistic(profile, constants)
-    q_ratio = _charge_ratio(q, constants)
-    beta = profile.d / (constants.c * profile.t0)
-    return SIN2_EXPONENT_CONSTANT * q_ratio**2 * beta**2
 
 
 def vacuum_overlap(profile: TrajectoryProfile, q: float,

@@ -34,8 +34,8 @@ from supertime.interference import SuperposedWavepacket, power_curve
 from supertime.oracle import auto_grid, echo_overlap_numeric, init_gaussian, propagate_linear
 from supertime.radiation import (
     SIN2_EXPONENT_CONSTANT,
+    Shape,
     TrajectoryProfile,
-    closed_form_exponent,
     min_radiationless_time,
     mode_integral,
 )
@@ -45,7 +45,8 @@ from supertime.vacuum import (
     instantaneous_variance,
 )
 
-NATURAL = PhysicalConstants(hbar=1.0, c=1.0, G=1.0, epsilon0=1.0, e_charge=1.0)
+NATURAL = PhysicalConstants(hbar=1.0, c=1.0, G=1.0, epsilon0=1.0)
+E_CHARGE = 1.602176634e-19  # C, the elementary charge
 
 
 _CAPTURE = []
@@ -71,10 +72,10 @@ def test_criterion_01_planck_scales():
     """Planck mass and charge reproduce quoted values within 0.5%."""
     s = planck_scales(CODATA)
     err_m = abs(s.m_P / 2.18e-8 - 1.0)
-    err_q = abs(s.q_P / (11.7 * CODATA.e_charge) - 1.0)
+    err_q = abs(s.q_P / (11.7 * E_CHARGE) - 1.0)
     ok = err_m < 5e-3 and err_q < 5e-3
     _verdict(1, ok,
-             f"m_P={s.m_P:.4e} kg, q_P={s.q_P / CODATA.e_charge:.3f} e "
+             f"m_P={s.m_P:.4e} kg, q_P={s.q_P / E_CHARGE:.3f} e "
              f"(rel errors {err_m:.2e}, {err_q:.2e}; tolerance 0.5%)")
 
 
@@ -91,18 +92,24 @@ def test_criterion_02_sharp_bound_constant():
              f"(abs errors {err_eta:.1e}, {err_const:.1e}; tolerance 1e-9)")
 
 
-def test_criterion_03_radiation_constant():
-    """Mode-integral quadrature matches pi(pi Si(pi) - 2)/6, about 2."""
-    profile = TrajectoryProfile(d=1e-9, t0=1e-12)
-    q = CODATA.e_charge
-    by_quadrature = mode_integral(profile, q)
-    closed = closed_form_exponent(profile, q)
-    rel = abs(by_quadrature / closed - 1.0)
+def test_criterion_03_radiation_constant(sin2_spectral_integral):
+    """The sin^2 exponent pi(pi Si(pi) - 2)/6, about 2, matches quadrature."""
+    d, t0 = 1e-9, 1e-12
+    q = E_CHARGE
+    closed = mode_integral(TrajectoryProfile(d=d, t0=t0), q)
+    prefactor = (2.0 / (3.0 * math.pi) * (q / planck_scales(CODATA).q_P) ** 2
+                 * (d / (CODATA.c * t0)) ** 2)
+    rel_quad = abs(prefactor * sin2_spectral_integral / closed - 1.0)
+    t = np.linspace(0.0, t0, 1600)
+    sampled = TrajectoryProfile(d=d, t0=t0, shape=Shape.TABULATED, samples=np.column_stack(
+        [t, d * np.sin(math.pi * t / (2.0 * t0)) ** 2]))
+    rel_spline = abs(mode_integral(sampled, q) / closed - 1.0)
     paper_err = abs(SIN2_EXPONENT_CONSTANT - 2.0) / 2.0
-    ok = rel < 1e-6 and paper_err < 5e-4
+    ok = rel_quad <= 1e-12 and rel_spline <= 1e-10 and paper_err < 5e-4
     _verdict(3, ok,
-             f"constant={SIN2_EXPONENT_CONSTANT:.6f}, quadrature rel err "
-             f"{rel:.1e} (tol 1e-6), vs 2: {paper_err:.2%} (tol 0.05%)")
+             f"constant={SIN2_EXPONENT_CONSTANT:.6f}, rel err vs QUADPACK "
+             f"{rel_quad:.1e} (tol 1e-12), vs 1600-sample spline {rel_spline:.1e} "
+             f"(tol 1e-10), vs 2: {paper_err:.2%} (tol 0.05%)")
 
 
 def test_criterion_04_vacuum_variance():

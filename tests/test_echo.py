@@ -25,7 +25,7 @@ from supertime.errors import (
     ValidationError,
 )
 
-NATURAL = PhysicalConstants(hbar=1.0, c=1.0, G=1.0, epsilon0=1.0, e_charge=1.0)
+NATURAL = PhysicalConstants(hbar=1.0, c=1.0, G=1.0, epsilon0=1.0)
 
 
 def test_gravity_dipole_formula():

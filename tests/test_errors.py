@@ -23,6 +23,14 @@ def _effective_sigma(sigma):
                               sigma=sigma).effective_sigma()
 
 
+def _tabulated_trajectory(d, t0):
+    """A TABULATED profile whose samples trace the sin^2 path of 1 nm in 1 ps."""
+    t = np.linspace(0.0, 1e-12, 100)
+    samples = np.column_stack([t, 1e-9 * np.sin(math.pi * t / 2e-12) ** 2])
+    return radiation.TrajectoryProfile(d=d, t0=t0, shape=radiation.Shape.TABULATED,
+                                       samples=samples)
+
+
 # (callable, valid keyword arguments, the parameters that must be positive or
 # non-negative and finite)
 _CHECKED = [
@@ -57,6 +65,7 @@ _CHECKED = [
     (oracle.propagate_linear, dict(state=_GRID, F=0.1, m=1.0, t=0.5, n_steps=1), ["m", "t"]),
     (oracle.matched_echo_overlap, dict(a=0.5, b=0.5), ["a", "b"]),
     (radiation.TrajectoryProfile, dict(d=1e-9, t0=1e-12), ["d", "t0"]),
+    (_tabulated_trajectory, dict(d=1e-9, t0=1e-12), ["d", "t0"]),
     (radiation.mode_integral, dict(profile=radiation.TrajectoryProfile(d=1e-9, t0=1e-12),
                                    q=1e-19), ["q"]),
     (radiation.min_radiationless_time, dict(q=1e-19, d=1e-9), ["q", "d"]),
@@ -65,7 +74,7 @@ _CHECKED = [
     (vacuum.instantaneous_variance, dict(cutoff_Lambda=1.0), ["cutoff_Lambda"]),
     (vacuum.momentum_error, dict(q=1e-19, T=1e-15), ["q", "T"]),
     (vacuum.min_measurement_time, dict(q=1e-19, d=1e-6), ["q", "d"]),
-    (PhysicalConstants, {}, ["hbar", "c", "G", "epsilon0", "e_charge"]),
+    (PhysicalConstants, {}, ["hbar", "c", "G", "epsilon0"]),
 ]
 
 
@@ -78,6 +87,13 @@ def test_non_finite_parameter_is_rejected_by_name(func, kwargs, name, bad):
     pattern = rf"^{re.escape(name)} must be (positive|non-negative) and finite, got {bad}$"
     with pytest.raises(ValidationError, match=pattern):
         func(**{**kwargs, name: bad})
+
+
+def test_tabulated_trajectory_rejects_a_swept_d_or_t0():
+    for d, t0 in ((np.full(3, 1e-9), 1e-12), (1e-9, np.full(3, 1e-12))):
+        with pytest.raises(ValidationError,
+                           match=r"^a tabulated profile takes a scalar d and t0$"):
+            _tabulated_trajectory(d, t0)
 
 
 def test_checks_name_the_first_failing_value_of_scalars_and_sweeps():

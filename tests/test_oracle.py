@@ -19,7 +19,7 @@ from supertime.oracle import (
     propagate_linear,
 )
 
-NATURAL = PhysicalConstants(hbar=1.0, c=1.0, G=1.0, epsilon0=1.0, e_charge=1.0)
+NATURAL = PhysicalConstants(hbar=1.0, c=1.0, G=1.0, epsilon0=1.0)
 
 
 def _reference_case():

@@ -13,7 +13,6 @@ from supertime.radiation import (
     SIN2_EXPONENT_CONSTANT,
     Shape,
     TrajectoryProfile,
-    closed_form_exponent,
     coherent_overlap,
     coherent_overlap_amplitude,
     composition_phase,
@@ -26,7 +25,7 @@ from supertime.radiation import (
 )
 from supertime.radiation import DisplacementFunction, ModeGrid
 
-Q = CODATA.e_charge
+Q = 1.602176634e-19  # C, the elementary charge
 
 
 def _sin2_profile(d=1e-9, t0=1e-12):
@@ -54,11 +53,35 @@ def test_exponent_constant_closed_form_and_paper_value():
     assert abs(SIN2_EXPONENT_CONSTANT - 2.0) / 2.0 < 5e-4
 
 
-def test_mode_integral_matches_closed_form():
+def _exponent_prefactor(q, d, t0):
+    """(2 / 3 pi) (q/q_P)^2 (d / c t0)^2: E divided by its spectral integral."""
+    return (2.0 / (3.0 * math.pi) * (q / planck_scales(CODATA).q_P) ** 2
+            * (d / (CODATA.c * t0)) ** 2)
+
+
+def test_mode_integral_matches_closed_form(sin2_spectral_integral):
     profile = _sin2_profile()
-    by_quadrature = mode_integral(profile, Q)
-    closed = closed_form_exponent(profile, Q)
-    assert by_quadrature == pytest.approx(closed, rel=1e-6)
+    closed = mode_integral(profile, Q)
+    # Independent routes: QUADPACK on the closed-form velocity transform, and
+    # the spline's spectral moment of 1600 samples of the same path.
+    by_quadrature = _exponent_prefactor(Q, profile.d, profile.t0) * sin2_spectral_integral
+    assert closed == pytest.approx(by_quadrature, rel=1e-12)
+    assert closed == pytest.approx(mode_integral(_tabulated_sin2(n=1600), Q), rel=1e-10)
+
+
+def test_sin2_exponent_is_the_closed_form_for_scalars_and_sweeps():
+    rng = np.random.default_rng(11)
+    n = 2000
+    q = 10.0 ** rng.uniform(-22.0, -10.0, n)
+    t0 = 10.0 ** rng.uniform(-15.0, -6.0, n)
+    d = CODATA.c * t0 * 10.0 ** rng.uniform(-12.0, -0.6, n)
+    swept = mode_integral(TrajectoryProfile(d=d, t0=t0), q)
+    closed = (SIN2_EXPONENT_CONSTANT * (q / planck_scales(CODATA).q_P) ** 2
+              * (d / (CODATA.c * t0)) ** 2)
+    assert np.max(np.abs(swept - closed) / closed) <= 5e-16
+    points = [mode_integral(TrajectoryProfile(d=di, t0=ti), qi)
+              for di, ti, qi in zip(d.tolist(), t0.tolist(), q.tolist())]
+    assert np.array_equal(points, swept)
 
 
 def test_velocity_fourier_at_zero_and_resonance():
@@ -105,8 +128,6 @@ def test_relativistic_gate():
     fast = TrajectoryProfile(d=1.0, t0=1e-9)  # d = c t0 / 0.3
     with pytest.raises(RelativisticMotionError):
         mode_integral(fast, Q)
-    with pytest.raises(RelativisticMotionError):
-        closed_form_exponent(fast, Q)
 
 
 def test_min_radiationless_time_prefactor():
@@ -123,7 +144,7 @@ def test_exponent_is_order_one_at_the_radiationless_time():
     d = 1e-6
     t0 = min_radiationless_time(q, d)
     profile = TrajectoryProfile(d=d, t0=t0)
-    assert closed_form_exponent(profile, q) == pytest.approx(
+    assert mode_integral(profile, q) == pytest.approx(
         SIN2_EXPONENT_CONSTANT / 2.0, rel=1e-12)
 
 
@@ -180,9 +201,11 @@ def test_displacement_norm_reproduces_exponent():
     grid = _grid_for(profile)
     f = displacement_from_trajectory(profile, Q, grid)
     norm = float(np.sum(grid.weights / CODATA.c * np.abs(f.values) ** 2))
-    # Finite u_max truncates the u^-3 tail: ~pi^4/(4 u_max^2) of the
-    # integrand scale, a few 1e-5 relative here.
-    assert norm == pytest.approx(closed_form_exponent(profile, Q), rel=1e-4)
+    # The grid ends at u_max = 400 and so misses the u^-3 tail, whose
+    # non-oscillatory half adds pi^4 / (4 u_max^2) to the spectral integral
+    # (1.6e-5 relative); what remains is below 1e-7.
+    tail = _exponent_prefactor(Q, profile.d, profile.t0) * math.pi**4 / (4.0 * 400.0**2)
+    assert norm + tail == pytest.approx(mode_integral(profile, Q), rel=1e-6)
 
 
 def test_coherent_overlap_against_vacuum_overlap():
