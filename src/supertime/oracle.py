@@ -8,6 +8,10 @@ propagator times a global phase.  Moments, and the modulus of the overlap
 of two branches, are therefore exact to spectral accuracy at any step
 count.  The phase left over differs between branches of different force
 and shrinks as dt^2, so the complex overlap still converges at second order.
+
+A force-free branch has no potential factor at all, so its n Strang steps
+compose to one kinetic factor exp(-i k^2 t / 2m) between one FFT pair; it
+is evolved that way, and only forced branches run the step loop.
 """
 
 from __future__ import annotations
@@ -121,40 +125,56 @@ def init_gaussian(spec: GridSpec, state: GaussianState) -> GridState:
 
 def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
                n_steps: int) -> "list[GridState]":
-    """Evolve ``state`` under H = P^2/2m - F X for each F in ``forces`` at once.
+    """Evolve ``state`` under H = P^2/2m - F X for each F in ``forces``.
 
-    The branches are the rows of one (len(forces), n_points) stack, so each
-    Strang step is one FFT pair over the last axis for all of them.  Each
-    branch is checked for norm drift, then for the grid boundary, in order.
+    A force-free branch is ifft(exp(-i k^2 t / 2m) fft(psi0)) in one go:
+    with F = 0 every half-potential factor is exactly 1 and fft∘ifft is the
+    identity, so the n Strang steps compose to this single kinetic factor
+    (bitwise the loop at one step, within rounding at more).  Several
+    force-free branches share that one array.
+
+    The forced branches are the rows of one (n_forced, n_points) stack, so
+    each Strang step is one FFT pair over the last axis for all of them.
+    Each branch is checked for norm drift, then for the grid boundary, in
+    branch order.
 
     The steps reuse two buffers, so the loop allocates nothing: a fresh
-    (2, 4096) complex temporary per step sits exactly at glibc's default
-    128 KiB mmap threshold, and each one then costs page faults.
+    (2, 4096) complex temporary per step would sit exactly at glibc's
+    default 128 KiB mmap threshold, and each one would then cost page
+    faults.  An echo overlap against a force-free branch has one forced
+    row, so its buffers are (1, 4096), half that size.
     """
     require_positive(m=m)
     require_nonnegative(t=t)
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     spec = state.spec
-    dt = t / n_steps
-    x = spec.x
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
-    F = np.asarray(forces, dtype=float)[:, np.newaxis]
-    half_potential = np.exp(1j * F * x * dt / 2.0)
-    kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
-    psi = np.tile(state.amplitudes, (len(forces), 1))
-    spectrum = np.empty_like(psi)
+    F = np.asarray(forces, dtype=float)
+    is_forced = F != 0.0
+    psi = np.tile(state.amplitudes, (np.count_nonzero(is_forced), 1))
+    if len(psi):
+        dt = t / n_steps
+        half_potential = np.exp(1j * F[is_forced][:, np.newaxis] * spec.x * dt / 2.0)
+        kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
+        spectrum = np.empty_like(psi)
+        for _ in range(n_steps):
+            psi *= half_potential
+            np.fft.fft(psi, out=spectrum)
+            # kinetic stays the first operand: numpy's SIMD complex multiply
+            # is not bitwise commutative.
+            np.multiply(kinetic, spectrum, out=spectrum)
+            np.fft.ifft(spectrum, out=psi)
+            psi *= half_potential
+    if not is_forced.all():
+        # The same operands in the same order as the loop's one step.
+        free = np.fft.ifft(np.exp(-1j * k**2 * t / (2.0 * m))
+                           * np.fft.fft(state.amplitudes))
+    forced_rows = iter(psi)
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
-    for _ in range(n_steps):
-        psi *= half_potential
-        np.fft.fft(psi, out=spectrum)
-        # kinetic stays the first operand: numpy's SIMD complex multiply
-        # is not bitwise commutative.
-        np.multiply(kinetic, spectrum, out=spectrum)
-        np.fft.ifft(spectrum, out=psi)
-        psi *= half_potential
     branches = []
-    for amplitudes in psi:
+    for forced in is_forced:
+        amplitudes = next(forced_rows) if forced else free
         norm = np.sum(np.abs(amplitudes) ** 2) * spec.dx
         if abs(norm - norm0) > 1e-8:
             raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")

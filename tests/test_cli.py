@@ -685,11 +685,12 @@ def test_tabulated_magnitude_sweep_computes_the_moment_once(tmp_path, monkeypatc
 _IMPORTS_NO_SCIPY = """
 import json, sys
 import supertime, supertime.cli
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.special")
-loaded = [sorted(m for m in heavy if m in sys.modules)]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     assert supertime.cli.main(argv) == 0
-    loaded.append(sorted(m for m in heavy if m in sys.modules))
+    loaded.append(scipy_modules())
 print(loaded)
 """
 
@@ -698,7 +699,8 @@ def test_cli_and_closed_form_subcommands_load_no_scipy(tmp_path):
     # bound, causality, echo, radiation on a sin^2 path and vacuum on a
     # Gaussian window are closed forms, the echo oracle and the interference
     # power curve are numpy only; scipy costs most of the start-up and is
-    # imported only by the functions that call it.
+    # imported only by the functions that call it.  No scipy module at all
+    # may load, so the oracle's FFTs stay numpy's (not scipy.fft).
     mass = str(_write(tmp_path, "mass.json", MASS_CONFIG))
     charge = str(_write(tmp_path, "charge.json", _mutated(
         CHARGE_CONFIG, lambda c: c["interference"].update(n=200, trials=5))))

@@ -68,38 +68,43 @@ def test_unitarity_over_thousand_steps():
 
 
 def test_ehrenfest_identities_exact_for_linear_potential():
-    # Moments must match the classical trajectory regardless of step count.
+    # Moments must match the classical trajectory regardless of step count,
+    # for a forced branch and a force-free one alike.
     state = GaussianState(x0=-0.5, p0=0.4, sigma=1.1)
-    F, m, t = 0.6, 1.3, 1.5
-    spec = auto_grid(state, [F], m=m, t=t)
-    grid = init_gaussian(spec, state)
-    for n_steps in (3, 10, 100):
-        out = propagate_linear(grid, F, m, t, n_steps)
-        mean_x, _ = out.position_moments()
-        mean_p, _ = out.momentum_moments()
-        assert mean_x == pytest.approx(
-            state.x0 + state.p0 * t / m + F * t**2 / (2.0 * m), abs=1e-6)
-        assert mean_p == pytest.approx(state.p0 + F * t, abs=1e-6)
+    m, t = 1.3, 1.5
+    for F in (0.6, 0.0):
+        spec = auto_grid(state, [F], m=m, t=t)
+        grid = init_gaussian(spec, state)
+        for n_steps in (3, 10, 100):
+            out = propagate_linear(grid, F, m, t, n_steps)
+            mean_x, _ = out.position_moments()
+            mean_p, _ = out.momentum_moments()
+            assert mean_x == pytest.approx(
+                state.x0 + state.p0 * t / m + F * t**2 / (2.0 * m), abs=1e-6)
+            assert mean_p == pytest.approx(state.p0 + F * t, abs=1e-6)
 
 
 def test_second_order_convergence_of_complex_overlap():
-    # The splitting error on the echo phase shrinks ~4x per step halving.
-    state, spec, F_L, F_R, m, t = _reference_case()
+    # The splitting error on the echo phase shrinks ~4x per step halving,
+    # also against a force-free branch evolved in one kinetic factor.
+    state, spec, F_L, F_R0, m, t = _reference_case()
     grid = init_gaussian(spec, state)
-    res = echo_displacements(F_L - F_R, m, F_L + F_R, t, NATURAL)
-    exact = cmath.exp(1j * res.cubic_phase) * echo_overlap(state, res, NATURAL)
-    errors = [
-        abs(echo_overlap_numeric(grid, F_L, F_R, m, t, n) - exact)
-        for n in (100, 200, 400)
-    ]
-    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
-    assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.15)
+    for F_R in (F_R0, 0.0):
+        res = echo_displacements(F_L - F_R, m, F_L + F_R, t, NATURAL)
+        exact = cmath.exp(1j * res.cubic_phase) * echo_overlap(state, res, NATURAL)
+        errors = [
+            abs(echo_overlap_numeric(grid, F_L, F_R, m, t, n) - exact)
+            for n in (100, 200, 400)
+        ]
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
+        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.15)
 
 
 @pytest.mark.parametrize("n_steps", [1, 400])
 def test_echo_modulus_matches_analytic_formula_random_cases(n_steps):
     # One Strang step is exact up to a global phase per branch, so the
-    # modulus agrees to rounding at any step count.
+    # modulus agrees to rounding at any step count, with the forces split
+    # evenly or all on the left.
     rng = np.random.default_rng(42)
     for _ in range(20):
         sigma = rng.uniform(0.5, 2.0)
@@ -108,13 +113,13 @@ def test_echo_modulus_matches_analytic_formula_random_cases(n_steps):
         t = rng.uniform(0.5, 2.0)
         target_dx = rng.uniform(0.0, 4.0 * sigma)
         delta_F = 2.0 * m * target_dx / t**2
-        F_L, F_R = delta_F / 2.0, -delta_F / 2.0
-        spec = auto_grid(state, [F_L, F_R], m=m, t=t)
-        grid = init_gaussian(spec, state)
-        numeric = abs(echo_overlap_numeric(grid, F_L, F_R, m, t, n_steps))
-        res = echo_displacements(delta_F, m, F_L + F_R, t, NATURAL)
-        analytic = echo_overlap(state, res, NATURAL)
-        assert numeric == pytest.approx(analytic, abs=1e-12)
+        for F_L, F_R in ((delta_F / 2.0, -delta_F / 2.0), (delta_F, 0.0)):
+            spec = auto_grid(state, [F_L, F_R], m=m, t=t)
+            grid = init_gaussian(spec, state)
+            numeric = abs(echo_overlap_numeric(grid, F_L, F_R, m, t, n_steps))
+            res = echo_displacements(delta_F, m, F_L + F_R, t, NATURAL)
+            analytic = echo_overlap(state, res, NATURAL)
+            assert numeric == pytest.approx(analytic, abs=1e-12)
 
 
 def test_matched_overlap_over_shift_ratios_and_sizes():
@@ -137,6 +142,9 @@ def test_boundary_hit_raises():
     with pytest.raises(GridError):
         # Strong force pushes the packet past the boundary.
         propagate_linear(grid, 40.0, 1.0, 2.0, 200)
+    with pytest.raises(GridError):
+        # A force-free packet spreads to sigma ~ 10 and reaches both edges.
+        propagate_linear(grid, 0.0, 1.0, 20.0, 200)
 
 
 def test_auto_grid_contains_classical_excursion():
@@ -151,12 +159,13 @@ def test_auto_grid_contains_classical_excursion():
 def test_propagation_validation():
     state, spec, F_L, _, m, t = _reference_case()
     grid = init_gaussian(spec, state)
-    with pytest.raises(ValidationError):
-        propagate_linear(grid, F_L, -1.0, t, 10)
-    with pytest.raises(ValidationError):
-        propagate_linear(grid, F_L, m, -t, 10)
-    with pytest.raises(ValidationError):
-        propagate_linear(grid, F_L, m, t, 0)
+    for F in (F_L, 0.0):
+        with pytest.raises(ValidationError):
+            propagate_linear(grid, F, -1.0, t, 10)
+        with pytest.raises(ValidationError):
+            propagate_linear(grid, F, m, -t, 10)
+        with pytest.raises(ValidationError):
+            propagate_linear(grid, F, m, t, 0)
 
 
 def test_batched_branches_match_single_branch_propagation_bitwise():
@@ -204,3 +213,19 @@ def test_propagation_in_reused_buffers_is_bitwise_the_allocating_loop():
         branches = _propagate(grid, forces, m, t, 200)
         expected = _allocating_strang(grid, forces, m, t, 200)
         assert np.stack([b.amplitudes for b in branches]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 200])
+def test_force_free_branch_is_the_composed_strang_loop(n_steps):
+    # The force-free row takes one kinetic factor instead of the loop: the
+    # same bits at one step, within rounding at 200.  The forced row of the
+    # mixed stack is still bitwise the loop.
+    state, spec, F_L, _, m, t = _reference_case()
+    grid = init_gaussian(spec, state)
+    forced, free = _propagate(grid, [F_L, 0.0], m, t, n_steps)
+    expected = _allocating_strang(grid, [F_L, 0.0], m, t, n_steps)
+    assert forced.amplitudes.tobytes() == expected[0].tobytes()
+    if n_steps == 1:
+        assert free.amplitudes.tobytes() == expected[1].tobytes()
+    else:
+        assert np.max(np.abs(free.amplitudes - expected[1])) < 1e-13
