@@ -67,6 +67,7 @@ class GaussianState:
     sigma: float = 1.0
 
     def __post_init__(self):
+        require_finite(x0=self.x0, p0=self.p0)
         require_positive(sigma=self.sigma)
 
     def momentum_spread(self, hbar: float = 1.0) -> float:

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import GaussianState
-from .errors import GridError, ValidationError, require_nonnegative, require_positive
+from .errors import (
+    GridError,
+    ValidationError,
+    require_finite,
+    require_nonnegative,
+    require_positive,
+)
 
 __all__ = [
     "GridSpec",
@@ -135,8 +141,8 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
 
     The forced branches are the rows of one (n_forced, n_points) stack, so
     each Strang step is one FFT pair over the last axis for all of them.
-    Each branch is checked for norm drift, then for the grid boundary, in
-    branch order.
+    Every force must be finite.  Each branch is checked for norm drift (a
+    NaN norm fails it), then for the grid boundary, in branch order.
 
     The steps reuse two buffers, so the loop allocates nothing: a fresh
     (2, 4096) complex temporary per step would sit exactly at glibc's
@@ -151,6 +157,7 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
     spec = state.spec
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     F = np.asarray(forces, dtype=float)
+    require_finite(F=F)
     is_forced = F != 0.0
     psi = np.tile(state.amplitudes, (np.count_nonzero(is_forced), 1))
     if len(psi):
@@ -176,7 +183,8 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
     for forced in is_forced:
         amplitudes = next(forced_rows) if forced else free
         norm = np.sum(np.abs(amplitudes) ** 2) * spec.dx
-        if abs(norm - norm0) > 1e-8:
+        # Written so that a NaN norm fails it.
+        if not (abs(norm - norm0) <= 1e-8):
             raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")
         branch = GridState(spec=spec, amplitudes=amplitudes)
         branch.check_boundaries()

@@ -8,11 +8,19 @@ Soc. A 461, 2005).  This module holds that kernel, the spectral moment
 int_0^inf |p_hat|^2 omega domega built on it, the Gauss-Legendre rule the
 moment integrates with, and the sample validation shared by every
 tabulated input.
+
+The kernel needs the phase e^{i omega x_j} of every (frequency, knot)
+pair.  ``spline_fourier`` takes a cos and a sin of each; the moment only
+asks for Gauss-Legendre panel nodes omega = c_p + s_i, whose offsets s_i
+are the same in every panel, and builds each phase as the product
+e^{i c_p x_j} e^{i s_i x_j} of a (panels, knots) and an (offsets, knots)
+table.  Both routes hand their phases to one branch body, ``_transform``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +79,15 @@ def sample_columns(samples, min_rows: int, value_name: str):
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
-    prev, cur = np.ones_like(x), x.copy()
+    prev, cur, step = np.ones_like(x), x.copy(), np.empty_like(x)
+    # ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j, one operation at a time in
+    # that order, into buffers that rotate: the loop allocates nothing.
     for j in range(2, n + 1):
-        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+        np.multiply(2 * j - 1, x, out=step)
+        step *= cur
+        step -= np.multiply(j - 1, prev, out=prev)
+        step /= j
+        prev, cur, step = cur, step, prev
     return cur, prev
 
 
@@ -153,6 +167,93 @@ def _end_derivatives(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return left, right
 
 
+class _Spline(NamedTuple):
+    """A piecewise polynomial prepared for ``_transform``.
+
+    Lengths are in units of the widest piece and knots are taken relative
+    to the first, so that high powers of h and omega stay in range and
+    phases stay small.
+    """
+
+    start: float               # first knot
+    unit: float                # width of the widest piece
+    rel_x: np.ndarray          # (knots,)
+    rel_h: np.ndarray          # (pieces,)
+    series: np.ndarray         # (pieces, terms): power series of each piece
+    closed_right: np.ndarray   # (pieces, 4): closed-form terms at right ends
+    closed_left: np.ndarray    # (pieces, 4): and at left ends
+    closed_knots: np.ndarray   # (knots, 4): both, summed per knot
+
+
+def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
+    """Series coefficients and closed-form knot terms of the pieces of ``_pieces``."""
+    unit = float(h.max())
+    rel_h = h / unit
+    j = np.arange(_SERIES_TERMS)
+    inv_fact = np.array([1.0 / math.factorial(i) for i in j])
+    # int_0^h q(s) e^{i w s} ds = h sum_j (i w h)^j c_j with
+    # c_j = (1/j!) sum_n a_n h^n / (n + j + 1); with the left-knot phase
+    # attached, (i w unit)^j factors out of a sum over pieces.
+    c = inv_fact[:, None] * np.einsum(
+        "nm,jn->jm", a * h ** np.arange(4)[:, None],
+        1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
+    left, right = _end_derivatives(a, h)
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    closed_right = sign * right.T
+    closed_left = sign * left.T
+    # Closed forms summed per knot: the right end of piece i-1 and the
+    # left end of piece i share the phase of knot i.
+    closed_knots = np.zeros((len(x), 4))
+    closed_knots[1:] += closed_right
+    closed_knots[:-1] -= closed_left
+    return _Spline(start=float(x[0]), unit=unit, rel_x=(x - x[0]) / unit, rel_h=rel_h,
+                   series=(c * h * rel_h ** j[:, None]).T,
+                   closed_right=closed_right, closed_left=closed_left,
+                   closed_knots=closed_knots)
+
+
+def _rows(mask: np.ndarray):
+    """Index of the rows in ``mask``: a slice, which copies nothing, if they are adjacent.
+
+    They are on the ascending nodes of ``spectral_moment``.
+    """
+    index = np.flatnonzero(mask)
+    first, last = int(index[0]), int(index[-1])
+    return slice(first, last + 1) if last - first + 1 == len(index) else mask
+
+
+def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray):
+    """The transform of ``spline`` at the frequencies ``w``.
+
+    Row r of ``cos`` and ``sin`` holds the cosine and sine of
+    w[r] * (x_j - x_0) at every knot x_j.  Each piece of each row takes the
+    series or the closed form by its own |w h|.
+    """
+    wu = w * spline.unit
+    value = np.empty(len(w), dtype=complex)
+    # Rows whose pieces all take one branch need no per-piece mask
+    # (every row, when the knots are uniform).
+    series_rows = np.abs(wu) < _SERIES_SWITCH
+    closed_rows = np.abs(wu) * spline.rel_h.min() >= _SERIES_SWITCH
+    mixed_rows = ~(series_rows | closed_rows)
+    if series_rows.any():
+        rows = _rows(series_rows)
+        value[rows] = _series_sum(cos[rows, :-1], sin[rows, :-1], spline.series, wu[rows])
+    if closed_rows.any():
+        rows = _rows(closed_rows)
+        value[rows] = _closed_sum(cos[rows], sin[rows], spline.closed_knots, w[rows])
+    if mixed_rows.any():
+        rows = _rows(mixed_rows)
+        small = np.abs(np.outer(wu[rows], spline.rel_h)) < _SERIES_SWITCH
+        big = ~small
+        c, s, wm = cos[rows], sin[rows], w[rows]
+        value[rows] = (
+            _series_sum(c[:, :-1] * small, s[:, :-1] * small, spline.series, wu[rows])
+            + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, spline.closed_right, wm)
+            - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, spline.closed_left, wm))
+    return value * np.exp(1j * w * spline.start)
+
+
 def spline_fourier(pp, omega):
     """Exact int pp(t) e^{i omega t} dt over the breakpoint range of ``pp``.
 
@@ -166,67 +267,63 @@ def spline_fourier(pp, omega):
 
     Both are the exact integral and agree to rounding at the switch.
     Accepts scalar or array omega (any sign) and returns complex values of
-    the same shape.
+    the same shape.  The knot phases take a cos and a sin per (frequency,
+    knot); ``spectral_moment`` builds them from panel and node factors
+    instead, and both hand them to the same branch body, ``_transform``.
     """
-    x, h, a = _pieces(pp)
-    # Work in the units of the widest piece, relative to the first knot, so
-    # that high powers of h and omega stay in range and phases stay small.
-    unit = float(h.max())
-    rel_x = (x - x[0]) / unit
-    rel_h = h / unit
-    j = np.arange(_SERIES_TERMS)
-    inv_fact = np.array([1.0 / math.factorial(i) for i in j])
-    # int_0^h q(s) e^{i w s} ds = h sum_j (i w h)^j c_j with
-    # c_j = (1/j!) sum_n a_n h^n / (n + j + 1); with the left-knot phase
-    # attached, (i w unit)^j factors out of a sum over pieces.
-    c = inv_fact[:, None] * np.einsum(
-        "nm,jn->jm", a * h ** np.arange(4)[:, None],
-        1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
-    series = (c * h * rel_h ** j[:, None]).T                    # (pieces, terms)
-    left, right = _end_derivatives(a, h)
-    sign = np.array([1.0, -1.0, 1.0, -1.0])
-    closed_right = sign * right.T                               # (pieces, 4)
-    closed_left = sign * left.T
-    # Closed forms summed per knot: the right end of piece i-1 and the
-    # left end of piece i share the phase of knot i.
-    closed_knots = np.zeros((len(x), 4))
-    closed_knots[1:] += closed_right
-    closed_knots[:-1] -= closed_left
-    narrowest = float(rel_h.min())
-
+    spline = _prepare(*_pieces(pp))
     w_all = np.asarray(omega, dtype=float)
     w_flat = w_all.ravel()
     out = np.empty(w_flat.shape, dtype=complex)
-    step = max(1, _BLOCK_ELEMENTS // len(x))
+    step = max(1, _BLOCK_ELEMENTS // len(spline.rel_x))
     for start in range(0, len(w_flat), step):
         w = w_flat[start:start + step]
-        wu = w * unit
-        arg = np.outer(wu, rel_x)
-        cos, sin = np.cos(arg), np.sin(arg)
-        value = np.empty(len(w), dtype=complex)
-        # Rows whose pieces all take one branch need no per-piece mask
-        # (every row, when the knots are uniform).
-        series_rows = np.abs(wu) < _SERIES_SWITCH
-        closed_rows = np.abs(wu) * narrowest >= _SERIES_SWITCH
-        mixed_rows = ~(series_rows | closed_rows)
-        if series_rows.any():
-            value[series_rows] = _series_sum(
-                cos[series_rows, :-1], sin[series_rows, :-1], series, wu[series_rows])
-        if closed_rows.any():
-            value[closed_rows] = _closed_sum(
-                cos[closed_rows], sin[closed_rows], closed_knots, w[closed_rows])
-        if mixed_rows.any():
-            small = np.abs(np.outer(wu[mixed_rows], rel_h)) < _SERIES_SWITCH
-            big = ~small
-            c, s = cos[mixed_rows], sin[mixed_rows]
-            value[mixed_rows] = (
-                _series_sum(c[:, :-1] * small, s[:, :-1] * small, series, wu[mixed_rows])
-                + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, closed_right, w[mixed_rows])
-                - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, closed_left, w[mixed_rows]))
-        out[start:start + step] = value * np.exp(1j * w * x[0])
+        arg = np.outer(w * spline.unit, spline.rel_x)
+        out[start:start + step] = _transform(spline, w, np.cos(arg), np.sin(arg))
     if w_all.ndim == 0:
         return complex(out[0])
     return out.reshape(w_all.shape)
+
+
+def _panel_fourier(spline: _Spline, offsets: np.ndarray):
+    """The transform at the nodes c + offsets of panels centred at c.
+
+    Returns a function of the panel centres that gives (nodes, transform),
+    panel by panel.  With w = c + s, e^{i w x} = e^{i c x} e^{i s x}, so
+    every row of the (panels * offsets, knots) phase matrix is the product
+    of one row of a (panels, knots) table and one of an (offsets, knots)
+    table: a complex product per element in place of a cos and a sin.  The
+    offset table is built once here; the rows still take their branches by
+    their own node w.  Blocks hold whole panels, at most
+    ``_BLOCK_ELEMENTS`` phases each unless one panel alone is more.
+    """
+    knots = len(spline.rel_x)
+    arg = np.outer(offsets * spline.unit, spline.rel_x)
+    offset_cos, offset_sin = np.cos(arg), np.sin(arg)
+    step = max(1, _BLOCK_ELEMENTS // (len(offsets) * knots))
+    # Every block of every call reuses these, so no phase-sized temporary
+    # is made; pages no block reaches are never touched.
+    shape = (step, len(offsets), knots)
+    cos, sin, product = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def at(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nodes = (centers[:, None] + offsets).ravel()
+        out = np.empty(nodes.shape, dtype=complex)
+        for first in range(0, len(centers), step):
+            arg = np.outer(centers[first:first + step] * spline.unit, spline.rel_x)[:, None]
+            center_cos, center_sin = np.cos(arg), np.sin(arg)
+            n = len(arg)
+            c, s, p = cos[:n], sin[:n], product[:n]
+            np.multiply(center_cos, offset_cos, out=c)
+            c -= np.multiply(center_sin, offset_sin, out=p)
+            np.multiply(center_sin, offset_cos, out=s)
+            s += np.multiply(center_cos, offset_sin, out=p)
+            rows = slice(first * len(offsets), (first + n) * len(offsets))
+            out[rows] = _transform(spline, nodes[rows],
+                                   c.reshape(-1, knots), s.reshape(-1, knots))
+        return nodes, out
+
+    return at
 
 
 def _series_sum(cos, sin, series, wu):
@@ -350,7 +447,9 @@ def spectral_moment(pp, rel_tol: float) -> float:
     The finite part is a Gauss-Legendre panel body on [0, W] plus the
     terms of the expansion that ``_exact_tail`` integrates exactly over
     [W, inf); the rest pair different knots, one of them interior, and are
-    bounded (``_interior_bound``).  W is the fewest panels that bring the
+    bounded (``_interior_bound``).  The spline is prepared once, and the
+    body's transform takes its phases from panel and offset factors
+    (``_panel_fourier``) rather than a cos and a sin per node and knot.  W is the fewest panels that bring the
     bound below ``rel_tol`` times a lower bound on M.  A first pass, with
     the bound at half the first panel's share of M, brackets M: that
     settles a clear divergence early and sharpens the lower bound.
@@ -366,12 +465,12 @@ def spectral_moment(pp, rel_tol: float) -> float:
     width = 2.0 * _PANEL_PHASE / span
     ref_nodes, ref_weights = gauss_legendre(_PANEL_NODES)
     bound = _interior_bound(jumps, x)
+    transform = _panel_fourier(_prepare(x, h, a), 0.5 * width * ref_nodes)
 
     def body(first: int, last: int) -> float:
-        centers = width * (np.arange(first, last) + 0.5)
-        nodes = (centers[:, None] + 0.5 * width * ref_nodes).ravel()
+        nodes, values = transform(width * (np.arange(first, last) + 0.5))
         weights = np.tile(0.5 * width * ref_weights, last - first)
-        return float(np.sum(weights * np.abs(spline_fourier(pp, nodes)) ** 2 * nodes))
+        return float(np.sum(weights * np.abs(values) ** 2 * nodes))
 
     def panels_for(target: float) -> int:
         """Fewest panels whose cutoff brings the bound to ``target``."""

@@ -113,6 +113,7 @@ _FINITE = [
     (echo.entanglement_time, dict(delta_F=-1e-20, mB=1e-9, sigma=1e-10), ["delta_F"]),
     (echo.momentum_route_time, dict(delta_F=1e-20, sigma=1e-10), ["delta_F"]),
     (echo.trap_max_width, dict(mB=1e-9, delta_F=1e-20), ["delta_F"]),
+    (echo.GaussianState, dict(x0=-1.0, p0=0.5, sigma=1.0), ["x0", "p0"]),
 ]
 
 

@@ -11,6 +11,7 @@ from supertime.echo import GaussianState, echo_displacements, echo_overlap
 from supertime.errors import GridError, ValidationError
 from supertime.oracle import (
     GridSpec,
+    GridState,
     _propagate,
     auto_grid,
     echo_overlap_numeric,
@@ -166,6 +167,30 @@ def test_propagation_validation():
             propagate_linear(grid, F, m, -t, 10)
         with pytest.raises(ValidationError):
             propagate_linear(grid, F, m, t, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_force_is_rejected_by_name(bad):
+    state, spec, F_L, _, m, t = _reference_case()
+    grid = init_gaussian(spec, state)
+    with pytest.raises(ValidationError, match=rf"^F must be finite, got {bad}$"):
+        propagate_linear(grid, bad, m, t, 10)
+    for forces in ((F_L, bad), (bad, 0.0)):
+        with pytest.raises(ValidationError, match=rf"^F must be finite, got {bad}$"):
+            echo_overlap_numeric(grid, *forces, m, t, 10)
+
+
+def test_nan_norm_fails_the_drift_check():
+    # NaN compares false both ways, so the check must hold the norm within
+    # its band rather than look for it outside; the boundary check after it
+    # would let a NaN state through too.
+    state, spec, F_L, _, m, t = _reference_case()
+    amplitudes = init_gaussian(spec, state).amplitudes.copy()
+    amplitudes[len(amplitudes) // 2] = math.nan
+    grid = GridState(spec=spec, amplitudes=amplitudes)
+    for F in (F_L, 0.0):
+        with pytest.raises(GridError, match="^norm drifted by nan$"):
+            propagate_linear(grid, F, m, t, 10)
 
 
 def test_batched_branches_match_single_branch_propagation_bitwise():

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
 
+from supertime import tabulated
 from supertime.errors import DivergentIntegralError, ValidationError
 from supertime.tabulated import (
     gauss_legendre,
@@ -72,6 +73,129 @@ def test_spline_fourier_rejects_high_degree():
         spline_fourier(quartic, 1.0)
 
 
+def _l1_scale(pp):
+    """int |pp(t)| dt, to the few digits a tolerance scale needs."""
+    t = np.linspace(pp.x[0], pp.x[-1], 64 * len(pp.x))
+    return float(np.trapezoid(np.abs(pp(t)), t))
+
+
+def _factored_transform(pp, centers, width):
+    """The factored route of spectral_moment: nodes and transform at its panels."""
+    ref_nodes, _ = gauss_legendre(24)
+    spline = tabulated._prepare(*tabulated._pieces(pp))
+    return tabulated._panel_fourier(spline, 0.5 * width * ref_nodes)(centers)
+
+
+def _rounding_scale(pp, nodes):
+    """Per node, the larger of the L1 scale and the magnitude of the terms its transform sums.
+
+    Each piece adds its power-series terms below the switch and its
+    closed-form end terms, divided by powers of omega, above it.  Near the
+    switch those terms are far larger than the transform they cancel to,
+    and rounding the phases by an ulp moves the sum by an ulp of them.
+    """
+    x, h, a = tabulated._pieces(pp)
+    spline = tabulated._prepare(x, h, a)
+    w = np.abs(nodes)[:, None]
+    small = w * h < SWITCH                                          # (nodes, pieces)
+    j = np.arange(spline.series.shape[1])
+    series = (w * spline.unit) ** j @ np.abs(spline.series).T
+    k = np.arange(1.0, 5.0)
+    ends = np.abs(spline.closed_right) + np.abs(spline.closed_left)
+    with np.errstate(divide="ignore"):
+        closed = w ** -k @ ends.T
+    terms = np.where(small, series, closed).sum(axis=1)
+    return np.maximum(_l1_scale(pp), terms), small
+
+
+def _check_panel_phases(pp, centers, width):
+    """The factored route agrees with spline_fourier at every node of the panels.
+
+    To 1e-14 of the rounding scale, or 4 eps sqrt(n) of it for n > 128
+    pieces: both routes round their n-term knot sums, and that rounding
+    grows as sqrt(n) (1.1 eps sqrt(n) seen on 3200 pieces near the switch).
+    """
+    nodes, got = _factored_transform(pp, centers, width)
+    assert np.array_equal(nodes, (centers[:, None] + 0.5 * width * gauss_legendre(24)[0]).ravel())
+    scale, small = _rounding_scale(pp, nodes)
+    tol = max(1e-14, 4.0 * np.finfo(float).eps * math.sqrt(len(pp.x) - 1))
+    assert np.all(np.abs(got - spline_fourier(pp, nodes)) <= tol * scale)
+    return small
+
+
+def test_factored_panel_phases_match_spline_fourier_on_uniform_knots():
+    # 3201 knots: 24 x 3201 phases per panel, so each run of 8 panels takes
+    # three blocks (3 + 3 + 2).  The second run straddles the switch, so its
+    # rows take the series on every piece or the closed form on every piece.
+    t = np.linspace(-8.0, 8.0, 3201)
+    pp = CubicSpline(t, np.exp(-0.5 * t**2))
+    width = 2.0 * 18.0 / (t[-1] - t[0])
+    switch_panel = int(SWITCH / np.diff(t).max() / width)
+    for first in (0, switch_panel - 4):
+        small = _check_panel_phases(pp, width * (np.arange(first, first + 8) + 0.5), width)
+    assert small.all(axis=1).any() and (~small).all(axis=1).any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factored_panel_phases_match_spline_fourier_on_random_knots(seed):
+    # The splines of test_spline_fourier_matches_quadrature_across_the_switch,
+    # on the panels of spectral_moment up to past the switch of the
+    # narrowest piece: series, closed-form and mixed rows all occur.
+    spline = _random_spline(np.random.default_rng(seed), 12)
+    for pp in (spline, spline.derivative(), spline.derivative(2)):
+        width = 2.0 * 18.0 / (pp.x[-1] - pp.x[0])
+        last = int(SWITCH / np.diff(pp.x).min() / width) + 2
+        small = _check_panel_phases(pp, width * (np.arange(last) + 0.5), width)
+        mixed = small.any(axis=1) & ~small.all(axis=1)
+        assert small.all(axis=1).any() and (~small).all(axis=1).any() and mixed.any()
+
+
+def _gaussian_spline(samples):
+    t = np.linspace(-8.0, 8.0, samples)
+    phi = np.exp(-0.5 * t**2)
+    return CubicSpline(t, phi / CubicSpline(t, phi).integrate(t[0], t[-1]))
+
+
+def _sin2_velocity(samples):
+    t = np.linspace(0.0, 1.0, samples)
+    return CubicSpline(t, np.sin(0.5 * math.pi * t) ** 2, bc_type="clamped").derivative()
+
+
+@pytest.mark.parametrize("pp", [_gaussian_spline(801), _gaussian_spline(3201),
+                                _sin2_velocity(400)],
+                         ids=["gaussian-801", "gaussian-3201", "sin2-400"])
+def test_spectral_moment_matches_the_direct_panel_body(pp, monkeypatch):
+    # The same moment with every panel transformed by spline_fourier, a cos
+    # and a sin per phase, instead of the factored phases.
+    panels = {"factored": [], "direct": []}
+    factored = tabulated._panel_fourier
+
+    def recorded(route, panel_fourier):
+        def prepare(spline, offsets):
+            at = panel_fourier(spline, offsets)
+
+            def record(centers):
+                panels[route].append(centers.copy())
+                return at(centers)
+            return record
+        return prepare
+
+    def direct(spline, offsets):
+        def at(centers):
+            nodes = (centers[:, None] + offsets).ravel()
+            return nodes, spline_fourier(pp, nodes)
+        return at
+
+    monkeypatch.setattr(tabulated, "_panel_fourier", recorded("factored", factored))
+    got = spectral_moment(pp, 1e-10)
+    monkeypatch.setattr(tabulated, "_panel_fourier", recorded("direct", direct))
+    expected = spectral_moment(pp, 1e-10)
+    assert len(panels["factored"]) == len(panels["direct"]) >= 1
+    for mine, theirs in zip(panels["factored"], panels["direct"]):
+        assert np.array_equal(mine, theirs)
+    assert abs(got - expected) <= 1e-14 * expected
+
+
 def test_spectral_moment_of_a_hat_is_four_ln_two():
     # p = 1 - |t| on [-1, 1]: p_hat = 2 (1 - cos w) / w^2 and
     # int_0^inf |p_hat|^2 w dw = 4 int_0^inf sin^4(u) / u^3 du = 4 ln 2.
@@ -100,6 +224,23 @@ def test_gauss_legendre_matches_leggauss(n):
     # leggauss's own weights drift from the exact ones as n grows (2e-11
     # relative at n = 200), so they are a reference only to that level.
     assert np.max(np.abs(weights / ref_weights - 1.0)) <= (1e-13 if n < 200 else 1e-10)
+
+
+def _allocating_legendre_pair(n, x):
+    """The three-term recurrence with fresh temporaries per step, as first written."""
+    prev, cur = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, prev
+
+
+@pytest.mark.parametrize("n", [2, 3, 24, 200, 4096])
+def test_gauss_legendre_in_reused_buffers_is_bitwise_the_allocating_recurrence(n, monkeypatch):
+    nodes, weights = gauss_legendre(n)
+    monkeypatch.setattr(tabulated, "_legendre_pair", _allocating_legendre_pair)
+    ref_nodes, ref_weights = gauss_legendre(n)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
 
 
 def test_gauss_legendre_4096_is_exact_for_even_monomials():
