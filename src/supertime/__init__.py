@@ -18,8 +18,7 @@ from .bounds import (
     charge_radius,
     larmor_power,
     min_localization_mass,
-    min_time_charge,
-    min_time_mass,
+    min_time,
     sharp_min_time,
 )
 from .causality import Scenario, TimelineReport, audit_timeline, optimize_eta

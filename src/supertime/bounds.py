@@ -17,8 +17,7 @@ __all__ = [
     "Kind",
     "SuperpositionSpec",
     "SHARP_BOUND_CONSTANT",
-    "min_time_mass",
-    "min_time_charge",
+    "min_time",
     "sharp_min_time",
     "min_localization_mass",
     "charge_radius",
@@ -60,18 +59,10 @@ class SuperpositionSpec:
         return self.magnitude / ref
 
 
-def min_time_mass(m: float, d: float,
-                  constants: PhysicalConstants = CODATA) -> float:
-    """Minimum discrimination time (m / m_P) * (d / c) for a mass superposition."""
-    require_positive(m=m, d=d)
-    return (m / planck_scales(constants).m_P) * d / constants.c
-
-
-def min_time_charge(q: float, d: float,
-                    constants: PhysicalConstants = CODATA) -> float:
-    """Minimum discrimination time (q / q_P) * (d / c) for a charge superposition."""
-    require_positive(q=q, d=d)
-    return (q / planck_scales(constants).q_P) * d / constants.c
+def min_time(spec: SuperpositionSpec,
+             constants: PhysicalConstants = CODATA) -> float:
+    """Minimum discrimination time ratio * (d / c), ratio = m / m_P or q / q_P."""
+    return spec.planck_ratio(constants) * spec.separation_d / constants.c
 
 
 def sharp_min_time(spec: SuperpositionSpec,

@@ -198,9 +198,8 @@ def _evaluate(subcommand: str, config: RunConfig, use_oracle: bool) -> list:
 def _columns_bound(config: RunConfig, use_oracle: bool):
     constants = config.constants
     a = config.scenario.alice
-    min_time = bounds.min_time_mass if a.kind is Kind.MASS else bounds.min_time_charge
     return [a.kind.value, a.magnitude, a.separation_d,
-            min_time(a.magnitude, a.separation_d, constants),
+            bounds.min_time(a, constants),
             bounds.sharp_min_time(a, constants)]
 
 
@@ -209,10 +208,10 @@ def _columns_echo(config: RunConfig, use_oracle: bool):
     scenario = config.scenario
     pair = causality.force_pair(scenario, constants)
     sigma = scenario.effective_sigma(constants)
-    mB = scenario.bob_mass
-    t_ent = echo.entanglement_time(pair.delta_F, mB, sigma, convention="main_text")
-    times = np.linspace(0.0, 2.0 * t_ent, 41)
-    result = echo.echo_displacements(pair.delta_F, mB, pair.F_L + pair.F_R, times, constants)
+    T_B = causality.tb_at_localization_limit(scenario, constants)
+    times = np.linspace(0.0, 2.0 * T_B, 41)
+    result = echo.echo_displacements(pair.delta_F, scenario.bob_mass, pair.F_L + pair.F_R,
+                                     times, constants)
     columns = [times, result.delta_x, result.delta_p,
                echo.echo_overlap(GaussianState(sigma=sigma), result, constants)]
     if use_oracle:  # one grid run per row

@@ -9,9 +9,10 @@ of two branches, are therefore exact to spectral accuracy at any step
 count.  The phase left over differs between branches of different force
 and shrinks as dt^2, so the complex overlap still converges at second order.
 
-A force-free branch has no potential factor at all, so its n Strang steps
-compose to one kinetic factor exp(-i k^2 t / 2m) between one FFT pair; it
-is evolved that way, and only forced branches run the step loop.
+Each branch is propagated alone.  A force-free branch has no potential
+factor at all, so its n Strang steps compose to one kinetic factor
+exp(-i k^2 t / 2m) between one FFT pair; it is evolved that way, and only
+forced branches run the step loop.
 """
 
 from __future__ import annotations
@@ -129,41 +130,39 @@ def init_gaussian(spec: GridSpec, state: GaussianState) -> GridState:
     return GridState(spec=spec, amplitudes=psi)
 
 
-def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
-               n_steps: int) -> "list[GridState]":
-    """Evolve ``state`` under H = P^2/2m - F X for each F in ``forces``.
+def propagate_linear(state: GridState, F: float, m: float, t: float,
+                     n_steps: int) -> GridState:
+    """Evolve under H = P^2/2m - F X with Strang splitting.
+
+    Half potential phase, full kinetic step in momentum space, half
+    potential phase; O(dt^3) local splitting error, and for linear
+    potentials the phase-space moments are exact.
 
     A force-free branch is ifft(exp(-i k^2 t / 2m) fft(psi0)) in one go:
     with F = 0 every half-potential factor is exactly 1 and fft∘ifft is the
     identity, so the n Strang steps compose to this single kinetic factor
-    (bitwise the loop at one step, within rounding at more).  Several
-    force-free branches share that one array.
+    (bitwise the loop at one step, within rounding at more).  The steps of
+    a forced branch reuse two buffers, so the loop allocates nothing.
 
-    The forced branches are the rows of one (n_forced, n_points) stack, so
-    each Strang step is one FFT pair over the last axis for all of them.
-    Every force must be finite.  Each branch is checked for norm drift (a
-    NaN norm fails it), then for the grid boundary, in branch order.
-
-    The steps reuse two buffers, so the loop allocates nothing: a fresh
-    (2, 4096) complex temporary per step would sit exactly at glibc's
-    default 128 KiB mmap threshold, and each one would then cost page
-    faults.  An echo overlap against a force-free branch has one forced
-    row, so its buffers are (1, 4096), half that size.
+    The result is checked for norm drift (a NaN norm fails it), then for
+    the grid boundary.
     """
     require_positive(m=m)
     require_nonnegative(t=t)
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    require_finite(F=F)
     spec = state.spec
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
-    F = np.asarray(forces, dtype=float)
-    require_finite(F=F)
-    is_forced = F != 0.0
-    psi = np.tile(state.amplitudes, (np.count_nonzero(is_forced), 1))
-    if len(psi):
+    if F == 0.0:
+        # The same operands in the same order as the loop's one step.
+        psi = np.fft.ifft(np.exp(-1j * k**2 * t / (2.0 * m))
+                          * np.fft.fft(state.amplitudes))
+    else:
         dt = t / n_steps
-        half_potential = np.exp(1j * F[is_forced][:, np.newaxis] * spec.x * dt / 2.0)
+        half_potential = np.exp(1j * F * spec.x * dt / 2.0)
         kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
+        psi = state.amplitudes.copy()
         spectrum = np.empty_like(psi)
         for _ in range(n_steps):
             psi *= half_potential
@@ -173,40 +172,26 @@ def _propagate(state: GridState, forces: "list[float]", m: float, t: float,
             np.multiply(kinetic, spectrum, out=spectrum)
             np.fft.ifft(spectrum, out=psi)
             psi *= half_potential
-    if not is_forced.all():
-        # The same operands in the same order as the loop's one step.
-        free = np.fft.ifft(np.exp(-1j * k**2 * t / (2.0 * m))
-                           * np.fft.fft(state.amplitudes))
-    forced_rows = iter(psi)
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
-    branches = []
-    for forced in is_forced:
-        amplitudes = next(forced_rows) if forced else free
-        norm = np.sum(np.abs(amplitudes) ** 2) * spec.dx
-        # Written so that a NaN norm fails it.
-        if not (abs(norm - norm0) <= 1e-8):
-            raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")
-        branch = GridState(spec=spec, amplitudes=amplitudes)
-        branch.check_boundaries()
-        branches.append(branch)
-    return branches
-
-
-def propagate_linear(state: GridState, F: float, m: float, t: float,
-                     n_steps: int) -> GridState:
-    """Evolve under H = P^2/2m - F X with Strang splitting.
-
-    Half potential phase, full kinetic step in momentum space, half
-    potential phase; O(dt^3) local splitting error, and for linear
-    potentials the phase-space moments are exact.
-    """
-    return _propagate(state, [F], m, t, n_steps)[0]
+    norm = np.sum(np.abs(psi) ** 2) * spec.dx
+    # Written so that a NaN norm fails it.
+    if not (abs(norm - norm0) <= 1e-8):
+        raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")
+    out = GridState(spec=spec, amplitudes=psi)
+    out.check_boundaries()
+    return out
 
 
 def echo_overlap_numeric(state0: GridState, F_L: float, F_R: float,
                          m: float, t: float, n_steps: int) -> complex:
-    """<psi_R(t) | psi_L(t)> by grid inner product of the two evolutions."""
-    left, right = _propagate(state0, [F_L, F_R], m, t, n_steps)
+    """<psi_R(t) | psi_L(t)> by grid inner product of the two evolutions.
+
+    Both forces are checked before either branch is evolved.
+    """
+    for F in (F_L, F_R):
+        require_finite(F=F)
+    left = propagate_linear(state0, F_L, m, t, n_steps)
+    right = propagate_linear(state0, F_R, m, t, n_steps)
     return complex(np.sum(np.conj(right.amplitudes) * left.amplitudes)
                    * state0.spec.dx)
 

@@ -157,6 +157,10 @@ def _pieces(pp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, np.diff(x), a
 
 
+# (-1)^k of the k-th derivative's closed-form term.
+_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def _end_derivatives(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k-th derivatives of every piece at its left and right end, k = 0..3."""
     left = a * np.array([1.0, 1.0, 2.0, 6.0])[:, None]
@@ -198,9 +202,8 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
         "nm,jn->jm", a * h ** np.arange(4)[:, None],
         1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
     left, right = _end_derivatives(a, h)
-    sign = np.array([1.0, -1.0, 1.0, -1.0])
-    closed_right = sign * right.T
-    closed_left = sign * left.T
+    closed_right = _SIGN * right.T
+    closed_left = _SIGN * left.T
     # Closed forms summed per knot: the right end of piece i-1 and the
     # left end of piece i share the phase of knot i.
     closed_knots = np.zeros((len(x), 4))
@@ -342,21 +345,20 @@ def _closed_sum(cos, sin, ends, w):
 # --- spectral moment ----------------------------------------------------------
 
 
-def _knot_jumps(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _knot_jumps(spline: _Spline, h: np.ndarray, a: np.ndarray) -> np.ndarray:
     """jumps[k, j] = p^(k)(x_j-) - p^(k)(x_j+), with p = 0 outside [x_0, x_m].
 
     With these, p_hat(w) = sum_k (-1)^k (i w)^-(k+1) sum_j jumps[k, j]
-    e^{i w x_j} exactly for w != 0.  Interior jumps within rounding of the
-    derivative values they difference are set to zero: a spline is
-    continuous to working precision in the derivatives it claims.
+    e^{i w x_j} exactly for w != 0.  They are the closed-form knot terms of
+    ``spline`` without their sign (-1)^k, which is exact.  Interior jumps
+    within rounding of the derivative values they difference are set to
+    zero: a spline is continuous to working precision in the derivatives
+    it claims.
     """
-    left, right = _end_derivatives(a, h)
-    jumps = np.zeros((4, len(x)))
-    jumps[:, 1:] += right
-    jumps[:, :-1] -= left
+    jumps = _SIGN[:, None] * spline.closed_knots.T
     # Rounding of a derivative value is relative to the terms it sums.
-    _, right_terms = _end_derivatives(np.abs(a), h)
-    rounding = 16.0 * _EPS * np.maximum(right_terms[:, :-1], np.abs(left[:, 1:]))
+    left_terms, right_terms = _end_derivatives(np.abs(a), h)
+    rounding = 16.0 * _EPS * np.maximum(right_terms[:, :-1], left_terms[:, 1:])
     inner = jumps[:, 1:-1]
     inner[np.abs(inner) <= rounding] = 0.0
     return jumps
@@ -459,13 +461,14 @@ def spectral_moment(pp, rel_tol: float) -> float:
     x, h, a = _pieces(pp)
     if not np.any(a):
         return 0.0
-    jumps = _knot_jumps(x, h, a)
+    spline = _prepare(x, h, a)
+    jumps = _knot_jumps(spline, h, a)
     growth = float(np.sum(jumps[0] ** 2))
     span = float(x[-1] - x[0])
     width = 2.0 * _PANEL_PHASE / span
     ref_nodes, ref_weights = gauss_legendre(_PANEL_NODES)
     bound = _interior_bound(jumps, x)
-    transform = _panel_fourier(_prepare(x, h, a), 0.5 * width * ref_nodes)
+    transform = _panel_fourier(spline, 0.5 * width * ref_nodes)
 
     def body(first: int, last: int) -> float:
         nodes, values = transform(width * (np.arange(first, last) + 0.5))

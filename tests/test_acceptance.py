@@ -17,7 +17,7 @@ from supertime.bounds import (
     SHARP_BOUND_CONSTANT,
     Kind,
     SuperpositionSpec,
-    min_time_mass,
+    min_time,
 )
 from supertime.causality import optimize_eta
 from supertime.cli import main
@@ -182,7 +182,7 @@ def test_criterion_06_trap_condition_property():
 
 def test_criterion_07_earth_example():
     """Earth-mass over a micron gives ~9e17 s, about the age of the universe."""
-    t = min_time_mass(5.972e24, 1e-6)
+    t = min_time(SuperpositionSpec(Kind.MASS, 5.972e24, 1e-6))
     ok = 0.5 < t / 9e17 < 2.0 and 0.1 < t / 4.3e17 < 10.0
     _verdict(7, ok,
              f"T = {t:.3e} s vs 9e17 s (factor {t / 9e17:.2f}) and universe "

@@ -14,8 +14,7 @@ from supertime.bounds import (
     charge_radius,
     larmor_power,
     min_localization_mass,
-    min_time_charge,
-    min_time_mass,
+    min_time,
     sharp_min_time,
 )
 from supertime.causality import optimize_eta
@@ -26,26 +25,44 @@ EARTH_MASS = 5.972e24  # kg
 E_CHARGE = 1.602176634e-19  # C, the elementary charge
 
 
+def _mass(m, d):
+    return SuperpositionSpec(Kind.MASS, m, d)
+
+
+def _charge(q, d):
+    return SuperpositionSpec(Kind.CHARGE, q, d)
+
+
 def test_sharp_constant_value():
     assert SHARP_BOUND_CONSTANT == 2.0 / 27.0
 
 
 def test_min_time_mass_formula():
-    t = min_time_mass(1.0, 1.0)
+    t = min_time(_mass(1.0, 1.0))
     assert t == pytest.approx(1.0 / (planck_scales(CODATA).m_P * CODATA.c), rel=1e-12)
 
 
 def test_min_time_charge_formula():
     q = E_CHARGE
-    t = min_time_charge(q, 1.0)
+    t = min_time(_charge(q, 1.0))
     assert t == pytest.approx(q / (planck_scales(CODATA).q_P * CODATA.c), rel=1e-12)
 
 
 def test_earth_micron_example_magnitude():
     # Earth mass over a micron: ~9e17 s, about the age of the universe.
-    t = min_time_mass(EARTH_MASS, 1e-6)
+    t = min_time(_mass(EARTH_MASS, 1e-6))
     assert t == pytest.approx(9e17, rel=0.3)
     assert 0.1 < t / 4.3e17 < 10.0
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
+def test_min_time_of_a_sweep_is_the_min_time_of_each_point(kind):
+    # One expression for either kind, with the Planck scale picked by the spec.
+    magnitudes = np.logspace(-20.0, 5.0, 7)
+    separations = np.logspace(-9.0, 3.0, 7)
+    swept = min_time(SuperpositionSpec(kind, magnitudes, separations))
+    assert swept.tolist() == [min_time(SuperpositionSpec(kind, float(m), float(d)))
+                              for m, d in zip(magnitudes, separations)]
 
 
 @settings(deadline=None, max_examples=100)
@@ -55,11 +72,11 @@ def test_earth_micron_example_magnitude():
     factor=st.floats(min_value=1.001, max_value=100.0),
 )
 def test_strict_monotonicity_in_magnitude_and_separation(m, d, factor):
-    base = min_time_mass(m, d)
-    assert min_time_mass(m * factor, d) > base
-    assert min_time_mass(m, d * factor) > base
-    base_q = min_time_charge(m * 1e-30, d)
-    assert min_time_charge(m * 1e-30 * factor, d) > base_q
+    base = min_time(_mass(m, d))
+    assert min_time(_mass(m * factor, d)) > base
+    assert min_time(_mass(m, d * factor)) > base
+    base_q = min_time(_charge(m * 1e-30, d))
+    assert min_time(_charge(m * 1e-30 * factor, d)) > base_q
 
 
 @settings(deadline=None, max_examples=100)
@@ -79,12 +96,8 @@ def test_sharp_equals_two_twentysevenths_of_min_time():
         magnitude = 10.0 ** rng.uniform(-25, 5)
         d = 10.0 ** rng.uniform(-9, 3)
         spec = SuperpositionSpec(kind=kind, magnitude=magnitude, separation_d=d)
-        if kind is Kind.MASS:
-            base = min_time_mass(magnitude, d)
-        else:
-            base = min_time_charge(magnitude, d)
         assert sharp_min_time(spec) == pytest.approx(
-            SHARP_BOUND_CONSTANT * base, rel=1e-12)
+            SHARP_BOUND_CONSTANT * min_time(spec), rel=1e-12)
 
 
 def test_sharp_consistent_with_eta_optimizer():
@@ -107,8 +120,8 @@ def test_sub_planck_bounds_are_below_light_time(fraction, d):
     # m < m_P and q < q_P give bounds below d/c.
     scales = planck_scales(CODATA)
     light = d / CODATA.c
-    assert min_time_mass(fraction * scales.m_P, d) < light
-    assert min_time_charge(fraction * scales.q_P, d) < light
+    assert min_time(_mass(fraction * scales.m_P, d)) < light
+    assert min_time(_charge(fraction * scales.q_P, d)) < light
 
 
 def test_min_localization_mass_is_planck_length():
@@ -133,9 +146,9 @@ def test_larmor_power_scaling():
 
 def test_validation_rejects_nonpositive_inputs():
     with pytest.raises(ValidationError):
-        min_time_mass(-1.0, 1.0)
+        min_time(_mass(-1.0, 1.0))
     with pytest.raises(ValidationError):
-        min_time_charge(1e-19, 0.0)
+        min_time(_charge(1e-19, 0.0))
     with pytest.raises(ValidationError):
         SuperpositionSpec(kind=Kind.MASS, magnitude=0.0, separation_d=1.0)
     with pytest.raises(ValidationError):

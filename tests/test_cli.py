@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supertime
-from supertime import radiation
-from supertime.cli import main, parse_config
+from supertime import causality, radiation
+from supertime.cli import SUBCOMMANDS, main, parse_config
 from supertime.errors import ValidationError
 
 
@@ -249,6 +249,15 @@ def test_echo_table_and_oracle_column(tmp_path):
     assert check["max_abs_err"] <= 1e-12
     assert main(["echo", "--config", str(config), "--output", str(out)]) == 0
     assert "oracle_check" not in json.loads(out.with_suffix(".csv.meta.json").read_text())
+
+
+@pytest.mark.parametrize("payload", [MASS_CONFIG, CHARGE_CONFIG], ids=["mass", "charge"])
+def test_echo_times_span_twice_the_audited_entanglement_time(payload):
+    # The echo table and the causality audit take T_B from one function.
+    config = parse_config(json.dumps(payload))
+    times = SUBCOMMANDS["echo"].columns(config, False)[0]
+    T_B = causality.audit_timeline(config.scenario, 0.0, config.constants).T_B
+    assert len(times) == 41 and times[0] == 0.0 and times[-1] == 2.0 * T_B
 
 
 @pytest.mark.parametrize("sigma", [4.5e-13, 2e-13])

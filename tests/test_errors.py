@@ -36,8 +36,6 @@ def _tabulated_trajectory(d, t0):
 _CHECKED = [
     (SuperpositionSpec, dict(kind=Kind.MASS, magnitude=1e-6, separation_d=1e-3),
      ["magnitude", "separation_d"]),
-    (bounds.min_time_mass, dict(m=1e-6, d=1e-3), ["m", "d"]),
-    (bounds.min_time_charge, dict(q=1e-19, d=1e-3), ["q", "d"]),
     (bounds.charge_radius, dict(q=1e-19, m=1e-9), ["q", "m"]),
     (bounds.larmor_power, dict(q=1e-19, omega=1.0, dx=1e-9), ["q", "omega", "dx"]),
     (causality.Scenario, dict(alice=_MASS, bob_mass=1e-9, R=0.5), ["bob_mass", "R"]),

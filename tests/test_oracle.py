@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from supertime import oracle
 from supertime.constants import PhysicalConstants
 from supertime.echo import GaussianState, echo_displacements, echo_overlap
 from supertime.errors import GridError, ValidationError
 from supertime.oracle import (
     GridSpec,
     GridState,
-    _propagate,
     auto_grid,
     echo_overlap_numeric,
     init_gaussian,
@@ -175,7 +175,9 @@ def test_non_finite_force_is_rejected_by_name(bad):
     grid = init_gaussian(spec, state)
     with pytest.raises(ValidationError, match=rf"^F must be finite, got {bad}$"):
         propagate_linear(grid, bad, m, t, 10)
-    for forces in ((F_L, bad), (bad, 0.0)):
+    # Both forces are checked before either branch is evolved: a left
+    # branch pushed past the grid boundary must not raise GridError first.
+    for forces in ((F_L, bad), (bad, 0.0), (40.0, bad)):
         with pytest.raises(ValidationError, match=rf"^F must be finite, got {bad}$"):
             echo_overlap_numeric(grid, *forces, m, t, 10)
 
@@ -193,10 +195,12 @@ def test_nan_norm_fails_the_drift_check():
             propagate_linear(grid, F, m, t, 10)
 
 
-def test_batched_branches_match_single_branch_propagation_bitwise():
-    # echo_overlap_numeric propagates both branches as one stack; each row
-    # must be exactly what propagate_linear gives for its force alone.
-    state, spec, F_L, F_R, m, t = _reference_case()
+# F_L and F_R of the reference case, and each against a force-free branch.
+@pytest.mark.parametrize("forces", [(0.9, 0.25), (0.9, 0.0), (0.0, 0.25)], ids=str)
+def test_echo_overlap_is_the_inner_product_of_two_propagations(forces):
+    # Each branch is propagated alone, forced or force-free.
+    state, spec, _, _, m, t = _reference_case()
+    F_L, F_R = forces
     grid = init_gaussian(spec, state)
     left = propagate_linear(grid, F_L, m, t, 200)
     right = propagate_linear(grid, F_R, m, t, 200)
@@ -204,26 +208,47 @@ def test_batched_branches_match_single_branch_propagation_bitwise():
     assert echo_overlap_numeric(grid, F_L, F_R, m, t, 200) == expected
 
 
-def test_each_batched_branch_is_checked_for_the_boundary():
+@pytest.mark.parametrize("forces", [(40.0, 0.0), (0.0, 40.0)], ids=str)
+def test_each_branch_is_checked_for_the_boundary(forces):
     # The force-free branch stays clear of the edges; the pushed one does not.
     state = GaussianState(sigma=1.0)
     spec = GridSpec(x_min=-16.0, x_max=16.0, n_points=1024)
     grid = init_gaussian(spec, state)
     assert echo_overlap_numeric(grid, 0.0, 0.0, 1.0, 2.0, 200) == pytest.approx(1.0)
-    for F_L, F_R in ((40.0, 0.0), (0.0, 40.0)):
-        with pytest.raises(GridError):
-            echo_overlap_numeric(grid, F_L, F_R, 1.0, 2.0, 200)
+    with pytest.raises(GridError, match="^wavefunction reaches the grid boundary$"):
+        echo_overlap_numeric(grid, *forces, 1.0, 2.0, 200)
 
 
-def _allocating_strang(state, forces, m, t, n_steps):
+@pytest.mark.parametrize("call", ["echo_overlap_numeric", "matched_echo_overlap"])
+def test_each_overlap_propagates_two_branches_through_the_module_attribute(
+        call, monkeypatch):
+    # Call counters wrap oracle.propagate_linear from outside and bind its
+    # arguments by name, so every branch must go through that attribute.
+    bound = []
+    original = oracle.propagate_linear
+
+    def counting(state, F, m, t, n_steps):
+        bound.append((state.spec.n_points, n_steps))
+        return original(state, F, m, t, n_steps)
+
+    monkeypatch.setattr(oracle, "propagate_linear", counting)
+    if call == "echo_overlap_numeric":
+        state, spec, F_L, F_R, m, t = _reference_case()
+        oracle.echo_overlap_numeric(init_gaussian(spec, state), F_L, F_R, m, t, 10)
+        assert bound == [(spec.n_points, 10)] * 2
+    else:
+        oracle.matched_echo_overlap(0.5, 0.7)
+        assert bound == [(oracle.MATCHED_GRID_POINTS, oracle.MATCHED_STEPS)] * 2
+
+
+def _allocating_strang(state, F, m, t, n_steps):
     """The Strang loop with fresh temporaries per step, as first written."""
     spec = state.spec
     dt = t / n_steps
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
-    F = np.asarray(forces, dtype=float)[:, np.newaxis]
     half_potential = np.exp(1j * F * spec.x * dt / 2.0)
     kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
-    psi = np.tile(state.amplitudes, (len(forces), 1))
+    psi = state.amplitudes.copy()
     for _ in range(n_steps):
         psi *= half_potential
         psi = np.fft.ifft(kinetic * np.fft.fft(psi))
@@ -231,26 +256,24 @@ def _allocating_strang(state, forces, m, t, n_steps):
     return psi
 
 
-def test_propagation_in_reused_buffers_is_bitwise_the_allocating_loop():
-    state, spec, F_L, F_R, m, t = _reference_case()
+@pytest.mark.parametrize("n_steps", [1, 200])
+@pytest.mark.parametrize("F", [0.9, 0.25], ids=str)  # F_L and F_R of the reference case
+def test_propagation_in_reused_buffers_is_bitwise_the_allocating_loop(F, n_steps):
+    state, spec, _, _, m, t = _reference_case()
     grid = init_gaussian(spec, state)
-    for forces in ([F_L, F_R], [F_R]):
-        branches = _propagate(grid, forces, m, t, 200)
-        expected = _allocating_strang(grid, forces, m, t, 200)
-        assert np.stack([b.amplitudes for b in branches]).tobytes() == expected.tobytes()
+    out = propagate_linear(grid, F, m, t, n_steps)
+    assert out.amplitudes.tobytes() == _allocating_strang(grid, F, m, t, n_steps).tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [1, 200])
 def test_force_free_branch_is_the_composed_strang_loop(n_steps):
-    # The force-free row takes one kinetic factor instead of the loop: the
-    # same bits at one step, within rounding at 200.  The forced row of the
-    # mixed stack is still bitwise the loop.
-    state, spec, F_L, _, m, t = _reference_case()
+    # The force-free branch takes one kinetic factor instead of the loop:
+    # the same bits at one step, within rounding at 200.
+    state, spec, _, _, m, t = _reference_case()
     grid = init_gaussian(spec, state)
-    forced, free = _propagate(grid, [F_L, 0.0], m, t, n_steps)
-    expected = _allocating_strang(grid, [F_L, 0.0], m, t, n_steps)
-    assert forced.amplitudes.tobytes() == expected[0].tobytes()
+    free = propagate_linear(grid, 0.0, m, t, n_steps).amplitudes
+    expected = _allocating_strang(grid, 0.0, m, t, n_steps)
     if n_steps == 1:
-        assert free.amplitudes.tobytes() == expected[1].tobytes()
+        assert free.tobytes() == expected.tobytes()
     else:
-        assert np.max(np.abs(free.amplitudes - expected[1])) < 1e-13
+        assert np.max(np.abs(free - expected)) < 1e-13

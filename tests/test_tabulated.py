@@ -196,6 +196,35 @@ def test_spectral_moment_matches_the_direct_panel_body(pp, monkeypatch):
     assert abs(got - expected) <= 1e-14 * expected
 
 
+def _derivative_jumps(x, h, a):
+    """Knot jumps from the end derivatives of each piece, as first written."""
+    left, right = tabulated._end_derivatives(a, h)
+    jumps = np.zeros((4, len(x)))
+    jumps[:, 1:] += right
+    jumps[:, :-1] -= left
+    _, right_terms = tabulated._end_derivatives(np.abs(a), h)
+    rounding = 16.0 * np.finfo(float).eps * np.maximum(right_terms[:, :-1], np.abs(left[:, 1:]))
+    inner = jumps[:, 1:-1]
+    inner[np.abs(inner) <= rounding] = 0.0
+    return jumps
+
+
+@pytest.mark.parametrize("pp", [_gaussian_spline(801), _sin2_velocity(400),
+                                _random_spline(np.random.default_rng(0), 12)],
+                         ids=["gaussian-801", "sin2-400", "random-12"])
+def test_knot_jumps_are_the_unsigned_closed_form_knot_terms(pp):
+    # The jumps come from the prepared spline's closed-form knot terms; they
+    # equal the derivative differences, and zeroing the rounding-level ones
+    # leaves the terms the transform sums untouched.
+    x, h, a = tabulated._pieces(pp)
+    spline = tabulated._prepare(x, h, a)
+    closed_knots = spline.closed_knots.copy()
+    jumps = tabulated._knot_jumps(spline, h, a)
+    assert np.array_equal(jumps, _derivative_jumps(x, h, a))
+    assert spline.closed_knots.tobytes() == closed_knots.tobytes()
+    assert np.any((jumps == 0.0) & (closed_knots.T != 0.0))
+
+
 def test_spectral_moment_of_a_hat_is_four_ln_two():
     # p = 1 - |t| on [-1, 1]: p_hat = 2 (1 - cos w) / w^2 and
     # int_0^inf |p_hat|^2 w dw = 4 int_0^inf sin^4(u) / u^3 du = 4 ln 2.
