@@ -215,19 +215,34 @@ def _columns_echo(config: RunConfig, use_oracle: bool):
     columns = [times, result.delta_x, result.delta_p,
                echo.echo_overlap(GaussianState(sigma=sigma), result, constants)]
     if use_oracle:  # one grid run per row
-        a = np.abs(result.delta_x) / (2.0 * sigma)
-        b = np.abs(result.delta_p) * sigma / constants.hbar
-        columns.append([oracle.matched_echo_overlap(x, p) for x, p in zip(a.tolist(), b.tolist())])
+        a, b = _shift_groups(config, result.delta_x, result.delta_p)
+        columns.append([oracle.matched_echo_overlap(x, p) for x, p in zip(a, b)])
     return columns
 
 
+def _shift_groups(config: RunConfig, delta_x, delta_p) -> "tuple[list, list]":
+    """a = |dx|/(2 sigma) and b = |dp| sigma/hbar of each echo row."""
+    sigma = config.scenario.effective_sigma(config.constants)
+    return ((np.abs(delta_x) / (2.0 * sigma)).tolist(),
+            (np.abs(delta_p) * sigma / config.constants.hbar).tolist())
+
+
 def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
+    """The grid size and step count, the rows run through the balanced pair
+    because their b/a is out of the grid's reach, the b/a range of the
+    nonzero rows, and the largest |numeric - analytic| overlap."""
     if not use_oracle:
         return {}
-    overlap, numeric = columns[3], columns[4]
+    _, delta_x, delta_p, overlap, numeric = columns
+    nonzero = [(x, p) for x, p in zip(*_shift_groups(config, delta_x, delta_p))
+               if x > 0.0 or p > 0.0]
+    ratios = [p / x if x > 0.0 else math.inf for x, p in nonzero]
     return {"oracle_check": {
         "grid_points": oracle.MATCHED_GRID_POINTS,
         "steps": oracle.MATCHED_STEPS,
+        "fallback_rows": sum(not oracle.in_matched_reach(x, p) for x, p in nonzero),
+        "min_b_over_a": min(ratios, default=None),
+        "max_b_over_a": max(ratios, default=None),
         "max_abs_err": float(np.max(np.abs(np.subtract(numeric, overlap)))),
     }}
 

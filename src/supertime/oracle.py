@@ -1,22 +1,18 @@
 """Brute-force grid propagation used to validate the analytic echo formulas.
 
-1-D split-operator (FFT) propagation under H = P^2/2m - F X with symmetric
-Strang splitting, in natural units (hbar = 1).  With T = P^2/2m and
-V = -F X, [V, [V, T]] is a c-number and [T, [T, V]] = 0, so the BCH series
-of one symmetric step terminates: a single step of any length is the exact
-propagator times a global phase.  Moments, and the modulus of the overlap
-of two branches, are therefore exact to spectral accuracy at any step
-count.  The phase left over differs between branches of different force
-and shrinks as dt^2, so the complex overlap still converges at second order.
-
-Each branch is propagated alone.  A force-free branch has no potential
-factor at all, so its n Strang steps compose to one kinetic factor
-exp(-i k^2 t / 2m) between one FFT pair; it is evolved that way, and only
-forced branches run the step loop.
+1-D split-operator (FFT) propagation under H = P^2/2m - F X in natural
+units (hbar = 1).  With T = P^2/2m and V = -F X, [V, [V, T]] is a c-number
+and [T, [T, V]] = 0, so the BCH series of one symmetric Strang step
+terminates: a step of length tau is the exact propagator times the c-number
+exp(i F^2 tau^3 / 24m), and n steps over t carry ``strang_phase`` =
+F^2 t^3 / (24 m n^2).  So each branch is propagated alone in one FFT pair,
+and moments, and the modulus of the overlap of two branches, are exact to
+spectral accuracy at any step count.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,8 +32,10 @@ __all__ = [
     "GridState",
     "init_gaussian",
     "propagate_linear",
+    "strang_phase",
     "echo_overlap_numeric",
     "matched_echo_overlap",
+    "in_matched_reach",
     "auto_grid",
     "MATCHED_GRID_POINTS",
     "MATCHED_STEPS",
@@ -130,19 +128,20 @@ def init_gaussian(spec: GridSpec, state: GaussianState) -> GridState:
     return GridState(spec=spec, amplitudes=psi)
 
 
+def strang_phase(F: float, m: float, t: float, n_steps: int) -> float:
+    """F^2 t^3 / (24 m n^2): the phase of n Strang steps over t against the
+    exact propagator of H = P^2/2m - F X (hbar = 1)."""
+    return F**2 * t**3 / (24.0 * m * n_steps**2)
+
+
 def propagate_linear(state: GridState, F: float, m: float, t: float,
                      n_steps: int) -> GridState:
-    """Evolve under H = P^2/2m - F X with Strang splitting.
+    """Evolve under H = P^2/2m - F X as n_steps Strang steps would.
 
-    Half potential phase, full kinetic step in momentum space, half
-    potential phase; O(dt^3) local splitting error, and for linear
-    potentials the phase-space moments are exact.
-
-    A force-free branch is ifft(exp(-i k^2 t / 2m) fft(psi0)) in one go:
-    with F = 0 every half-potential factor is exactly 1 and fft∘ifft is the
-    identity, so the n Strang steps compose to this single kinetic factor
-    (bitwise the loop at one step, within rounding at more).  The steps of
-    a forced branch reuse two buffers, so the loop allocates nothing.
+    One Strang step of length t (half potential phase, full kinetic step in
+    momentum space, half potential phase), times the phase by which
+    n_steps steps differ from it (none at one step).  A force-free branch,
+    which has no potential factor, is ifft(exp(-i k^2 t / 2m) fft(psi0)).
 
     The result is checked for norm drift (a NaN norm fails it), then for
     the grid boundary.
@@ -154,24 +153,17 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
     require_finite(F=F)
     spec = state.spec
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    # kinetic stays the first operand, as in the step loop: numpy's SIMD
+    # complex multiply is not bitwise commutative.
+    kinetic = np.exp(-1j * k**2 * t / (2.0 * m))
     if F == 0.0:
-        # The same operands in the same order as the loop's one step.
-        psi = np.fft.ifft(np.exp(-1j * k**2 * t / (2.0 * m))
-                          * np.fft.fft(state.amplitudes))
+        psi = np.fft.ifft(kinetic * np.fft.fft(state.amplitudes))
     else:
-        dt = t / n_steps
-        half_potential = np.exp(1j * F * spec.x * dt / 2.0)
-        kinetic = np.exp(-1j * k**2 * dt / (2.0 * m))
-        psi = state.amplitudes.copy()
-        spectrum = np.empty_like(psi)
-        for _ in range(n_steps):
-            psi *= half_potential
-            np.fft.fft(psi, out=spectrum)
-            # kinetic stays the first operand: numpy's SIMD complex multiply
-            # is not bitwise commutative.
-            np.multiply(kinetic, spectrum, out=spectrum)
-            np.fft.ifft(spectrum, out=psi)
-            psi *= half_potential
+        half_potential = np.exp(1j * F * spec.x * t / 2.0)
+        psi = np.fft.ifft(kinetic * np.fft.fft(state.amplitudes * half_potential))
+        psi *= half_potential
+        if n_steps > 1:
+            psi *= cmath.exp(1j * (strang_phase(F, m, t, n_steps) - strang_phase(F, m, t, 1)))
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
     norm = np.sum(np.abs(psi) ** 2) * spec.dx
     # Written so that a NaN norm fails it.
@@ -196,6 +188,12 @@ def echo_overlap_numeric(state0: GridState, F_L: float, F_R: float,
                    * state0.spec.dx)
 
 
+def in_matched_reach(a: float, b: float) -> bool:
+    """Whether ``matched_echo_overlap`` runs the shift groups (a, b) as given:
+    _MIN_RATIO <= b/a < 1e3.  Outside, it runs the balanced pair."""
+    return _MIN_RATIO <= (b / a if a > 0.0 else math.inf) < 1e3
+
+
 def matched_echo_overlap(a: float, b: float) -> float:
     """Echo overlap modulus by grid propagation, matched on the two shift groups.
 
@@ -207,10 +205,8 @@ def matched_echo_overlap(a: float, b: float) -> float:
     require_nonnegative(a=a, b=b)
     if a == 0.0 and b == 0.0:
         return 1.0
-    ratio = b / a if a > 0.0 else math.inf
-    if ratio < _MIN_RATIO or ratio >= 1e3:
-        # Ratios beyond the grid's reach: check the exponent-equivalent
-        # balanced pair instead (same overlap).
+    if not in_matched_reach(a, b):
+        # Check the exponent-equivalent balanced pair instead (same overlap).
         a = b = math.sqrt(0.5 * (a**2 + b**2))
     t_n, f_n = 4.0 * a / b, b**2 / (4.0 * a)
     unit_state = GaussianState(sigma=1.0)

@@ -157,10 +157,10 @@ def test_criterion_05_oracle_equivalence():
     ehrenfest = max(
         abs(mean_x - (state.x0 + state.p0 * t / m + F * t**2 / (2.0 * m))),
         abs(mean_p - (state.p0 + F * t)))
-    ok = worst_overlap < 1e-6 and ehrenfest < 1e-6
+    ok = worst_overlap < 1e-12 and ehrenfest < 1e-12
     _verdict(5, ok,
              f"20 random echoes: worst |overlap error| {worst_overlap:.1e}; "
-             f"Ehrenfest error {ehrenfest:.1e} (tolerance 1e-6 absolute)")
+             f"Ehrenfest error {ehrenfest:.1e} (tolerance 1e-12 absolute)")
 
 
 def test_criterion_06_trap_condition_property():

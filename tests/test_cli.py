@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supertime
-from supertime import causality, radiation
+from supertime import causality, oracle, radiation
 from supertime.cli import SUBCOMMANDS, main, parse_config
 from supertime.errors import ValidationError
 
@@ -249,6 +249,20 @@ def test_echo_table_and_oracle_column(tmp_path):
     assert check["max_abs_err"] <= 1e-12
     assert main(["echo", "--config", str(config), "--output", str(out)]) == 0
     assert "oracle_check" not in json.loads(out.with_suffix(".csv.meta.json").read_text())
+
+
+def test_oracle_check_reports_the_fallback_rows(tmp_path):
+    # On the mass config every nonzero row has b/a ~ 1e-35, far below the
+    # grid's reach, so each is checked through the balanced pair.
+    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    out = tmp_path / "echo.csv"
+    assert main(["echo", "--config", str(config), "--output", str(out), "--oracle"]) == 0
+    check = json.loads(out.with_suffix(".csv.meta.json").read_text())["oracle_check"]
+    _, rows = _read_csv(out)
+    nonzero = [row for row in rows if float(row[1]) != 0.0 or float(row[2]) != 0.0]
+    assert len(rows) == 41 and len(nonzero) == 40
+    assert check["fallback_rows"] == 40
+    assert 0.0 < check["min_b_over_a"] <= check["max_b_over_a"] < oracle._MIN_RATIO
 
 
 @pytest.mark.parametrize("payload", [MASS_CONFIG, CHARGE_CONFIG], ids=["mass", "charge"])

@@ -99,6 +99,11 @@ def test_second_order_convergence_of_complex_overlap():
         ]
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.15)
+        # The whole error is the closed-form Strang phase of each branch.
+        for n, error in zip((100, 200, 400), errors):
+            delta = oracle.strang_phase(F_L, m, t, n) - oracle.strang_phase(F_R, m, t, n)
+            assert error == pytest.approx(abs(cmath.exp(1j * delta) - 1.0) * abs(exact),
+                                          rel=1e-9)
 
 
 @pytest.mark.parametrize("n_steps", [1, 400])
@@ -134,6 +139,12 @@ def test_matched_overlap_over_shift_ratios_and_sizes():
             assert matched_echo_overlap(a, b) == pytest.approx(
                 math.exp(-0.5 * (a**2 + b**2)), abs=1e-12)
     assert matched_echo_overlap(0.0, 0.0) == 1.0
+    # The reach is 0.02 <= b/a < 1e3; a = 0 is out of it.
+    assert oracle.in_matched_reach(1.0, oracle._MIN_RATIO)
+    assert oracle.in_matched_reach(1.0, 999.0)
+    assert not oracle.in_matched_reach(1.0, 0.019)
+    assert not oracle.in_matched_reach(1.0, 1e3)
+    assert not oracle.in_matched_reach(0.0, 1.0)
 
 
 def test_boundary_hit_raises():
@@ -242,7 +253,8 @@ def test_each_overlap_propagates_two_branches_through_the_module_attribute(
 
 
 def _allocating_strang(state, F, m, t, n_steps):
-    """The Strang loop with fresh temporaries per step, as first written."""
+    """The Strang step loop as first written, with fresh temporaries per step:
+    the reference the one-step branch and its closed-form phase replace."""
     spec = state.spec
     dt = t / n_steps
     k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
@@ -256,13 +268,51 @@ def _allocating_strang(state, F, m, t, n_steps):
     return psi
 
 
-@pytest.mark.parametrize("n_steps", [1, 200])
 @pytest.mark.parametrize("F", [0.9, 0.25], ids=str)  # F_L and F_R of the reference case
-def test_propagation_in_reused_buffers_is_bitwise_the_allocating_loop(F, n_steps):
+def test_one_strang_step_is_bitwise_the_allocating_loop(F):
     state, spec, _, _, m, t = _reference_case()
     grid = init_gaussian(spec, state)
-    out = propagate_linear(grid, F, m, t, n_steps)
-    assert out.amplitudes.tobytes() == _allocating_strang(grid, F, m, t, n_steps).tobytes()
+    out = propagate_linear(grid, F, m, t, 1)
+    assert out.amplitudes.tobytes() == _allocating_strang(grid, F, m, t, 1).tobytes()
+
+
+def _exact_propagation(grid, state, F, m, t):
+    """The exact propagator of H = P^2/2m - F X in momentum space on the grid.
+
+    phi(p, t) = phi0(p - F t) exp(-i [p^3 - (p - F t)^3] / 6 m F), with phi0
+    the continuous transform of the normalized Gaussian, sampled at the grid
+    wavenumbers and returned to the grid points by one inverse FFT.
+    """
+    spec = grid.spec
+    k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    q = k - F * t
+    norm = 1.0 / math.sqrt(np.sum(np.exp(-(spec.x - state.x0) ** 2
+                                         / (2.0 * state.sigma**2))) * spec.dx)
+    phi = (norm * 2.0 * state.sigma * math.sqrt(math.pi)
+           * np.exp(-state.sigma**2 * (q - state.p0) ** 2 - 1j * (q - state.p0) * state.x0)
+           * np.exp(-1j * (k**3 - q**3) / (6.0 * m * F)))
+    # fft of the grid samples is phi(k) exp(i k x_min) / dx.
+    return np.fft.ifft(phi * np.exp(1j * k * spec.x_min) / spec.dx)
+
+
+@pytest.mark.parametrize("n_steps", [2, 10, 200])
+@pytest.mark.parametrize("F", [0.9, 0.25, -0.6], ids=str)
+def test_forced_branch_is_the_exact_propagator_times_the_strang_phase(F, n_steps):
+    # n Strang steps are the exact propagator times exp(i strang_phase), so
+    # the branch, taken in one step plus that phase, matches the exact
+    # packet to rounding wherever it is not negligible, and its overlaps
+    # match those of the step loop itself.
+    state, spec, _, F_R, m, t = _reference_case()
+    grid = init_gaussian(spec, state)
+    out = propagate_linear(grid, F, m, t, n_steps).amplitudes
+    exact = _exact_propagation(grid, state, F, m, t)
+    core = np.abs(exact) > 1e-3 * np.abs(exact).max()
+    phase = cmath.exp(-1j * oracle.strang_phase(F, m, t, n_steps))
+    assert np.max(np.abs(out * phase - exact)[core]) < 1e-12
+    left = _allocating_strang(grid, F, m, t, n_steps)
+    right = _allocating_strang(grid, F_R, m, t, n_steps)
+    looped = complex(np.sum(np.conj(right) * left) * spec.dx)
+    assert abs(echo_overlap_numeric(grid, F, F_R, m, t, n_steps) - looped) < 1e-13
 
 
 @pytest.mark.parametrize("n_steps", [1, 200])
