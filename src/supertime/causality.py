@@ -102,9 +102,17 @@ def tb_at_localization_limit(scenario: Scenario,
     Solves dF T_B^2 / (2 mB sigma) = 1 with the dipole dF; independent of the
     test particle's own mass (and charge) after the cancellations.
     """
-    delta_F = force_pair(scenario, constants).delta_F
+    return _at_localization_limit(scenario, constants)[2]
+
+
+def _at_localization_limit(scenario: Scenario, constants: PhysicalConstants
+                           ) -> tuple[echo.ForcePair, float, float]:
+    """The force pair, the test particle's sigma and ``tb_at_localization_limit``,
+    each evaluated once."""
+    pair = force_pair(scenario, constants)
     sigma = scenario.effective_sigma(constants)
-    return echo.entanglement_time(delta_F, scenario.bob_mass, sigma, convention="main_text")
+    return pair, sigma, echo.entanglement_time(pair.delta_F, scenario.bob_mass, sigma,
+                                               convention="main_text")
 
 
 def optimize_eta(alice: SuperpositionSpec,

@@ -193,6 +193,8 @@ def _evaluate(subcommand: str, config: RunConfig, use_oracle: bool) -> list:
 # --- subcommand columns, over all sweep points at once ------------------------
 # Each returns one entry per CSV column: an array over the sweep points, a
 # sequence over the subcommand's own rows, or one value for every row.
+# Entries past the CSV header are not written; they carry what the
+# subcommand's checks report, so the checks compute nothing twice.
 
 
 def _columns_bound(config: RunConfig, use_oracle: bool):
@@ -206,25 +208,18 @@ def _columns_bound(config: RunConfig, use_oracle: bool):
 def _columns_echo(config: RunConfig, use_oracle: bool):
     constants = config.constants
     scenario = config.scenario
-    pair = causality.force_pair(scenario, constants)
-    sigma = scenario.effective_sigma(constants)
-    T_B = causality.tb_at_localization_limit(scenario, constants)
+    pair, sigma, T_B = causality._at_localization_limit(scenario, constants)
     times = np.linspace(0.0, 2.0 * T_B, 41)
     result = echo.echo_displacements(pair.delta_F, scenario.bob_mass, pair.F_L + pair.F_R,
                                      times, constants)
     columns = [times, result.delta_x, result.delta_p,
                echo.echo_overlap(GaussianState(sigma=sigma), result, constants)]
     if use_oracle:  # one grid run per row
-        a, b = _shift_groups(config, result.delta_x, result.delta_p)
-        columns.append([oracle.matched_echo_overlap(x, p) for x, p in zip(a, b)])
+        # a = |dx|/(2 sigma) and b = |dp| sigma/hbar of each row, which the checks read too.
+        a = (np.abs(result.delta_x) / (2.0 * sigma)).tolist()
+        b = (np.abs(result.delta_p) * sigma / constants.hbar).tolist()
+        columns += [[oracle.matched_echo_overlap(x, p) for x, p in zip(a, b)], (a, b)]
     return columns
-
-
-def _shift_groups(config: RunConfig, delta_x, delta_p) -> "tuple[list, list]":
-    """a = |dx|/(2 sigma) and b = |dp| sigma/hbar of each echo row."""
-    sigma = config.scenario.effective_sigma(config.constants)
-    return ((np.abs(delta_x) / (2.0 * sigma)).tolist(),
-            (np.abs(delta_p) * sigma / config.constants.hbar).tolist())
 
 
 def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
@@ -233,9 +228,8 @@ def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
     nonzero rows, and the largest |numeric - analytic| overlap."""
     if not use_oracle:
         return {}
-    _, delta_x, delta_p, overlap, numeric = columns
-    nonzero = [(x, p) for x, p in zip(*_shift_groups(config, delta_x, delta_p))
-               if x > 0.0 or p > 0.0]
+    _, _, _, overlap, numeric, (a, b) = columns
+    nonzero = [(x, p) for x, p in zip(a, b) if x > 0.0 or p > 0.0]
     ratios = [p / x if x > 0.0 else math.inf for x, p in nonzero]
     return {"oracle_check": {
         "grid_points": oracle.MATCHED_GRID_POINTS,
@@ -323,17 +317,21 @@ def _columns_interference(config: RunConfig, use_oracle: bool):
     # Each noise std, named by the JSON path of its multiple.
     require_nonnegative(**{f"interference.noise_multiples[{i}] pi/d": level
                            for i, level in enumerate(levels)})
-    powers = interference.power_curve(packet, section["n"], levels, section["trials"],
-                                      config.seed)
-    return [multiples, levels, [float(p) for p in powers]]
+    powers, rechecks = interference._power_curve_with_rechecks(
+        packet, section["n"], levels, section["trials"], config.seed)
+    return [multiples, levels, [float(p) for p in powers], rechecks]
 
 
 def _checks_interference(config: RunConfig, columns: list, use_oracle: bool) -> dict:
+    """Trials, worker threads, each power's Monte-Carlo standard error, and
+    the level decisions and acceptances the float32 screens left to float64."""
     trials = _interference_section(config)["trials"]
+    _, _, powers, rechecks = columns
     return {"power_check": {
         "trials": trials,
         "workers": interference._worker_count(trials),
-        "mc_stderr": [math.sqrt(p * (1.0 - p) / trials) for p in columns[2]],
+        "mc_stderr": [math.sqrt(p * (1.0 - p) / trials) for p in powers],
+        "exact_rechecks": rechecks,
     }}
 
 
@@ -452,7 +450,7 @@ def run(subcommand: str, config: RunConfig, output: Path,
     start = time.perf_counter()
     columns = _evaluate(subcommand, config, use_oracle)
     evaluated = time.perf_counter()
-    text, n_rows = _csv_table(header, columns)
+    text, n_rows = _csv_table(header, columns[:len(header)])
     formatted = time.perf_counter()
     scales = planck_scales(config.constants)
     meta = {

@@ -155,20 +155,52 @@ def sample_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
     return true_k
 
 
+# The Monte-Carlo decisions are screened with the float32 cos, which numpy
+# runs in SIMD, where the float64 cos is scalar.  For theta in float64,
+# |cos(float32(theta)) - cos(theta)| <= _COS32_SLOPE |theta| + _COS32_FLOOR:
+# four times the float32 rounding of theta plus about five times numpy's
+# float32 cos error (tests/test_interference.py measures the bound).
+_COS32_SLOPE = 2.0**-22
+_COS32_FLOOR = 2.0**-21
+# Floor on V cos in the log-likelihood ratio, keeping the log finite at exact fringe zeros.
+_FRINGE_FLOOR = -1.0 + 1e-15
+# Noise levels screened as one (levels x n) set of ufunc calls.
+_LEVEL_BLOCK = 4
+
+
+def _cos32(theta: np.ndarray, out: np.ndarray) -> "np.ndarray | np.float64":
+    """cos of float32(theta) into the float32 ``out``; returns its error bound per row.
+
+    A theta beyond the float32 range casts to +-inf, whose cos is NaN; the
+    bound is then past every gap the screens compare it with, and a NaN
+    fails their tests, so those elements take the exact route.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(out, theta, casting="same_kind")
+        np.cos(out, out=out)
+    largest = np.maximum(theta.max(axis=-1), -theta.min(axis=-1))
+    return _COS32_SLOPE * largest + _COS32_FLOOR
+
+
 class _RejectionScratch:
     """Buffers for one rejection pass of ``_sample_true_momenta``.
 
     A pass draws at most max(2 n, 128) candidates; allocating them once
     per curve instead of once per trial keeps large temporaries from
-    costing page faults on every trial.
+    costing page faults on every trial.  ``rechecks`` counts the
+    acceptances the screen left to the float64 threshold.
     """
 
     def __init__(self, n: int):
         size = max(2 * n, 128)
         self.draws = np.empty(size)
         self.uniform = np.empty(size)
+        self.theta = np.empty(size)
         self.work = np.empty(size)
+        self.narrow = np.empty(size, dtype=np.float32)
         self.accept = np.empty(size, dtype=bool)
+        self.sure = np.empty(size, dtype=bool)
+        self.rechecks = 0
 
 
 def _sample_true_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
@@ -176,8 +208,17 @@ def _sample_true_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
                          scratch: _RejectionScratch) -> None:
     """Fill ``out`` with true momenta drawn under ``hypothesis``.
 
-    Every step writes into ``out`` or ``scratch`` and keeps the operand
-    order of the plain expressions, so the draws equal theirs bit for bit.
+    The coherent draws are rejection samples: a candidate k is accepted
+    when its uniform u < (1 + cos theta) / 2, theta = k d - phi.  Theta is
+    computed in float64 as in the plain expression, and the threshold first
+    from the float32 cos c~.  Wherever |u - (1 + c~)/2| > eps/2 + 2^-50,
+    with eps = 2^-22 max|theta| + 2^-21 over the batch (``_COS32_SLOPE``,
+    ``_COS32_FLOOR``), u is on the same side of the float64 threshold, and
+    that decision stands; every other candidate, a NaN c~ included, is
+    decided again by the exact float64 expression and counted in
+    ``scratch.rechecks``.  Every step writes into ``out`` or ``scratch`` and
+    keeps the operand order of the plain expressions, so the draws equal
+    theirs bit for bit.
     """
     s = packet.momentum_spread
     n = len(out)
@@ -192,17 +233,27 @@ def _sample_true_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
         batch = max(2 * (n - filled), 128)
         k = scratch.draws[:batch]
         uniform = scratch.uniform[:batch]
+        theta = scratch.theta[:batch]
         threshold = scratch.work[:batch]
         accept = scratch.accept[:batch]
+        sure = scratch.sure[:batch]
         rng.standard_normal(out=k)
         np.multiply(s, k, out=k)
         rng.random(out=uniform)
-        np.multiply(k, packet.d, out=threshold)
-        np.subtract(threshold, packet.phase_phi, out=threshold)
-        np.cos(threshold, out=threshold)
+        np.multiply(k, packet.d, out=theta)
+        np.subtract(theta, packet.phase_phi, out=theta)
+        error = _cos32(theta, scratch.narrow[:batch])
+        np.copyto(threshold, scratch.narrow[:batch])
         np.add(1.0, threshold, out=threshold)
         np.multiply(0.5, threshold, out=threshold)
         np.less(uniform, threshold, out=accept)
+        np.subtract(uniform, threshold, out=threshold)
+        np.abs(threshold, out=threshold)
+        np.greater(threshold, 0.5 * error + 2.0**-50, out=sure)
+        if not sure.all():
+            unsure = np.flatnonzero(~sure)
+            accept[unsure] = uniform[unsure] < 0.5 * (1.0 + np.cos(theta[unsure]))
+            scratch.rechecks += len(unsure)
         # The thresholds are spent; their buffer takes the accepted draws.
         accepted = np.compress(accept, k, out=scratch.work[:np.count_nonzero(accept)])
         take = min(len(accepted), n - filled)
@@ -221,7 +272,7 @@ def _log_likelihood_ratio(samples: np.ndarray, packet: SuperposedWavepacket,
     np.subtract(work, packet.phase_phi, out=work)
     np.cos(work, out=work)
     np.multiply(visibility, work, out=work)
-    np.maximum(work, -1.0 + 1e-15, out=work)
+    np.maximum(work, _FRINGE_FLOOR, out=work)
     np.log1p(work, out=work)
     return float(np.sum(work) + samples.size * packet._log_norm)
 
@@ -249,6 +300,62 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     )
 
 
+class _LevelScreen:
+    """Decides one trial's noise levels, _LEVEL_BLOCK at a time.
+
+    Holds each level's fringe visibility and frequency, and buffers for a
+    block of levels; ``rechecks`` counts the decisions left to
+    ``_log_likelihood_ratio``.
+    """
+
+    def __init__(self, packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray):
+        fringes = [_noisy_fringe_params(packet, level) for level in noise_levels]
+        self.packet = packet
+        self.noise_levels = noise_levels
+        self.visibility = np.array([visibility for _, visibility, _ in fringes])
+        # The factor of _log_likelihood_ratio, so theta has the same bits.
+        self.frequency = np.array([beta * packet.d for _, _, beta in fringes])
+        rows = min(_LEVEL_BLOCK, len(noise_levels))
+        self.block = np.empty((rows, n))
+        self.narrow = np.empty((rows, n), dtype=np.float32)
+        self.rechecks = 0
+
+    def decide(self, true_k: np.ndarray, unit_noise: np.ndarray, out: np.ndarray) -> None:
+        """out[j] = whether the log-likelihood ratio of true_k + level_j unit_noise is > 0."""
+        packet, n = self.packet, len(true_k)
+        n_log_norm = n * packet._log_norm
+        for start in range(0, len(self.noise_levels), len(self.block)):
+            rows = slice(start, start + len(self.block))
+            levels, visibility = self.noise_levels[rows], self.visibility[rows]
+            observed = self.block[:len(levels)]
+            np.multiply(levels[:, None], unit_noise, out=observed)
+            np.add(true_k, observed, out=observed)
+            np.multiply(self.frequency[rows, None], observed, out=observed)
+            np.subtract(observed, packet.phase_phi, out=observed)
+            error = _cos32(observed, self.narrow[:len(levels)])
+            np.multiply(visibility[:, None], self.narrow[:len(levels)], out=observed)
+            np.maximum(observed, _FRINGE_FLOOR, out=observed)
+            np.log1p(observed, out=observed)
+            llr = observed.sum(axis=1) + n_log_norm
+            # |llr - exact llr| <= margin: each V cos moves by at most delta
+            # (V eps, plus the rounding of both products, relative or
+            # subnormal), each log1p then by at most delta / least, and the
+            # 2^-40 terms cover the rounding of log1p and of both sums.
+            delta = visibility * (error + 2.0**-52) + 2.0**-1072
+            least = np.maximum(1.0 - visibility - delta, 1.0 + _FRINGE_FLOOR)
+            margin = (n * (delta / least - 2.0**-40 * np.log(least))
+                      + 2.0**-40 * abs(n_log_norm))
+            coherent = llr > margin
+            out[rows] = coherent
+            for j in np.flatnonzero(~(coherent | (llr < -margin))):
+                # The row rebuilt as the plain expression builds it, with the same bits.
+                row = self.block[j]
+                np.multiply(levels[j], unit_noise, out=row)
+                np.add(true_k, row, out=row)
+                out[start + j] = _log_likelihood_ratio(row, packet, levels[j], row) > 0.0
+                self.rechecks += 1
+
+
 def _worker_count(trials: int) -> int:
     """Threads for one power curve: one per CPU the process may run on, at most one per trial."""
     if hasattr(os, "sched_getaffinity"):
@@ -258,22 +365,23 @@ def _worker_count(trials: int) -> int:
 
 def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray,
                   children: "list[np.random.SeedSequence]", decisions: np.ndarray,
-                  share: int, shares: int) -> None:
+                  rechecks: np.ndarray, share: int, shares: int) -> None:
     """Decide trials share, share + shares, ... into their rows of ``decisions``.
 
     The share allocates its own arrays once and reuses them for each of its
-    trials, so shares running in parallel share no buffer.
+    trials, so shares running in parallel share no buffer.  Its counts of
+    level decisions and acceptances re-decided in float64 go to
+    ``rechecks[share]``.
     """
-    true_k, unit_noise, observed = np.empty(n), np.empty(n), np.empty(n)
+    true_k, unit_noise = np.empty(n), np.empty(n)
     scratch = _RejectionScratch(n)
+    screen = _LevelScreen(packet, n, noise_levels)
     for trial in range(share, len(children), shares):
         rng = np.random.default_rng(children[trial])
         _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
         rng.standard_normal(out=unit_noise)
-        for j, level in enumerate(noise_levels):
-            np.multiply(level, unit_noise, out=observed)
-            np.add(true_k, observed, out=observed)
-            decisions[trial, j] = _log_likelihood_ratio(observed, packet, level, observed) > 0.0
+        screen.decide(true_k, unit_noise, decisions[trial])
+    rechecks[share] = screen.rechecks, scratch.rechecks
 
 
 def power_curve(packet: SuperposedWavepacket, n: int,
@@ -284,7 +392,21 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     Each trial draws one set of true coherent momenta and one set of unit
     noise deviates; every noise level observes the same base draw scaled by
     its own noise std, so the empirical power is comparable across levels.
-    The decision at each level is that of ``discriminate``.
+    The decision at each level is that of ``discriminate``, and every power
+    is the same bytes as the plain per-trial loop gives.
+
+    Both the rejection sampler (see ``_sample_true_momenta``) and the level
+    decisions are screened with the float32 cos and settled in float64 only
+    where the screen cannot be sure.  For a level of visibility V, the
+    screened ratio llr~ uses cos(float32(theta)) in place of cos(theta),
+    with error at most eps = 2^-22 max|theta| + 2^-21 over the n samples
+    (``_COS32_SLOPE``, ``_COS32_FLOOR``).  With delta = V (eps + 2^-52) +
+    2^-1072 and L = max(1 - V - delta, 1 + _FRINGE_FLOOR), the least value
+    of 1 + V cos that the log sees, the float64 ratio is within
+    B = n (delta / L - 2^-40 log L) + 2^-40 |n log N| of llr~, so llr~ > B
+    decides coherent and llr~ < -B mixed.  Any other level, a NaN llr~ from
+    a theta beyond the float32 range included, is decided by the float64
+    ratio itself.
 
     Each trial has its own ``SeedSequence`` child, so trials are
     independent.  They run in W interleaved shares, one per CPU in the
@@ -294,6 +416,14 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     parallel, and the powers are the same bytes for every W.  An error in
     any share is raised here once all shares have stopped.
     """
+    return _power_curve_with_rechecks(packet, n, noise_levels, trials, seed)[0]
+
+
+def _power_curve_with_rechecks(packet: SuperposedWavepacket, n: int,
+                               noise_levels: "list[float] | np.ndarray", trials: int,
+                               seed: int) -> "tuple[np.ndarray, dict]":
+    """``power_curve``'s powers, and how many level decisions and acceptances
+    the screens left to float64."""
     if n < 1 or trials < 1 or seed < 0:
         raise ValidationError("power_curve needs n >= 1, trials >= 1 and seed >= 0, "
                               f"got n={n}, trials={trials}, seed={seed}")
@@ -308,14 +438,16 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     children = np.random.SeedSequence(seed).spawn(trials)
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
     shares = _worker_count(trials)
+    rechecks = np.zeros((shares, 2), dtype=np.int64)
     # With one share the pool never starts a thread.
     with ThreadPoolExecutor(max(shares - 1, 1)) as pool:
         others = [pool.submit(_decide_share, packet, n, noise_levels, children, decisions,
-                              share, shares) for share in range(1, shares)]
-        _decide_share(packet, n, noise_levels, children, decisions, 0, shares)
+                              rechecks, share, shares) for share in range(1, shares)]
+        _decide_share(packet, n, noise_levels, children, decisions, rechecks, 0, shares)
         for future in others:
             future.result()
-    return decisions.mean(axis=0)
+    levels, acceptances = rechecks.sum(axis=0).tolist()
+    return decisions.mean(axis=0), {"levels": levels, "acceptances": acceptances}
 
 
 def spin_protocol_visibility(q: float, d: float, t0: float,

@@ -156,6 +156,9 @@ def test_interference_sidecar_reports_the_power_check(tmp_path):
     powers = [float(row[2]) for row in rows]
     assert check["mc_stderr"] == pytest.approx(
         [math.sqrt(p * (1.0 - p) / 20) for p in powers], rel=1e-11)
+    # Level decisions and acceptances the float32 screens left to float64.
+    assert set(check["exact_rechecks"]) == {"levels", "acceptances"}
+    assert all(type(count) is int and count >= 0 for count in check["exact_rechecks"].values())
     assert any(0.0 < p < 1.0 for p in powers)
 
 
@@ -249,6 +252,26 @@ def test_echo_table_and_oracle_column(tmp_path):
     assert check["max_abs_err"] <= 1e-12
     assert main(["echo", "--config", str(config), "--output", str(out)]) == 0
     assert "oracle_check" not in json.loads(out.with_suffix(".csv.meta.json").read_text())
+
+
+def test_echo_evaluates_the_force_pair_and_sigma_once(tmp_path, monkeypatch):
+    calls = {"force_pair": 0, "effective_sigma": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(causality, "force_pair", counted("force_pair", causality.force_pair))
+    monkeypatch.setattr(causality.Scenario, "effective_sigma",
+                        counted("effective_sigma", causality.Scenario.effective_sigma))
+    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    for flags in ([], ["--oracle"]):
+        calls.update(force_pair=0, effective_sigma=0)
+        assert main(["echo", "--config", str(config), "--output",
+                     str(tmp_path / "echo.csv"), *flags]) == 0
+        assert calls == {"force_pair": 1, "effective_sigma": 1}, flags
 
 
 def test_oracle_check_reports_the_fallback_rows(tmp_path):

@@ -4,9 +4,12 @@ import math
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from supertime import interference
@@ -156,20 +159,26 @@ def test_power_curve_deterministic_in_seed():
     assert np.array_equal(a, b)
 
 
+def _reference_true_momenta(packet, rng, n):
+    """The plain float64 rejection sampler with fresh arrays."""
+    s = packet.momentum_spread
+    true_k, filled = np.empty(n), 0
+    while filled < n:
+        batch = max(2 * (n - filled), 128)
+        k = s * rng.standard_normal(batch)
+        k = k[rng.random(batch) < 0.5 * (1.0 + np.cos(k * packet.d - packet.phase_phi))]
+        take = min(len(k), n - filled)
+        true_k[filled:filled + take] = k[:take]
+        filled += take
+    return true_k
+
+
 def _reference_power_curve(packet, n, noise_levels, trials, seed):
     """The per-trial loop with fresh arrays, deciding through ``discriminate``."""
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
-    s = packet.momentum_spread
     for trial, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
-        true_k, filled = np.empty(n), 0
-        while filled < n:
-            batch = max(2 * (n - filled), 128)
-            k = s * rng.standard_normal(batch)
-            k = k[rng.random(batch) < 0.5 * (1.0 + np.cos(k * packet.d - packet.phase_phi))]
-            take = min(len(k), n - filled)
-            true_k[filled:filled + take] = k[:take]
-            filled += take
+        true_k = _reference_true_momenta(packet, rng, n)
         unit_noise = rng.standard_normal(n)
         for j, level in enumerate(noise_levels):
             observed = true_k + level * unit_noise
@@ -208,6 +217,121 @@ def test_power_curve_bytes_do_not_depend_on_the_worker_count(monkeypatch, worker
     finally:
         sys.setswitchinterval(interval)
     assert powers.tobytes() == expected.tobytes()
+
+
+def test_screens_sent_wholly_to_float64_give_the_plain_bytes(monkeypatch):
+    # An infinite error bound leaves every acceptance and every level
+    # decision to the float64 route, which must reproduce the plain loops.
+    monkeypatch.setattr(interference, "_COS32_SLOPE", math.inf)
+    monkeypatch.setattr(interference, "_COS32_FLOOR", math.inf)
+    packet = SuperposedWavepacket(sigma=0.1, d=1.0, phase_phi=0.3)
+    levels = np.logspace(-1.0, 1.0, 5) * math.pi
+    powers, rechecks = interference._power_curve_with_rechecks(packet, 1501, levels, 12, 7)
+    assert powers.tobytes() == _reference_power_curve(packet, 1501, levels, 12, 7).tobytes()
+    assert rechecks["levels"] == 12 * len(levels)
+    assert rechecks["acceptances"] >= 12 * 2 * 1501
+    sampled = sample_momenta(packet, Hypothesis.COHERENT, 1501, 0.0, seed=9)
+    expected = _reference_true_momenta(packet, np.random.default_rng(9), 1501)
+    assert sampled.tobytes() == expected.tobytes()
+
+
+def test_the_screens_settle_nearly_every_decision():
+    # The criterion-8 packet: float64 reruns nearly nothing.
+    d = 1e-6
+    packet = SuperposedWavepacket(sigma=d / 10.0, d=d)
+    levels = np.logspace(-1.0, 1.0, 5) * math.pi / d
+    _, rechecks = interference._power_curve_with_rechecks(packet, 3001, levels, 12, 4)
+    assert rechecks["levels"] <= 1
+    assert rechecks["acceptances"] <= 20  # of at least 12 * 6002 candidates
+
+
+def test_arguments_beyond_float32_take_the_float64_route():
+    # d k ~ 1e39 casts to inf in float32, whose cos is NaN: every decision
+    # falls to float64, with no warning, and gives the plain loops' bytes.
+    packet = SuperposedWavepacket(sigma=1e-39, d=1.0)
+    levels = np.array([0.0, 1.0, 10.0]) * math.pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers, rechecks = interference._power_curve_with_rechecks(packet, 40, levels, 6, 3)
+        expected = _reference_power_curve(packet, 40, levels, 6, 3)
+        sampled = sample_momenta(packet, Hypothesis.COHERENT, 40, 0.0, seed=3)
+        plain = _reference_true_momenta(packet, np.random.default_rng(3), 40)
+    assert powers.tobytes() == expected.tobytes()
+    assert sampled.tobytes() == plain.tobytes()
+    assert rechecks["levels"] == 6 * len(levels)
+    assert rechecks["acceptances"] >= 6 * 128
+
+
+class _FixedDraws:
+    """A generator stand-in whose normal and uniform fills are fixed arrays."""
+
+    def __init__(self, normal, uniform):
+        self._normal, self._uniform = normal, uniform
+
+    def standard_normal(self, out):
+        out[...] = self._normal[:len(out)]
+
+    def random(self, out):
+        out[...] = self._uniform[:len(out)]
+
+
+def test_acceptances_at_near_ties_are_the_float64_ones():
+    # Each uniform one ulp below, at, or one ulp above its float64
+    # threshold: only the float64 route can decide these.
+    packet = SuperposedWavepacket(sigma=0.1, d=1.0, phase_phi=0.3)
+    normal = np.random.default_rng(8).standard_normal(128)
+    k = packet.momentum_spread * normal
+    threshold = 0.5 * (1.0 + np.cos(k * packet.d - packet.phase_phi))
+    side = np.resize([-1.0, -1.0, 0.0, 1.0], 128)
+    uniform = np.where(side == 0.0, threshold, np.nextafter(threshold, side))
+    assert np.count_nonzero(uniform < threshold) >= 64  # one batch fills n = 64
+    out, scratch = np.empty(64), interference._RejectionScratch(64)
+    interference._sample_true_momenta(packet, Hypothesis.COHERENT,
+                                      _FixedDraws(normal, uniform), out, scratch)
+    assert out.tobytes() == k[uniform < threshold][:64].tobytes()
+    assert scratch.rechecks == 128
+
+
+def test_float32_cos_error_stays_within_a_quarter_of_its_bound():
+    # The screens rest on |cos(float32(theta)) - cos(theta)| <= eps(theta);
+    # reading at most a quarter of it leaves room for a less accurate cos.
+    rng = np.random.default_rng(5)
+    for decade in range(-3, 5):
+        theta = (10.0 ** rng.uniform(decade, decade + 1, 200_000)
+                 * rng.choice([-1.0, 1.0], 200_000))
+        narrow = np.empty(theta.shape, dtype=np.float32)
+        largest = interference._cos32(theta, narrow)
+        bound = interference._COS32_SLOPE * np.abs(theta) + interference._COS32_FLOOR
+        assert largest == np.max(bound)
+        assert np.max(np.abs(narrow - np.cos(theta)) / bound) <= 0.25
+
+
+def test_screened_level_decision_is_the_float64_one_at_near_ties():
+    # Samples paired at theta and pi - theta cancel their fringe terms, and
+    # one sample near pi/2 tilts the sum by V cos: below the screen's error
+    # bound the ratio is a near-tie that only float64 can decide.
+    rechecked = []
+
+    @settings(deadline=None, max_examples=150)
+    @given(multiple=st.floats(min_value=0.1, max_value=100.0),
+           phase=st.floats(min_value=-3.0, max_value=3.0),
+           thetas=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=30),
+           tilt=st.floats(min_value=-1e-5, max_value=1e-5))
+    def check(multiple, phase, thetas, tilt):
+        packet = SuperposedWavepacket(sigma=0.05, d=1.0, phase_phi=phase)  # s d = 10
+        level = multiple * math.pi
+        _, _, beta = _noisy_fringe_params(packet, level)
+        theta = np.array([*thetas, *(math.pi - t for t in thetas), math.acos(tilt)])
+        samples = (theta + phase) / (beta * packet.d)
+        screen = interference._LevelScreen(packet, len(samples), np.array([level]))
+        decision = np.zeros(1, dtype=bool)
+        screen.decide(samples, np.zeros_like(samples), decision)
+        exact = interference._log_likelihood_ratio(samples, packet, level, samples.copy())
+        assert decision[0] == (exact > 0.0)
+        rechecked.append(screen.rechecks)
+
+    check()
+    assert sum(rechecked) > 0
 
 
 def test_worker_count_is_the_affinity_capped_by_the_trials():
