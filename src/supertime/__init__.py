@@ -16,13 +16,12 @@ from .bounds import (
     Kind,
     SuperpositionSpec,
     charge_radius,
-    larmor_power,
     min_localization_mass,
     min_time,
     sharp_min_time,
 )
 from .causality import Scenario, TimelineReport, audit_timeline, optimize_eta
-from .constants import CODATA, Dimension, PhysicalConstants, PlanckScales, planck_scales
+from .constants import CODATA, PhysicalConstants, PlanckScales, planck_scales
 from .echo import (
     EchoResult,
     ForcePair,

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .constants import CODATA, PhysicalConstants, planck_scales
-from .errors import ValidationError, require_nonnegative, require_positive
+from .errors import ValidationError, require_positive
 
 __all__ = [
     "Kind",
@@ -21,7 +21,6 @@ __all__ = [
     "sharp_min_time",
     "min_localization_mass",
     "charge_radius",
-    "larmor_power",
 ]
 
 # Exact constant from optimizing eta^2 - eta^3 over [0, 1].
@@ -86,14 +85,3 @@ def charge_radius(q: float, m: float,
     ratio = q / planck_scales(constants).q_P
     return ratio * constants.hbar / (m * constants.c)
 
-
-def larmor_power(q: float, omega: float, dx: float,
-                 constants: PhysicalConstants = CODATA) -> float:
-    """Order-of-magnitude radiated power q^2 omega^4 dx^2 / (eps0 c^3).
-
-    Deliberately keeps the Larmor scaling without the 2/3 prefactor: only the
-    scaling enters the charge-radius derivation.
-    """
-    require_positive(q=q, dx=dx)
-    require_nonnegative(omega=omega)
-    return q**2 * omega**4 * dx**2 / (constants.epsilon0 * constants.c**3)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -413,26 +412,95 @@ def _write_all_or_nothing(files: "list[tuple[Path, str]]") -> None:
         raise
 
 
-def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int]":
-    """CSV text of ``header`` and ``columns``, and its number of rows.
+# The correctly rounded 10**j for j = -308 .. 308, at index j + 308.
+_POW10 = np.array([float(f"1e{j}") for j in range(-308, 309)])
+# "00" .. "99", each as the little-endian uint16 of its two ASCII bytes.
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2")
+# |x| 10**(12 - e) computed in float64 is within 2 * 2**-53 * 1e13 ~ 0.0022 of
+# its exact value, so one further than this from a half-integer rounds as the
+# exact value does.
+_TIE_GAP = 0.003
+# A float field as ten byte pairs: "-d", ".d", five pairs of digits, "de",
+# "-d" (the exponent's sign and hundreds digit) and "dd".  The sign and
+# hundreds bytes are NUL where the field has none; the widest "%.12e" field,
+# "-d.dddddddddddde-ddd", fills all 20 bytes.
+_FLOAT_PAIRS = 10
+
+
+def _float_fields(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``"%.12e" % v`` of each of ``values`` as NUL-padded rows of a
+    (len(values), 20) uint8 block, and the mask of the fields that were
+    written by ``%`` itself (the exact route)."""
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a <= 1e300)  # also False for 0, inf and nan
+    a[~fast] = 1.0  # which keeps 12 - e inside the table of powers
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[12 - e + 308]
+    # A log10 one off puts y out of range; a near-tie could round either way.
+    fast &= (y >= 1e12) & (y < 1e13 - 0.5) & (np.abs(y - np.floor(y) - 0.5) > _TIE_GAP)
+    digits = np.rint(y).astype(np.int64)  # 13 of them
+    tail = digits % 10**12
+    pairs = np.empty((x.size, _FLOAT_PAIRS), "<u2")
+    pairs[:, 0] = np.where(np.signbit(x), ord("-"), 0) | (digits // 10**12 + ord("0")) << 8
+    pairs[:, 1] = ord(".") | (tail // 10**11 + ord("0")) << 8
+    for k in range(5):
+        pairs[:, 2 + k] = _DIGIT_PAIRS[tail // 10**(9 - 2 * k) % 100]
+    pairs[:, 7] = (tail % 10 + ord("0")) | ord("e") << 8
+    exponent = np.abs(e)
+    pairs[:, 8] = (np.where(e < 0, ord("-"), ord("+"))
+                   | np.where(exponent >= 100, exponent // 100 + ord("0"), 0) << 8)
+    pairs[:, 9] = _DIGIT_PAIRS[exponent % 100]
+    block = pairs.view(np.uint8)
+    exact = ~fast
+    if exact.any():
+        # Each distinct value, told apart by its bits so that -0.0 stays
+        # apart from 0.0, is formatted once.
+        bits, where = np.unique(x[exact].view(np.uint64), return_inverse=True)
+        fields = np.array(["%.12e" % v for v in bits.view(np.float64).tolist()],
+                          dtype=f"S{block.shape[1]}")
+        block[exact] = fields.view(np.uint8).reshape(-1, block.shape[1])[where]
+    return block, exact
+
+
+def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int, int]":
+    """CSV text of ``header`` and ``columns``, its number of rows, and the
+    number of its float fields that took the exact route.
 
     Single values repeat on every row.  Floats are written as ``%.12e``,
     booleans as ``true``/``false``, anything else as its ``str``; no field
-    needs quoting, and lines end in CRLF as ``csv.writer`` ends them.
+    needs quoting or holds a NUL, and lines end in CRLF as ``csv.writer``
+    ends them.
+
+    Each column becomes a block of NUL-padded byte rows, and the blocks and
+    separators are joined and the pads dropped in one pass.  A float column
+    is formatted by array operations with the bytes of Python's ``%``:
+    e = floor(log10|x|) and y = |x| 10**(12 - e), from a table of correctly
+    rounded powers of ten, so y is within 0.0022 of its exact value, and
+    round(y) gives the 13 digits.  The exact route, ``"%.12e" % v`` itself,
+    takes every field whose y lies within 0.003 of a half-integer (a near-tie
+    that the error could round either way) or outside [1e12, 1e13 - 1/2) (a
+    log10 one off, or a carry into the next power of ten), and every x that
+    is zero, not finite or of magnitude outside [1e-290, 1e300].
     """
     n_rows = max(np.size(column) for column in columns)
-    formats, cells = [], []
+    blocks, exact_fields = [], 0
+    comma = np.broadcast_to(np.frombuffer(b",", np.uint8), (n_rows, 1))
     for column in columns:
-        column = np.broadcast_to(column, n_rows)
-        if column.dtype == bool:
-            column = np.where(column, "true", "false")
-        formats.append("%.12e" if column.dtype.kind == "f" else "%s")
-        cells.append(column)
-    table = io.StringIO()
-    table.write(",".join(header) + "\r\n")
-    line = ",".join(formats) + "\r\n"
-    table.writelines(line % row for row in zip(*cells))
-    return table.getvalue(), n_rows
+        column = np.ravel(column)
+        if column.dtype.kind == "f":
+            block, exact = _float_fields(column)
+            exact_fields += int(np.count_nonzero(np.broadcast_to(exact, n_rows)))
+        else:
+            if column.dtype == bool:
+                column = np.where(column, b"true", b"false")
+            else:
+                column = np.char.encode(column.astype(str), "utf-8")
+            block = column.view(np.uint8).reshape(column.size, column.dtype.itemsize)
+        blocks += [np.broadcast_to(block, (n_rows, block.shape[1])), comma]
+    blocks[-1] = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (n_rows, 2))
+    rows = np.concatenate(blocks, axis=1).tobytes().replace(b"\0", b"").decode()
+    return ",".join(header) + "\r\n" + rows, n_rows, exact_fields
 
 
 def run(subcommand: str, config: RunConfig, output: Path,
@@ -450,7 +518,7 @@ def run(subcommand: str, config: RunConfig, output: Path,
     start = time.perf_counter()
     columns = _evaluate(subcommand, config, use_oracle)
     evaluated = time.perf_counter()
-    text, n_rows = _csv_table(header, columns[:len(header)])
+    text, n_rows, exact_fields = _csv_table(header, columns[:len(header)])
     formatted = time.perf_counter()
     scales = planck_scales(config.constants)
     meta = {
@@ -472,6 +540,7 @@ def run(subcommand: str, config: RunConfig, output: Path,
         "sweep": config.sweep,
         "extras": config.extras,
         "rows": n_rows,
+        "format_exact_fields": exact_fields,
         "timings_s": {"parse": parse_s, "evaluate": evaluated - start,
                       "format": formatted - evaluated},
     }

@@ -1,27 +1,22 @@
-"""Fundamental constants, Planck scales, and SI <-> natural-unit conversion.
+"""Fundamental constants and Planck scales.
 
-The natural-unit system sets hbar = c = epsilon_0 = 1 with one free scale,
-the reference length ``length_unit`` (1 m by default).  In this system the
-Planck charge squared equals 4*pi, which is the convention all field-theory
-modules rely on.
+Values are in SI units.  Modules that work in natural units (hbar = c =
+epsilon_0 = 1) convert at their own boundary; in those units the Planck
+charge squared equals 4*pi.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, require_positive
+from .errors import require_positive
 
 __all__ = [
     "PhysicalConstants",
     "PlanckScales",
-    "Dimension",
     "CODATA",
     "planck_scales",
-    "to_natural",
-    "from_natural",
 ]
 
 
@@ -67,48 +62,3 @@ def planck_scales(constants: PhysicalConstants = CODATA) -> PlanckScales:
         l_P=math.sqrt(hbar * G / c**3),
     )
 
-
-class Dimension(enum.Enum):
-    """Dimension tags recognized by the unit converter."""
-
-    MASS = "mass"
-    CHARGE = "charge"
-    LENGTH = "length"
-    TIME = "time"
-    MOMENTUM = "momentum"
-
-
-def _si_per_natural(dimension: Dimension, constants: PhysicalConstants,
-                    length_unit: float) -> float:
-    """SI value of one natural unit of the given dimension."""
-    hbar, c, eps0 = constants.hbar, constants.c, constants.epsilon0
-    if dimension is Dimension.LENGTH:
-        return length_unit
-    if dimension is Dimension.TIME:
-        return length_unit / c
-    if dimension is Dimension.MOMENTUM:
-        return hbar / length_unit
-    if dimension is Dimension.MASS:
-        return hbar / (c * length_unit)
-    if dimension is Dimension.CHARGE:
-        # q_natural = q / sqrt(eps0 hbar c), so q_P -> sqrt(4 pi).
-        return math.sqrt(eps0 * hbar * c)
-    raise ValidationError(f"unknown dimension tag: {dimension!r}")
-
-
-def to_natural(value: float, dimension: Dimension,
-               constants: PhysicalConstants = CODATA,
-               length_unit: float = 1.0) -> float:
-    """Convert an SI quantity to the natural-unit system (hbar=c=eps0=1)."""
-    if not isinstance(dimension, Dimension):
-        raise ValidationError(f"unknown dimension tag: {dimension!r}")
-    return value / _si_per_natural(dimension, constants, length_unit)
-
-
-def from_natural(value: float, dimension: Dimension,
-                 constants: PhysicalConstants = CODATA,
-                 length_unit: float = 1.0) -> float:
-    """Inverse of :func:`to_natural`."""
-    if not isinstance(dimension, Dimension):
-        raise ValidationError(f"unknown dimension tag: {dimension!r}")
-    return value * _si_per_natural(dimension, constants, length_unit)

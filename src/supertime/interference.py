@@ -22,7 +22,7 @@ import numpy as np
 
 from . import radiation
 from .constants import CODATA, PhysicalConstants
-from .errors import ValidationError, require_nonnegative, require_positive
+from .errors import ValidationError, require, require_nonnegative, require_positive
 from .radiation import Shape, TrajectoryProfile
 
 __all__ = [
@@ -61,6 +61,11 @@ class SuperposedWavepacket:
     def __post_init__(self):
         require_positive(sigma=self.sigma)
         require_nonnegative(d=self.d)
+        # A subnormal sigma overflows 1/(2 sigma), and with an infinite spread
+        # the rejection sampler never accepts a candidate.
+        require(self.momentum_spread < math.inf, ValidationError,
+                "sigma={sigma} is too small: its momentum spread 1/(2 sigma) is not finite",
+                sigma=self.sigma)
 
     @property
     def momentum_spread(self) -> float:

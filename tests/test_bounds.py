@@ -12,7 +12,6 @@ from supertime.bounds import (
     Kind,
     SuperpositionSpec,
     charge_radius,
-    larmor_power,
     min_localization_mass,
     min_time,
     sharp_min_time,
@@ -136,14 +135,6 @@ def test_charge_radius_formula():
     assert 1e-14 < charge_radius(q, m) < 1e-13
 
 
-def test_larmor_power_scaling():
-    p0 = larmor_power(1e-19, 1e6, 1e-9)
-    assert larmor_power(2e-19, 1e6, 1e-9) == pytest.approx(4.0 * p0, rel=1e-12)
-    assert larmor_power(1e-19, 2e6, 1e-9) == pytest.approx(16.0 * p0, rel=1e-12)
-    assert larmor_power(1e-19, 1e6, 2e-9) == pytest.approx(4.0 * p0, rel=1e-12)
-    assert larmor_power(1e-19, 0.0, 1e-9) == 0.0
-
-
 def test_validation_rejects_nonpositive_inputs():
     with pytest.raises(ValidationError):
         min_time(_mass(-1.0, 1.0))
@@ -153,5 +144,3 @@ def test_validation_rejects_nonpositive_inputs():
         SuperpositionSpec(kind=Kind.MASS, magnitude=0.0, separation_d=1.0)
     with pytest.raises(ValidationError):
         SuperpositionSpec(kind="mass", magnitude=1.0, separation_d=1.0)
-    with pytest.raises(ValidationError):
-        larmor_power(1e-19, -1.0, 1e-9)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supertime
-from supertime import causality, oracle, radiation
+from supertime import causality, cli, interference, oracle, radiation
 from supertime.cli import SUBCOMMANDS, main, parse_config
 from supertime.errors import ValidationError
 
@@ -122,6 +122,9 @@ def test_bound_subcommand_end_to_end(tmp_path):
     assert meta["rows"] == 1
     assert sorted(meta["timings_s"]) == ["evaluate", "format", "parse"]
     assert all(isinstance(s, float) and s >= 0.0 for s in meta["timings_s"].values())
+    # Of the four float fields of its one row.
+    assert isinstance(meta["format_exact_fields"], int)
+    assert 0 <= meta["format_exact_fields"] <= 4
 
 
 def test_headers_carry_units(tmp_path):
@@ -423,6 +426,82 @@ def test_csv_bytes_unchanged(tmp_path):
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[sub], text
 
 
+def _per_row_csv_table(header, columns):
+    """The reference formatter: one Python ``%`` per row."""
+    n_rows = max(np.size(column) for column in columns)
+    formats, cells = [], []
+    for column in columns:
+        column = np.broadcast_to(column, n_rows)
+        if column.dtype == bool:
+            column = np.where(column, "true", "false")
+        formats.append("%.12e" if column.dtype.kind == "f" else "%s")
+        cells.append(column)
+    table = io.StringIO()
+    table.write(",".join(header) + "\r\n")
+    line = ",".join(formats) + "\r\n"
+    table.writelines(line % row for row in zip(*cells))
+    return table.getvalue(), n_rows
+
+
+def _assert_formats_as_per_row(header, columns):
+    """``_csv_table``'s text and row count are the reference's; returns its
+    count of exact-route fields."""
+    text, n_rows, exact_fields = cli._csv_table(header, columns)
+    assert (text, n_rows) == _per_row_csv_table(header, columns)
+    return exact_fields
+
+
+@settings(deadline=None, max_examples=300)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_fields_are_the_per_row_bytes_for_any_bit_pattern(bits):
+    # Every float64, NaN, infinities, -0.0 and subnormals included.
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_formats_as_per_row(["x", "minus_x", "first"], [x, -x, x[0]])
+
+
+def test_powers_of_ten_their_neighbours_and_near_ties_are_the_per_row_bytes():
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    rng = np.random.default_rng(18)
+    # (m + 1/2) 10**j for a 13-digit m: the decimal halfway between two
+    # 13-digit outputs, and the floats next to it.
+    mantissas = rng.integers(10**12, 10**13, 3000).tolist()
+    ties = np.array([float(f"{m}5e{j}") for m, j in zip(mantissas, rng.integers(-330, 296, 3000))])
+    for x in (powers, ties):
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0.0)])
+        exact_fields = _assert_formats_as_per_row(["x", "minus_x"], [x, -x])
+    assert exact_fields > 0  # the near-ties take the exact route
+
+
+def test_forced_exact_route_writes_the_same_bytes_and_counts_every_field(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    x = 10.0 ** rng.uniform(-30.0, 30.0, 500)
+    header, columns = list("abcdef"), ["mass", x, 1e-3, -x, x > 1.0, 7]
+    unforced = _assert_formats_as_per_row(header, columns)
+    monkeypatch.setattr(cli, "_TIE_GAP", math.inf)
+    assert _assert_formats_as_per_row(header, columns) == 3 * 500 > unforced
+    # Through the CLI: the golden bytes, and all four float fields counted.
+    config = _write(tmp_path, "bound.json", MASS_CONFIG)
+    out = tmp_path / "bound.csv"
+    assert main(["bound", "--config", str(config), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_text().encode()).hexdigest() == GOLDEN_SHA256["bound"]
+    meta = json.loads((tmp_path / "bound.csv.meta.json").read_text())
+    assert meta["format_exact_fields"] == 4
+
+
+def test_a_20000_row_table_of_every_column_kind_is_the_per_row_bytes():
+    rng = np.random.default_rng(20_000)
+    x = 10.0 ** rng.uniform(-300.0, 300.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    header = ["kind", "x", "scalar", "list", "negative", "positive", "flag", "count"]
+    columns = ["charge", x, 2.5e-7, x.tolist(), -np.abs(x), x > 0.0, True, 3]
+    exact_fields = _assert_formats_as_per_row(header, columns)
+    assert 0 < exact_fields < 0.02 * 4 * 20_000
+    # Repeated exact-route values, near-ties and signed zeros and NaNs among them.
+    special = np.array([3421.4379448974983, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    repeated = special[rng.integers(0, special.size, 20_000)]
+    assert _assert_formats_as_per_row(["repeated", "x"], [repeated, x]) > 20_000
+
+
 def _mutated(base, edit):
     payload = copy.deepcopy(base)
     edit(payload)
@@ -485,11 +564,21 @@ BAD_CONFIGS = [
      "remove vacuum.window_T"),
     ("causality", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(bob_charge=math.inf)),
      "bob_charge: a mass scenario reads no charge"),
+    # sigma = d / 1e308 is subnormal, and its momentum spread 1/(2 sigma) inf.
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        d_over_sigma=1e308)), "sigma=1e-314 is too small"),
 ]
 
 
 @pytest.mark.parametrize("sub,payload,names", BAD_CONFIGS)
-def test_bad_config_is_one_error_line_and_no_output(tmp_path, capsys, sub, payload, names):
+def test_bad_config_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch,
+                                                    sub, payload, names):
+    # Rejected before any momentum is sampled: a sampler that cannot accept
+    # a candidate would otherwise run forever.
+    def no_sampling(*args):
+        raise AssertionError("a bad config reached the momentum sampler")
+
+    monkeypatch.setattr(interference, "_sample_true_momenta", no_sampling)
     config = _write(tmp_path, "cfg.json", payload)
     out = tmp_path / "out.csv"
     assert main([sub, "--config", str(config), "--output", str(out)]) == 2

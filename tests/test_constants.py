@@ -1,19 +1,10 @@
-"""Constants, Planck scales, and unit-conversion round trips."""
+"""Constants and Planck scales."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from supertime.constants import (
-    CODATA,
-    Dimension,
-    PhysicalConstants,
-    from_natural,
-    planck_scales,
-    to_natural,
-)
+from supertime.constants import CODATA, PhysicalConstants, planck_scales
 from supertime.errors import ValidationError
 
 REL = 1e-12
@@ -48,35 +39,10 @@ def test_planck_mass_scales_as_inverse_sqrt_g():
 
 
 def test_planck_charge_in_natural_units_is_sqrt_4pi():
+    # A charge in natural units (hbar = c = epsilon_0 = 1) is q / sqrt(eps0 hbar c).
     q_P = planck_scales(CODATA).q_P
-    assert to_natural(q_P, Dimension.CHARGE) == pytest.approx(
-        math.sqrt(4.0 * math.pi), rel=REL)
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    value=st.floats(min_value=1e-30, max_value=1e30),
-    dimension=st.sampled_from(list(Dimension)),
-    length_unit=st.floats(min_value=1e-10, max_value=1e10),
-)
-def test_round_trip_conversion(value, dimension, length_unit):
-    back = from_natural(
-        to_natural(value, dimension, CODATA, length_unit),
-        dimension, CODATA, length_unit)
-    assert back == pytest.approx(value, rel=REL)
-
-
-def test_time_and_length_conversions_are_consistent():
-    # 1 m of light travel converts to 1 natural time unit.
-    t = 1.0 / CODATA.c
-    assert to_natural(t, Dimension.TIME) == pytest.approx(1.0, rel=REL)
-    assert to_natural(1.0, Dimension.LENGTH) == 1.0
-
-
-def test_momentum_mass_conversions():
-    assert to_natural(CODATA.hbar, Dimension.MOMENTUM) == pytest.approx(1.0, rel=REL)
-    m_one = CODATA.hbar / CODATA.c
-    assert to_natural(m_one, Dimension.MASS) == pytest.approx(1.0, rel=REL)
+    natural = q_P / math.sqrt(CODATA.epsilon0 * CODATA.hbar * CODATA.c)
+    assert natural == pytest.approx(math.sqrt(4.0 * math.pi), rel=REL)
 
 
 def test_constants_must_be_positive():
@@ -87,9 +53,3 @@ def test_constants_must_be_positive():
     with pytest.raises(ValidationError):
         PhysicalConstants(c=float("nan"))
 
-
-def test_conversion_rejects_non_dimension_tags():
-    with pytest.raises(ValidationError):
-        to_natural(1.0, "mass")
-    with pytest.raises(ValidationError):
-        from_natural(1.0, None)

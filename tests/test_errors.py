@@ -37,7 +37,6 @@ _CHECKED = [
     (SuperpositionSpec, dict(kind=Kind.MASS, magnitude=1e-6, separation_d=1e-3),
      ["magnitude", "separation_d"]),
     (bounds.charge_radius, dict(q=1e-19, m=1e-9), ["q", "m"]),
-    (bounds.larmor_power, dict(q=1e-19, omega=1.0, dx=1e-9), ["q", "omega", "dx"]),
     (causality.Scenario, dict(alice=_MASS, bob_mass=1e-9, R=0.5), ["bob_mass", "R"]),
     (_effective_sigma, dict(sigma=1e-10), ["sigma"]),
     (causality.audit_timeline, dict(scenario=_SCENARIO, T_A=1e-12), ["T_A"]),

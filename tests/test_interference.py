@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -317,6 +317,7 @@ def test_screened_level_decision_is_the_float64_one_at_near_ties():
            phase=st.floats(min_value=-3.0, max_value=3.0),
            thetas=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=30),
            tilt=st.floats(min_value=-1e-5, max_value=1e-5))
+    @example(multiple=2.0, phase=0.0, thetas=[0.5], tilt=0.0)  # always a recheck
     def check(multiple, phase, thetas, tilt):
         packet = SuperposedWavepacket(sigma=0.05, d=1.0, phase_phi=phase)  # s d = 10
         level = multiple * math.pi
