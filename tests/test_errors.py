@@ -12,6 +12,7 @@ from supertime.constants import PhysicalConstants
 from supertime.errors import ValidationError, require_nonnegative, require_positive
 
 _MASS = SuperpositionSpec(Kind.MASS, 1.0e-6, 1.0e-3)
+_CHARGE = SuperpositionSpec(Kind.CHARGE, 1.0e-19, 1.0e-6)
 _SCENARIO = causality.Scenario(alice=_MASS, bob_mass=1.0e-9, R=0.5)
 _PACKET = interference.SuperposedWavepacket(sigma=0.1, d=1.0)
 _UNIT = echo.GaussianState(sigma=1.0)
@@ -65,6 +66,8 @@ _CHECKED = [
     (_tabulated_trajectory, dict(d=1e-9, t0=1e-12), ["d", "t0"]),
     (radiation.mode_integral, dict(profile=radiation.TrajectoryProfile(d=1e-9, t0=1e-12),
                                    q=1e-19), ["q"]),
+    (radiation.vacuum_overlap, dict(profile=radiation.TrajectoryProfile(d=1e-9, t0=1e-12),
+                                    q=1e-19), ["q"]),
     (radiation.min_radiationless_time, dict(q=1e-19, d=1e-9), ["q", "d"]),
     (radiation.gauss_legendre_grid, dict(omega_max=1e13, n=8), ["omega_max"]),
     (vacuum.WindowFunction, dict(width_T=1.0), ["width_T"]),
@@ -111,6 +114,9 @@ _FINITE = [
     (echo.momentum_route_time, dict(delta_F=1e-20, sigma=1e-10), ["delta_F"]),
     (echo.trap_max_width, dict(mB=1e-9, delta_F=1e-20), ["delta_F"]),
     (echo.GaussianState, dict(x0=-1.0, p0=0.5, sigma=1.0), ["x0", "p0"]),
+    (causality.Scenario, dict(alice=_CHARGE, bob_mass=1e-9, R=0.5, bob_charge=-1e-19),
+     ["bob_charge"]),
+    (oracle.propagate_linear, dict(state=_GRID, F=-0.1, m=1.0, t=0.5, n_steps=1), ["F"]),
 ]
 
 

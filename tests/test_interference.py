@@ -87,6 +87,14 @@ def test_required_precision_is_pi_hbar_over_d():
         required_precision(0.0)
 
 
+def test_packet_rejects_a_width_whose_momentum_spread_overflows():
+    # 1/(2 sigma) overflows below sigma = 1/(2 DBL_MAX), about 2.8e-309.
+    assert math.isfinite(SuperposedWavepacket(sigma=1e-308, d=1.0).momentum_spread)
+    for sigma in (1e-309, 1e-314, 5e-324):
+        with pytest.raises(ValidationError, match=r"momentum spread 1/\(2 sigma\) is not finite"):
+            SuperposedWavepacket(sigma=sigma, d=1.0)
+
+
 def test_sampler_matches_density_histogram():
     packet = SuperposedWavepacket(sigma=0.1, d=1.0)
     samples = sample_momenta(packet, Hypothesis.COHERENT, 200_000, 0.0, seed=1)
