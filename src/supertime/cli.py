@@ -454,12 +454,8 @@ def _float_fields(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     block = pairs.view(np.uint8)
     exact = ~fast
     if exact.any():
-        # Each distinct value, told apart by its bits so that -0.0 stays
-        # apart from 0.0, is formatted once.
-        bits, where = np.unique(x[exact].view(np.uint64), return_inverse=True)
-        fields = np.array(["%.12e" % v for v in bits.view(np.float64).tolist()],
-                          dtype=f"S{block.shape[1]}")
-        block[exact] = fields.view(np.uint8).reshape(-1, block.shape[1])[where]
+        fields = np.array(["%.12e" % v for v in x[exact].tolist()], dtype=f"S{block.shape[1]}")
+        block[exact] = fields.view(np.uint8).reshape(-1, block.shape[1])
     return block, exact
 
 

@@ -496,7 +496,7 @@ def test_a_20000_row_table_of_every_column_kind_is_the_per_row_bytes():
     columns = ["charge", x, 2.5e-7, x.tolist(), -np.abs(x), x > 0.0, True, 3]
     exact_fields = _assert_formats_as_per_row(header, columns)
     assert 0 < exact_fields < 0.02 * 4 * 20_000
-    # Repeated exact-route values, near-ties and signed zeros and NaNs among them.
+    # A column of exact-route values: a near-tie, signed zeros, NaNs and infinities.
     special = np.array([3421.4379448974983, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
     repeated = special[rng.integers(0, special.size, 20_000)]
     assert _assert_formats_as_per_row(["repeated", "x"], [repeated, x]) > 20_000
