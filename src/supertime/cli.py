@@ -316,19 +316,20 @@ def _columns_interference(config: RunConfig, use_oracle: bool):
     # Each noise std, named by the JSON path of its multiple.
     require_nonnegative(**{f"interference.noise_multiples[{i}] pi/d": level
                            for i, level in enumerate(levels)})
-    powers, rechecks = interference._power_curve_with_rechecks(
+    powers, rechecks, workers = interference._power_curve_with_rechecks(
         packet, section["n"], levels, section["trials"], config.seed)
-    return [multiples, levels, [float(p) for p in powers], rechecks]
+    return [multiples, levels, [float(p) for p in powers], rechecks, workers]
 
 
 def _checks_interference(config: RunConfig, columns: list, use_oracle: bool) -> dict:
-    """Trials, worker threads, each power's Monte-Carlo standard error, and
-    the level decisions and acceptances the float32 screens left to float64."""
+    """Trials, the worker threads the curve ran on, each power's Monte-Carlo
+    standard error, and the level decisions and acceptances the float32
+    screens left to float64, with their bases."""
     trials = _interference_section(config)["trials"]
-    _, _, powers, rechecks = columns
+    _, _, powers, rechecks, workers = columns
     return {"power_check": {
         "trials": trials,
-        "workers": interference._worker_count(trials),
+        "workers": workers,
         "mc_stderr": [math.sqrt(p * (1.0 - p) / trials) for p in powers],
         "exact_rechecks": rechecks,
     }}

@@ -160,31 +160,38 @@ def sample_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
     return true_k
 
 
-# The Monte-Carlo decisions are screened with the float32 cos, which numpy
-# runs in SIMD, where the float64 cos is scalar.  For theta in float64,
-# |cos(float32(theta)) - cos(theta)| <= _COS32_SLOPE |theta| + _COS32_FLOOR:
-# four times the float32 rounding of theta plus about five times numpy's
-# float32 cos error (tests/test_interference.py measures the bound).
+# The Monte-Carlo decisions are screened in float32, whose cos and log1p numpy
+# runs in SIMD, where the float64 cos is scalar.  The screens assume these
+# bounds, each at least four times what tests/test_interference.py measures:
+# - numpy's float32 cos of a float32 x is within _COS32_FLOOR of cos(x);
+# - the sampler's float64 theta rounds to float32 within 2^-24 |theta|, a
+#   quarter of _COS32_SLOPE |theta|;
+# - the level screen's float32 theta = f (k + l u) - phi is within
+#   _THETA32_SLOPE (|f| |k| + |f l| |u| + |phi|) of the float64 one (the
+#   roundings of both routes reach at most a quarter of that);
+# - numpy's float32 log1p is within _LOG1P32_ERROR |log1p(x)| + 2^-148 of
+#   log1p(x).
 _COS32_SLOPE = 2.0**-22
 _COS32_FLOOR = 2.0**-21
+_THETA32_SLOPE = 2.0**-19
+_LOG1P32_ERROR = 2.0**-19
 # Floor on V cos in the log-likelihood ratio, keeping the log finite at exact fringe zeros.
 _FRINGE_FLOOR = -1.0 + 1e-15
-# Noise levels screened as one (levels x n) set of ufunc calls.
-_LEVEL_BLOCK = 4
+# The float32 floor, the float32 next above -1.
+_FRINGE_FLOOR32 = np.nextafter(np.float32(-1.0), np.float32(0.0))
 
 
-def _cos32(theta: np.ndarray, out: np.ndarray) -> "np.ndarray | np.float64":
-    """cos of float32(theta) into the float32 ``out``; returns its error bound per row.
+def _cos32(theta: np.ndarray, out: np.ndarray) -> float:
+    """cos of float32(theta) into the float32 ``out``; returns its error bound.
 
     A theta beyond the float32 range casts to +-inf, whose cos is NaN; the
-    bound is then past every gap the screens compare it with, and a NaN
-    fails their tests, so those elements take the exact route.
+    bound is then past every gap the sampler compares it with, and a NaN
+    fails its test, so those candidates take the exact route.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         np.copyto(out, theta, casting="same_kind")
         np.cos(out, out=out)
-    largest = np.maximum(theta.max(axis=-1), -theta.min(axis=-1))
-    return _COS32_SLOPE * largest + _COS32_FLOOR
+    return _COS32_SLOPE * max(theta.max(), -theta.min()) + _COS32_FLOOR
 
 
 class _RejectionScratch:
@@ -192,8 +199,9 @@ class _RejectionScratch:
 
     A pass draws at most max(2 n, 128) candidates; allocating them once
     per curve instead of once per trial keeps large temporaries from
-    costing page faults on every trial.  ``rechecks`` counts the
-    acceptances the screen left to the float64 threshold.
+    costing page faults on every trial.  ``candidates`` counts the draws
+    and ``rechecks`` the acceptances the screen left to the float64
+    threshold.
     """
 
     def __init__(self, n: int):
@@ -205,6 +213,7 @@ class _RejectionScratch:
         self.narrow = np.empty(size, dtype=np.float32)
         self.accept = np.empty(size, dtype=bool)
         self.sure = np.empty(size, dtype=bool)
+        self.candidates = 0
         self.rechecks = 0
 
 
@@ -242,6 +251,7 @@ def _sample_true_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
         threshold = scratch.work[:batch]
         accept = scratch.accept[:batch]
         sure = scratch.sure[:batch]
+        scratch.candidates += batch
         rng.standard_normal(out=k)
         np.multiply(s, k, out=k)
         rng.random(out=uniform)
@@ -305,12 +315,27 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     )
 
 
-class _LevelScreen:
-    """Decides one trial's noise levels, _LEVEL_BLOCK at a time.
+def _fringe_phase32(level: np.ndarray, frequency: np.ndarray, phase: np.float32,
+                    true_k: np.ndarray, unit_noise: np.ndarray, out: np.ndarray) -> None:
+    """theta = f (k + l u) - phi in float32, one row of ``out`` per level.
 
-    Holds each level's fringe visibility and frequency, and buffers for a
-    block of levels; ``rechecks`` counts the decisions left to
-    ``_log_likelihood_ratio``.
+    ``level`` and ``frequency`` are float32 columns, ``true_k`` and
+    ``unit_noise`` float32 rows; the operand order is that of the float64
+    ratio.
+    """
+    np.multiply(level, unit_noise, out=out)
+    np.add(out, true_k, out=out)
+    np.multiply(out, frequency, out=out)
+    np.subtract(out, phase, out=out)
+
+
+class _LevelScreen:
+    """Decides all of one trial's noise levels in one (levels x n) float32 block.
+
+    Holds each level's fringe visibility and frequency in float64 and
+    float32, the block, float32 copies of the trial's draws and a float64
+    row for the decisions left to ``_log_likelihood_ratio``; ``rechecks``
+    counts those.
     """
 
     def __init__(self, packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray):
@@ -318,47 +343,67 @@ class _LevelScreen:
         self.packet = packet
         self.noise_levels = noise_levels
         self.visibility = np.array([visibility for _, visibility, _ in fringes])
-        # The factor of _log_likelihood_ratio, so theta has the same bits.
+        # The factor of _log_likelihood_ratio, so the float64 theta has its bits.
         self.frequency = np.array([beta * packet.d for _, _, beta in fringes])
-        rows = min(_LEVEL_BLOCK, len(noise_levels))
-        self.block = np.empty((rows, n))
-        self.narrow = np.empty((rows, n), dtype=np.float32)
+        self.noise_frequency = self.frequency * noise_levels
+        with np.errstate(over="ignore"):
+            self.level32 = noise_levels.astype(np.float32)[:, None]
+            self.frequency32 = self.frequency.astype(np.float32)[:, None]
+            self.visibility32 = self.visibility.astype(np.float32)[:, None]
+            self.phase32 = np.float32(packet.phase_phi)
+        # The bound takes each float32 factor to be a normal number, which
+        # also leaves out a zero noise level.
+        factors = np.hstack([self.level32, self.frequency32, self.visibility32])
+        self.normal = np.all((np.abs(factors) >= np.finfo(np.float32).tiny)
+                             & np.isfinite(factors), axis=1)
+        self.block = np.empty((len(noise_levels), n), dtype=np.float32)
+        self.true_k32 = np.empty(n, dtype=np.float32)
+        self.unit_noise32 = np.empty(n, dtype=np.float32)
+        self.row = np.empty(n)
         self.rechecks = 0
 
     def decide(self, true_k: np.ndarray, unit_noise: np.ndarray, out: np.ndarray) -> None:
         """out[j] = whether the log-likelihood ratio of true_k + level_j unit_noise is > 0."""
         packet, n = self.packet, len(true_k)
         n_log_norm = n * packet._log_norm
-        for start in range(0, len(self.noise_levels), len(self.block)):
-            rows = slice(start, start + len(self.block))
-            levels, visibility = self.noise_levels[rows], self.visibility[rows]
-            observed = self.block[:len(levels)]
-            np.multiply(levels[:, None], unit_noise, out=observed)
-            np.add(true_k, observed, out=observed)
-            np.multiply(self.frequency[rows, None], observed, out=observed)
-            np.subtract(observed, packet.phase_phi, out=observed)
-            error = _cos32(observed, self.narrow[:len(levels)])
-            np.multiply(visibility[:, None], self.narrow[:len(levels)], out=observed)
-            np.maximum(observed, _FRINGE_FLOOR, out=observed)
-            np.log1p(observed, out=observed)
-            llr = observed.sum(axis=1) + n_log_norm
+        visibility, block = self.visibility, self.block
+        # A draw, factor or theta beyond the float32 range gives inf or NaN,
+        # and a NaN ratio or margin settles nothing.
+        with np.errstate(all="ignore"):
+            k, u = self.true_k32, self.unit_noise32
+            np.copyto(k, true_k, casting="same_kind")
+            np.copyto(u, unit_noise, casting="same_kind")
+            _fringe_phase32(self.level32, self.frequency32, self.phase32, k, u, block)
+            np.cos(block, out=block)
+            np.multiply(block, self.visibility32, out=block)
+            np.maximum(block, _FRINGE_FLOOR32, out=block)
+            np.log1p(block, out=block)
+            llr = block.sum(axis=1, dtype=np.float64) + n_log_norm
             # |llr - exact llr| <= margin: each V cos moves by at most delta
-            # (V eps, plus the rounding of both products, relative or
-            # subnormal), each log1p then by at most delta / least, and the
-            # 2^-40 terms cover the rounding of log1p and of both sums.
-            delta = visibility * (error + 2.0**-52) + 2.0**-1072
-            least = np.maximum(1.0 - visibility - delta, 1.0 + _FRINGE_FLOOR)
-            margin = (n * (delta / least - 2.0**-40 * np.log(least))
-                      + 2.0**-40 * abs(n_log_norm))
-            coherent = llr > margin
-            out[rows] = coherent
-            for j in np.flatnonzero(~(coherent | (llr < -margin))):
-                # The row rebuilt as the plain expression builds it, with the same bits.
-                row = self.block[j]
-                np.multiply(levels[j], unit_noise, out=row)
-                np.add(true_k, row, out=row)
-                out[start + j] = _log_likelihood_ratio(row, packet, levels[j], row) > 0.0
-                self.rechecks += 1
+            # (V times the theta and cos errors, plus the rounding of both
+            # products, relative or subnormal), each log1p then by at most
+            # delta / least, and the log1p and sum terms scale with
+            # |log1p| <= -log(least).
+            theta_error = (_THETA32_SLOPE * (self.frequency * max(true_k.max(), -true_k.min())
+                                             + self.noise_frequency
+                                             * max(unit_noise.max(), -unit_noise.min())
+                                             + abs(packet.phase_phi))
+                           + 2.0**-148 * (self.frequency + self.noise_frequency + 1.0))
+            delta = visibility * (theta_error + _COS32_FLOOR + 2.0**-22) + 2.0**-149
+            least = 1.0 - visibility - delta
+            margin = (n * (delta / least - (_LOG1P32_ERROR + 2.0**-49 * n) * np.log(least)
+                           + 2.0**-148)
+                      + 2.0**-52 * abs(n_log_norm))
+            # Where the least 1 + V cos exceeds 2^-24, neither floor acts.
+            settled = self.normal & (least > 2.0**-24) & (np.abs(llr) > margin)
+        out[:] = llr > 0.0
+        for j in np.flatnonzero(~settled):
+            # The row built as the plain expression builds it, with the same bits.
+            row, level = self.row, self.noise_levels[j]
+            np.multiply(level, unit_noise, out=row)
+            np.add(true_k, row, out=row)
+            out[j] = _log_likelihood_ratio(row, packet, level, row) > 0.0
+            self.rechecks += 1
 
 
 def _worker_count(trials: int) -> int:
@@ -375,8 +420,8 @@ def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray
 
     The share allocates its own arrays once and reuses them for each of its
     trials, so shares running in parallel share no buffer.  Its counts of
-    level decisions and acceptances re-decided in float64 go to
-    ``rechecks[share]``.
+    level decisions re-decided in float64, of acceptances re-decided in
+    float64 and of candidates drawn go to ``rechecks[share]``.
     """
     true_k, unit_noise = np.empty(n), np.empty(n)
     scratch = _RejectionScratch(n)
@@ -386,7 +431,7 @@ def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray
         _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
         rng.standard_normal(out=unit_noise)
         screen.decide(true_k, unit_noise, decisions[trial])
-    rechecks[share] = screen.rechecks, scratch.rechecks
+    rechecks[share] = screen.rechecks, scratch.rechecks, scratch.candidates
 
 
 def power_curve(packet: SuperposedWavepacket, n: int,
@@ -401,17 +446,28 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     is the same bytes as the plain per-trial loop gives.
 
     Both the rejection sampler (see ``_sample_true_momenta``) and the level
-    decisions are screened with the float32 cos and settled in float64 only
-    where the screen cannot be sure.  For a level of visibility V, the
-    screened ratio llr~ uses cos(float32(theta)) in place of cos(theta),
-    with error at most eps = 2^-22 max|theta| + 2^-21 over the n samples
-    (``_COS32_SLOPE``, ``_COS32_FLOOR``).  With delta = V (eps + 2^-52) +
-    2^-1072 and L = max(1 - V - delta, 1 + _FRINGE_FLOOR), the least value
-    of 1 + V cos that the log sees, the float64 ratio is within
-    B = n (delta / L - 2^-40 log L) + 2^-40 |n log N| of llr~, so llr~ > B
-    decides coherent and llr~ < -B mixed.  Any other level, a NaN llr~ from
-    a theta beyond the float32 range included, is decided by the float64
-    ratio itself.
+    decisions are screened in float32 and settled in float64 only where the
+    screen cannot be sure.  A trial's levels are screened together: its
+    draws k and u are cast to float32 once, and theta = f (k + l u) - phi,
+    cos, x V, the floor (the float32 next above -1), log1p and each row's
+    sum, into float64, give every level's screened ratio llr~.  For a level
+    of noise std l, frequency f = beta d and visibility V, theta is within
+    e = 2^-19 (|f| max|k| + |f l| max|u| + |phi|) + 2^-148 (|f| + |f l| + 1)
+    of the float64 one (``_THETA32_SLOPE``), and the float32 cos within
+    2^-21 of the cos of its argument (``_COS32_FLOOR``).  So each float32
+    V cos is within delta = V (e + 2^-21 + 2^-22) + 2^-149 of the float64
+    one, 2^-22 covering the rounding of V and of both products.  With
+    L = 1 - V - delta, the least value of 1 + V cos that either log sees,
+    each log1p moves by at most delta / L and is at most -log L in size;
+    the float32 log1p errs by at most 2^-19 of that plus 2^-148
+    (``_LOG1P32_ERROR``), and the float64 log1p and the sums by at most
+    2^-49 n of it.  The float64 ratio is then within
+    B = n (delta / L - (2^-19 + 2^-49 n) log L + 2^-148) + 2^-52 |n log N|
+    of llr~, so llr~ > B decides coherent and llr~ < -B mixed, provided
+    L > 2^-24, so that neither floor acts, and l, f and V are normal
+    float32 numbers, as the bound on e takes them to be.  Any other level,
+    V = 1 at zero noise and a NaN llr~ from a theta beyond the float32 range
+    included, is decided by the float64 ratio itself.
 
     Each trial has its own ``SeedSequence`` child, so trials are
     independent.  They run in W interleaved shares, one per CPU in the
@@ -426,9 +482,9 @@ def power_curve(packet: SuperposedWavepacket, n: int,
 
 def _power_curve_with_rechecks(packet: SuperposedWavepacket, n: int,
                                noise_levels: "list[float] | np.ndarray", trials: int,
-                               seed: int) -> "tuple[np.ndarray, dict]":
-    """``power_curve``'s powers, and how many level decisions and acceptances
-    the screens left to float64."""
+                               seed: int) -> "tuple[np.ndarray, dict, int]":
+    """``power_curve``'s powers; how many level decisions and acceptances the
+    screens left to float64, each with its base; and the number of shares."""
     if n < 1 or trials < 1 or seed < 0:
         raise ValidationError("power_curve needs n >= 1, trials >= 1 and seed >= 0, "
                               f"got n={n}, trials={trials}, seed={seed}")
@@ -443,7 +499,7 @@ def _power_curve_with_rechecks(packet: SuperposedWavepacket, n: int,
     children = np.random.SeedSequence(seed).spawn(trials)
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
     shares = _worker_count(trials)
-    rechecks = np.zeros((shares, 2), dtype=np.int64)
+    rechecks = np.zeros((shares, 3), dtype=np.int64)
     # With one share the pool never starts a thread.
     with ThreadPoolExecutor(max(shares - 1, 1)) as pool:
         others = [pool.submit(_decide_share, packet, n, noise_levels, children, decisions,
@@ -451,8 +507,10 @@ def _power_curve_with_rechecks(packet: SuperposedWavepacket, n: int,
         _decide_share(packet, n, noise_levels, children, decisions, rechecks, 0, shares)
         for future in others:
             future.result()
-    levels, acceptances = rechecks.sum(axis=0).tolist()
-    return decisions.mean(axis=0), {"levels": levels, "acceptances": acceptances}
+    levels, acceptances, candidates = rechecks.sum(axis=0).tolist()
+    return decisions.mean(axis=0), {"levels": levels, "level_decisions": decisions.size,
+                                    "acceptances": acceptances,
+                                    "candidates": candidates}, shares
 
 
 def spin_protocol_visibility(q: float, d: float, t0: float,

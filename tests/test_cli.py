@@ -147,21 +147,33 @@ def test_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_interference_sidecar_reports_the_power_check(tmp_path):
+def test_interference_sidecar_reports_the_power_check(tmp_path, monkeypatch):
+    # The worker count is the run's own: the curve asks for it once.
+    asked = []
+    worker_count = interference._worker_count
+    monkeypatch.setattr(interference, "_worker_count",
+                        lambda trials: asked.append(trials) or worker_count(trials))
     config = _write(tmp_path, "cfg.json", CHARGE_CONFIG)
     out = tmp_path / "power.csv"
     assert main(["interference", "--config", str(config), "--output", str(out),
                  "--seed", "3"]) == 0
     _, rows = _read_csv(out)
     check = json.loads((tmp_path / "power.csv.meta.json").read_text())["power_check"]
+    assert asked == [20]
     assert check["trials"] == 20
     assert check["workers"] == min(20, len(os.sched_getaffinity(0)))
     powers = [float(row[2]) for row in rows]
     assert check["mc_stderr"] == pytest.approx(
         [math.sqrt(p * (1.0 - p) / 20) for p in powers], rel=1e-11)
-    # Level decisions and acceptances the float32 screens left to float64.
-    assert set(check["exact_rechecks"]) == {"levels", "acceptances"}
-    assert all(type(count) is int and count >= 0 for count in check["exact_rechecks"].values())
+    # Level decisions and acceptances the float32 screens left to float64,
+    # each with its base: trials x levels, and the candidates drawn.
+    rechecks = check["exact_rechecks"]
+    assert set(rechecks) == {"levels", "level_decisions", "acceptances", "candidates"}
+    assert all(type(count) is int and count >= 0 for count in rechecks.values())
+    assert rechecks["level_decisions"] == 20 * 3
+    assert rechecks["levels"] <= rechecks["level_decisions"]
+    assert 20 * 2 * 2000 <= rechecks["candidates"]
+    assert rechecks["acceptances"] <= rechecks["candidates"]
     assert any(0.0 < p < 1.0 for p in powers)
 
 

@@ -230,14 +230,23 @@ def test_power_curve_bytes_do_not_depend_on_the_worker_count(monkeypatch, worker
 def test_screens_sent_wholly_to_float64_give_the_plain_bytes(monkeypatch):
     # An infinite error bound leaves every acceptance and every level
     # decision to the float64 route, which must reproduce the plain loops.
-    monkeypatch.setattr(interference, "_COS32_SLOPE", math.inf)
-    monkeypatch.setattr(interference, "_COS32_FLOOR", math.inf)
+    # Each constant of the level screen's bound does so for the levels alone.
     packet = SuperposedWavepacket(sigma=0.1, d=1.0, phase_phi=0.3)
     levels = np.logspace(-1.0, 1.0, 5) * math.pi
-    powers, rechecks = interference._power_curve_with_rechecks(packet, 1501, levels, 12, 7)
-    assert powers.tobytes() == _reference_power_curve(packet, 1501, levels, 12, 7).tobytes()
+    expected = _reference_power_curve(packet, 1501, levels, 12, 7).tobytes()
+    for name in ("_THETA32_SLOPE", "_COS32_FLOOR", "_LOG1P32_ERROR"):
+        with monkeypatch.context() as patch:
+            patch.setattr(interference, name, math.inf)
+            powers, rechecks, _ = interference._power_curve_with_rechecks(
+                packet, 1501, levels, 12, 7)
+        assert powers.tobytes() == expected
+        assert rechecks["levels"] == rechecks["level_decisions"] == 12 * len(levels)
+    monkeypatch.setattr(interference, "_COS32_SLOPE", math.inf)
+    monkeypatch.setattr(interference, "_COS32_FLOOR", math.inf)
+    powers, rechecks, _ = interference._power_curve_with_rechecks(packet, 1501, levels, 12, 7)
+    assert powers.tobytes() == expected
     assert rechecks["levels"] == 12 * len(levels)
-    assert rechecks["acceptances"] >= 12 * 2 * 1501
+    assert rechecks["acceptances"] == rechecks["candidates"] >= 12 * 2 * 1501
     sampled = sample_momenta(packet, Hypothesis.COHERENT, 1501, 0.0, seed=9)
     expected = _reference_true_momenta(packet, np.random.default_rng(9), 1501)
     assert sampled.tobytes() == expected.tobytes()
@@ -248,9 +257,11 @@ def test_the_screens_settle_nearly_every_decision():
     d = 1e-6
     packet = SuperposedWavepacket(sigma=d / 10.0, d=d)
     levels = np.logspace(-1.0, 1.0, 5) * math.pi / d
-    _, rechecks = interference._power_curve_with_rechecks(packet, 3001, levels, 12, 4)
+    _, rechecks, _ = interference._power_curve_with_rechecks(packet, 3001, levels, 12, 4)
+    assert rechecks["level_decisions"] == 12 * len(levels)
     assert rechecks["levels"] <= 1
-    assert rechecks["acceptances"] <= 20  # of at least 12 * 6002 candidates
+    assert rechecks["candidates"] >= 12 * 6002
+    assert rechecks["acceptances"] <= 20
 
 
 def test_arguments_beyond_float32_take_the_float64_route():
@@ -260,7 +271,7 @@ def test_arguments_beyond_float32_take_the_float64_route():
     levels = np.array([0.0, 1.0, 10.0]) * math.pi
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        powers, rechecks = interference._power_curve_with_rechecks(packet, 40, levels, 6, 3)
+        powers, rechecks, _ = interference._power_curve_with_rechecks(packet, 40, levels, 6, 3)
         expected = _reference_power_curve(packet, 40, levels, 6, 3)
         sampled = sample_momenta(packet, Hypothesis.COHERENT, 40, 0.0, seed=3)
         plain = _reference_true_momenta(packet, np.random.default_rng(3), 40)
@@ -268,6 +279,26 @@ def test_arguments_beyond_float32_take_the_float64_route():
     assert sampled.tobytes() == plain.tobytes()
     assert rechecks["levels"] == 6 * len(levels)
     assert rechecks["acceptances"] >= 6 * 128
+
+
+@pytest.mark.parametrize("sigma,d,levels", [
+    # Zero noise (V = 1), and a noise std beyond float32.
+    (0.05, 1.0, [0.0, 1e39]),
+    # f l = s d / 2 = 2.5e39 beyond float32 (and V = 0).
+    (1e-20, 1e20, [5e19]),
+    # V = 1.1e-40 and f = beta d = 5.0e-40, each below float32's normal range
+    # with the other factors normal: the screen would settle these levels.
+    (0.5, 13.6, [13.6]),
+    (5e-38, 2e-37, [2e38]),
+])
+def test_levels_at_the_float32_range_edges_take_the_float64_route(sigma, d, levels):
+    packet = SuperposedWavepacket(sigma=sigma, d=d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers, rechecks, _ = interference._power_curve_with_rechecks(packet, 40, levels, 6, 5)
+        expected = _reference_power_curve(packet, 40, levels, 6, 5)
+    assert powers.tobytes() == expected.tobytes()
+    assert rechecks["levels"] == rechecks["level_decisions"] == 6 * len(levels)
 
 
 class _FixedDraws:
@@ -312,6 +343,40 @@ def test_float32_cos_error_stays_within_a_quarter_of_its_bound():
         bound = interference._COS32_SLOPE * np.abs(theta) + interference._COS32_FLOOR
         assert largest == np.max(bound)
         assert np.max(np.abs(narrow - np.cos(theta)) / bound) <= 0.25
+
+
+def test_float32_level_pipeline_stays_within_a_quarter_of_its_bounds():
+    # The level screen rests on three float32 error bounds: theta's
+    # arithmetic against the float64 theta, cos of a float32 theta, and
+    # log1p over x in (-1, 1) down to 1 + x = 2^-24; each must read at most
+    # a quarter of the bound the screen assumes.
+    rng = np.random.default_rng(6)
+    n = 20_000
+    for decade in range(-3, 6):
+        frequency = 10.0 ** rng.uniform(-2.0, 2.0, 8)
+        level = 10.0 ** rng.uniform(-2.0, 2.0, 8)
+        phase = rng.uniform(-math.pi, math.pi)
+        true_k = 10.0 ** rng.uniform(decade - 1, decade + 1, n) * rng.choice([-1.0, 1.0], n)
+        unit_noise = rng.standard_normal(n)
+        theta = np.empty((8, n), dtype=np.float32)
+        interference._fringe_phase32(
+            level.astype(np.float32)[:, None], frequency.astype(np.float32)[:, None],
+            np.float32(phase), true_k.astype(np.float32), unit_noise.astype(np.float32), theta)
+        exact = frequency[:, None] * (true_k + level[:, None] * unit_noise) - phase
+        bound = interference._THETA32_SLOPE * (frequency[:, None] * np.abs(true_k)
+                                               + (frequency * level)[:, None] * np.abs(unit_noise)
+                                               + abs(phase))
+        assert np.max(np.abs(theta - exact) / bound) <= 0.25
+    theta = (10.0 ** rng.uniform(-3.0, 8.0, 10**6) * rng.choice([-1.0, 1.0], 10**6)).astype(np.float32)
+    error = np.abs(np.cos(theta) - np.cos(theta.astype(np.float64)))
+    assert np.max(error) <= 0.25 * interference._COS32_FLOOR
+    x = np.concatenate([-1.0 + 10.0 ** rng.uniform(math.log10(2.0**-24), 0.0, 10**6),
+                        10.0 ** rng.uniform(-45.0, 0.0, 10**6),
+                        -(10.0 ** rng.uniform(-45.0, 0.0, 10**6))]).astype(np.float32)
+    assert np.all(np.abs(x) < 1.0) and np.all(1.0 + x.astype(np.float64) >= 2.0**-24)
+    exact = np.log1p(x.astype(np.float64))
+    bound = interference._LOG1P32_ERROR * np.abs(exact) + 2.0**-148
+    assert np.max(np.abs(np.log1p(x) - exact) / bound) <= 0.25
 
 
 def test_screened_level_decision_is_the_float64_one_at_near_ties():
