@@ -22,7 +22,13 @@ import numpy as np
 
 from . import radiation
 from .constants import CODATA, PhysicalConstants
-from .errors import ValidationError, require, require_nonnegative, require_positive
+from .errors import (
+    ValidationError,
+    require,
+    require_finite,
+    require_nonnegative,
+    require_positive,
+)
 from .radiation import Shape, TrajectoryProfile
 
 __all__ = [
@@ -61,6 +67,9 @@ class SuperposedWavepacket:
     def __post_init__(self):
         require_positive(sigma=self.sigma)
         require_nonnegative(d=self.d)
+        # A non-finite phase makes every acceptance threshold of the
+        # rejection sampler NaN, so it would never accept a candidate.
+        require_finite(phase_phi=self.phase_phi)
         # A subnormal sigma overflows 1/(2 sigma), and with an infinite spread
         # the rejection sampler never accepts a candidate.
         require(self.momentum_spread < math.inf, ValidationError,

@@ -64,11 +64,14 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        require_finite(x_min=self.x_min, x_max=self.x_max)
         if not (self.x_max > self.x_min):
             raise ValidationError("x_max must exceed x_min")
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
             raise ValidationError(f"n_points must be a power of two, got {n}")
+        # A finite span can still overflow x_max - x_min.
+        require_positive(dx=self.dx)
 
     @property
     def x(self) -> np.ndarray:
@@ -91,10 +94,7 @@ class GridState:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.dx)
 
     def check_boundaries(self) -> None:
-        psi = np.abs(self.amplitudes)
-        peak = psi.max()
-        if psi[0] > _BOUNDARY_FRACTION * peak or psi[-1] > _BOUNDARY_FRACTION * peak:
-            raise GridError("wavefunction reaches the grid boundary")
+        _check_boundaries(np.abs(self.amplitudes))
 
     def position_moments(self) -> tuple[float, float]:
         """(<x>, Delta x)."""
@@ -116,6 +116,13 @@ class GridState:
         return mean, math.sqrt(var)
 
 
+def _check_boundaries(magnitude: np.ndarray) -> None:
+    """Raise GridError if |psi| at either edge exceeds _BOUNDARY_FRACTION of its peak."""
+    peak = magnitude.max()
+    if magnitude[0] > _BOUNDARY_FRACTION * peak or magnitude[-1] > _BOUNDARY_FRACTION * peak:
+        raise GridError("wavefunction reaches the grid boundary")
+
+
 def init_gaussian(spec: GridSpec, state: GaussianState) -> GridState:
     """Normalized minimum-uncertainty Gaussian on the grid."""
     if state.x0 - 6.0 * state.sigma < spec.x_min or \
@@ -134,6 +141,39 @@ def strang_phase(F: float, m: float, t: float, n_steps: int) -> float:
     return F**2 * t**3 / (24.0 * m * n_steps**2)
 
 
+# The last factor built by ``_kinetic``: (key, read-only factor), replaced
+# as one tuple so a concurrent caller never pairs a key with another
+# key's factor.
+_kinetic_memo: "tuple[tuple, np.ndarray] | None" = None
+
+
+def _kinetic(spec: GridSpec, m: float, t: float) -> np.ndarray:
+    """exp(-i k^2 t / 2m) on the FFT wavenumbers of ``spec``, read-only.
+
+    Bitwise the full-spectrum expression: the exp is taken on the n/2 + 1
+    non-negative frequencies only, and fftfreq's k_{n-j} = -k_j exactly, so
+    k^2, and with it the factor, of j and n - j have the same bits.  The
+    factor depends on spec only through n_points and dx; the last one is
+    memoised, keyed on those and on the types and values of m and t (a
+    numpy float32 m doubles in float32).  t = 0.0 and -0.0 give the same
+    bits, so they may share an entry.
+    """
+    global _kinetic_memo
+    n, dx = spec.n_points, spec.dx
+    key = (n, dx, type(m), m, type(t), t)
+    memo = _kinetic_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    half = n // 2 + 1
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)[:half]
+    kinetic = np.empty(n, dtype=complex)
+    kinetic[:half] = np.exp(-1j * k**2 * t / (2.0 * m))
+    kinetic[half:] = kinetic[half - 2:0:-1]
+    kinetic.flags.writeable = False
+    _kinetic_memo = (key, kinetic)
+    return kinetic
+
+
 def propagate_linear(state: GridState, F: float, m: float, t: float,
                      n_steps: int) -> GridState:
     """Evolve under H = P^2/2m - F X as n_steps Strang steps would.
@@ -142,9 +182,13 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
     momentum space, half potential phase), times the phase by which
     n_steps steps differ from it (none at one step).  A force-free branch,
     which has no potential factor, is ifft(exp(-i k^2 t / 2m) fft(psi0)).
+    The kinetic factor comes from ``_kinetic``: its exp is evaluated on the
+    non-negative half of the spectrum and mirrored, and the last factor is
+    memoised, so the second branch of an overlap, at the same grid, mass
+    and time, reuses the first one's.
 
     The result is checked for norm drift (a NaN norm fails it), then for
-    the grid boundary.
+    the grid boundary, both on one |psi|.
     """
     require_positive(m=m)
     require_nonnegative(t=t)
@@ -152,10 +196,9 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     require_finite(F=F)
     spec = state.spec
-    k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     # kinetic stays the first operand, as in the step loop: numpy's SIMD
     # complex multiply is not bitwise commutative.
-    kinetic = np.exp(-1j * k**2 * t / (2.0 * m))
+    kinetic = _kinetic(spec, m, t)
     if F == 0.0:
         psi = np.fft.ifft(kinetic * np.fft.fft(state.amplitudes))
     else:
@@ -165,13 +208,13 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
         if n_steps > 1:
             psi *= cmath.exp(1j * (strang_phase(F, m, t, n_steps) - strang_phase(F, m, t, 1)))
     norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
-    norm = np.sum(np.abs(psi) ** 2) * spec.dx
+    magnitude = np.abs(psi)
+    norm = np.sum(magnitude ** 2) * spec.dx
     # Written so that a NaN norm fails it.
     if not (abs(norm - norm0) <= 1e-8):
         raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")
-    out = GridState(spec=spec, amplitudes=psi)
-    out.check_boundaries()
-    return out
+    _check_boundaries(magnitude)
+    return GridState(spec=spec, amplitudes=psi)
 
 
 def echo_overlap_numeric(state0: GridState, F_L: float, F_R: float,

@@ -117,6 +117,7 @@ _FINITE = [
     (causality.Scenario, dict(alice=_CHARGE, bob_mass=1e-9, R=0.5, bob_charge=-1e-19),
      ["bob_charge"]),
     (oracle.propagate_linear, dict(state=_GRID, F=-0.1, m=1.0, t=0.5, n_steps=1), ["F"]),
+    (interference.SuperposedWavepacket, dict(sigma=0.1, d=1.0, phase_phi=0.5), ["phase_phi"]),
 ]
 
 

@@ -38,6 +38,13 @@ def test_grid_spec_properties_and_validation():
         GridSpec(x_min=1.0, x_max=-1.0, n_points=64)
     with pytest.raises(ValidationError):
         GridSpec(x_min=-1.0, x_max=1.0, n_points=100)  # not a power of two
+    # Non-finite bounds, and a finite span whose width overflows.
+    with pytest.raises(ValidationError, match="^x_max must be finite, got inf$"):
+        GridSpec(x_min=-16.0, x_max=math.inf, n_points=64)
+    with pytest.raises(ValidationError, match="^x_min must be finite, got -inf$"):
+        GridSpec(x_min=-math.inf, x_max=16.0, n_points=64)
+    with pytest.raises(ValidationError, match="^dx must be positive and finite, got inf$"):
+        GridSpec(x_min=-1e308, x_max=1e308, n_points=64)
 
 
 def test_initial_gaussian_moments():
@@ -327,3 +334,39 @@ def test_force_free_branch_is_the_composed_strang_loop(n_steps):
         assert free.tobytes() == expected.tobytes()
     else:
         assert np.max(np.abs(free - expected)) < 1e-13
+
+
+def _full_spectrum_kinetic(spec, m, t):
+    k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    return np.exp(-1j * k**2 * t / (2.0 * m))
+
+
+def test_kinetic_factor_is_bitwise_the_full_spectrum_expression():
+    # Consecutive calls differ in the grid spacing alone, the mass alone
+    # (an int and floats) or the time alone (0.0 and -0.0 included), so a
+    # factor served from the memo for the wrong key would show.
+    calls = []
+    for n in [2**e for e in range(1, 13)]:
+        for spec in (GridSpec(-16.0, 16.0, n), GridSpec(-3.7, 51.2, n)):
+            for m, t in ((1, 1.2), (0.37, 1.2), (0.37, 31.5), (0.37, 0.0), (0.37, -0.0),
+                         (1.0, -0.0), (1.0, 1.2), (1, 1.2)):
+                calls.append((spec, m, t))
+    # The grid size alone: same spacing, other size, then back.
+    calls += [(GridSpec(-16.0, 16.0, 64), 1.0, 1.2), (GridSpec(-32.0, 32.0, 128), 1.0, 1.2),
+              (GridSpec(-16.0, 16.0, 64), 1.0, 1.2)]
+    for spec, m, t in calls:
+        factor = oracle._kinetic(spec, m, t)
+        assert factor.tobytes() == _full_spectrum_kinetic(spec, m, t).tobytes(), (spec, m, t)
+
+
+def test_kinetic_factor_is_shared_and_read_only():
+    state, spec, _, _, m, t = _reference_case()
+    factor = oracle._kinetic(spec, m, t)
+    assert oracle._kinetic(spec, m, t) is factor
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError):
+        factor[0] = 0.0
+    # Propagation leaves the shared factor as it was.
+    before = factor.tobytes()
+    echo_overlap_numeric(init_gaussian(spec, state), 0.9, 0.0, m, t, 10)
+    assert oracle._kinetic(spec, m, t).tobytes() == before
