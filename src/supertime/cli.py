@@ -3,6 +3,9 @@
 Usage: supertime <subcommand> --config cfg.json [--output out.csv]
                  [--seed N] [--oracle]
 
+``--seed`` is accepted only by ``interference``, the one subcommand that
+draws random numbers, and ``--oracle`` only where there is an oracle column.
+
 Config files are strict JSON: unknown keys are rejected so a typo in a
 physics parameter can never be silently ignored, and every error names the
 JSON path of the bad value.  A sweep is evaluated in one pass, with the
@@ -357,13 +360,15 @@ def _read_two_column_csv(path: str) -> np.ndarray:
 
 class _Subcommand(NamedTuple):
     """CSV header, columns over all sweep points, sweepable parameters, --oracle
-    column, and the sidecar entries that report how the columns were computed."""
+    column, the sidecar entries that report how the columns were computed, and
+    whether the columns draw random numbers (and so read the seed)."""
 
     header: tuple[str, ...]
     columns: Callable[[RunConfig, bool], list]
     sweeps: frozenset = frozenset()
     oracle_column: str | None = None
     checks: Callable[[RunConfig, list, bool], dict] | None = None
+    seeded: bool = False
 
 
 SUBCOMMANDS = {
@@ -382,7 +387,8 @@ SUBCOMMANDS = {
     "vacuum": _Subcommand(("T_seconds", "averaged_variance_natural", "momentum_error_kg_m_per_s",
                            "min_measurement_time_seconds"), _columns_vacuum),
     "interference": _Subcommand(("noise_multiple_of_pi_over_d", "noise_dP_natural", "power"),
-                                _columns_interference, checks=_checks_interference),
+                                _columns_interference, checks=_checks_interference,
+                                seeded=True),
 }
 
 
@@ -559,11 +565,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--output", help="CSV output path")
-    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--seed", type=int, help="override config seed (interference)")
     parser.add_argument("--oracle", action="store_true",
                         help="add grid-propagation cross-check columns (echo)")
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and not SUBCOMMANDS[args.subcommand].seeded:
+            raise ValidationError(f"--seed: {args.subcommand} draws no random numbers")
         start = time.perf_counter()
         config = parse_config(Path(args.config).read_text())
         if args.seed is not None:

@@ -15,10 +15,17 @@ asks for Gauss-Legendre panel nodes omega = c_p + s_i, whose offsets s_i
 are the same in every panel, and builds each phase as the product
 e^{i c_p x_j} e^{i s_i x_j} of a (panels, knots) and an (offsets, knots)
 table.  Both routes hand their phases to one branch body, ``_transform``.
+
+The Gauss-Legendre rule is built in O(n): Newton's method in theta,
+x = cos theta, with P_n(cos theta) evaluated in O(1) per node from
+Stieltjes' asymptotic series, or from Laplace's integral near the end nodes
+(Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013).  The moment's
+24-point panel rule is built once per process, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -77,57 +84,106 @@ def sample_columns(samples, min_rows: int, value_name: str):
 # --- Gauss-Legendre nodes -----------------------------------------------------
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
-    prev, cur, step = np.ones_like(x), x.copy(), np.empty_like(x)
-    # ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j, one operation at a time in
-    # that order, into buffers that rotate: the loop allocates nothing.
-    for j in range(2, n + 1):
-        np.multiply(2 * j - 1, x, out=step)
-        step *= cur
-        step -= np.multiply(j - 1, prev, out=prev)
-        step /= j
-        prev, cur, step = cur, step, prev
-    return cur, prev
+# Nodes with (n + 1/2) theta below _STIELTJES_SWITCH take Laplace's integral,
+# the rest Stieltjes' series.  At the switch, the first term the series omits
+# is below 2e-19 of the leading one; _LAPLACE_POINTS midpoints alias Laplace's
+# integrand at its 128th Fourier coefficient, about J_128(30) = 2e-66, and are
+# exact for every n < 128.
+_STIELTJES_SWITCH = 30.0
+_STIELTJES_TERMS = 20
+_LAPLACE_POINTS = 64
+
+
+def _legendre_stieltjes(n: int, theta: np.ndarray, scale: float):
+    """(P_n(cos theta), dP_n/dtheta) by Stieltjes' series.
+
+    P_n(cos theta) = C_n sum_m h_m cos(alpha_m) / (2 sin theta)^(m + 1/2)
+    with alpha_m = (n + m + 1/2) theta - (m + 1/2) pi / 2,
+    h_{m+1} = h_m (m + 1/2)^2 / ((m + 1) (n + m + 3/2)), h_0 = 1, and
+    ``scale`` = C_n; the derivative is taken term by term.  Each alpha_m
+    turns the last by theta - pi/2, so only alpha_0 takes a cos and a sin.
+    """
+    sin, cos = np.sin(theta), np.cos(theta)
+    cot, u = cos / sin, 0.5 / sin
+    alpha = (n + 0.5) * theta - 0.25 * math.pi
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    term = np.sqrt(u)
+    p, dp = np.zeros_like(theta), np.zeros_like(theta)
+    for m in range(_STIELTJES_TERMS):
+        half = m + 0.5
+        p += term * cos_a
+        dp -= term * ((n + half) * sin_a + half * cot * cos_a)
+        cos_a, sin_a = sin_a * cos + cos_a * sin, sin_a * sin - cos_a * cos
+        term *= u * (half * half / ((m + 1) * (n + half + 1.0)))
+    return scale * p, scale * dp
+
+
+def _legendre_laplace(n: int, theta: np.ndarray):
+    """(P_n(cos theta), dP_n/dtheta) from Laplace's integral.
+
+    P_n(cos theta) = (1/pi) int_0^pi z^n dphi, z = cos theta + i sin theta cos phi,
+    by the midpoint rule, and its theta-derivative n z^(n-1) dz/dtheta
+    likewise.  z^n is formed from log|z| = log1p(-sin^2 theta sin^2 phi) / 2
+    and arg z: the log of a rounded |z|^2 = cos^2 theta + sin^2 theta cos^2 phi
+    would carry an ulp of 1 that the power multiplies by n.
+    """
+    phi = (np.arange(_LAPLACE_POINTS) + 0.5) * (math.pi / _LAPLACE_POINTS)
+    sin, cos = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    cos_phi = np.cos(phi)
+    log_mod = 0.5 * np.log1p(-(sin * np.sin(phi)) ** 2)
+    arg = np.arctan2(sin * cos_phi, cos)
+    p = np.exp(n * log_mod) * np.cos(n * arg)
+    # Re[n z^(n-1) (-sin theta + i cos theta cos phi)]
+    dp = n * np.exp((n - 1) * log_mod) * (
+        -sin * np.cos((n - 1) * arg) - cos * cos_phi * np.sin((n - 1) * arg))
+    return p.mean(axis=1), dp.mean(axis=1)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
 
-    Newton's method on P_n from Tricomi's initial guesses, evaluated by the
-    three-term recurrence and vectorized over the nonnegative half of the
-    nodes (the rule is symmetric).  O(n^2) work and O(n) memory, against
-    the O(n^3) eigenvalue route of ``numpy.polynomial.legendre.leggauss``
-    (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013).  Each weight
-    comes from the last Newton step of its node, corrected to first order
-    in that step, so it belongs to the converged node.
+    Newton's method in theta, x = cos theta, from Tricomi's initial
+    guesses, on the nonnegative half of the nodes (the rule is symmetric).
+    P_n(cos theta) and dP_n/dtheta are evaluated vectorized over the nodes
+    in O(1) work each: by Stieltjes' asymptotic series where
+    (n + 1/2) theta >= 30 and by a 64-point rule on Laplace's integral
+    nearer the end nodes (Hale & Townsend, SIAM J. Sci. Comput. 35, A652,
+    2013).  O(n) work and memory in all, against the O(n^2) of the three-term
+    recurrence and the O(n^3) eigenvalue route of
+    ``numpy.polynomial.legendre.leggauss``.  The weight is
+    2 / (dP_n/dtheta)^2, from the last Newton step of its node, corrected to
+    first order in that step so it belongs to the converged node.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     half = (n + 1) // 2
     k = np.arange(1, half + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-    if n % 2:
-        x[-1] = 0.0  # P_n is odd: the middle node is exactly zero
-    w = np.empty_like(x)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
+    # C_n = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2) = (4 / pi) prod_j (1 - 1 / (2j + 1)),
+    # summed in logs without rounding error: lgamma differences lose 7e-12 at n = 4096.
+    scale = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-1.0 / (2.0 * np.arange(1, n + 1) + 1.0))))
+    w = np.empty_like(theta)
     active = np.arange(half)
     for _ in range(20):
-        xa = x[active]
-        one_minus_x2 = (1.0 - xa) * (1.0 + xa)
-        p, p_prev = _legendre_pair(n, xa)
-        dp = n * (p_prev - xa * p) / one_minus_x2
-        dx = p / dp
-        # d ln w / dx with w = 2 / ((1 - x^2) P_n'^2), using Legendre's
-        # equation for P_n''.
-        slope = (2.0 * n * (n + 1) * dx - 2.0 * xa) / one_minus_x2
-        w[active] = 2.0 / (one_minus_x2 * dp**2) * (1.0 - slope * dx)
-        x[active] = xa - dx
-        active = active[np.abs(dx) > 4.0 * _EPS]
+        ta = theta[active]
+        p, dp = np.empty_like(ta), np.empty_like(ta)
+        series = (n + 0.5) * ta >= _STIELTJES_SWITCH
+        p[series], dp[series] = _legendre_stieltjes(n, ta[series], scale)
+        p[~series], dp[~series] = _legendre_laplace(n, ta[~series])
+        dt = p / dp
+        # d ln w / dtheta = -2 P_n'' / P_n' = 2 cot(theta) at a node, with
+        # ' = d/dtheta, by Legendre's equation in theta.
+        w[active] = 2.0 / dp**2 * (1.0 - 2.0 * dt / np.tan(ta))
+        theta[active] = ta - dt
+        active = active[np.abs(dt) > 4.0 * _EPS]
         if active.size == 0:
             break
     else:
         raise ArithmeticError(f"Gauss-Legendre Newton iteration stalled for n={n}")
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0  # P_n is odd: the middle node is exactly zero
     # x holds the nodes in [0, 1), largest first; the first n // 2 of them
     # are mirrored (an odd n adds the middle node 0 once).
     return (np.concatenate([-x[:n // 2], x[::-1]]),
@@ -417,22 +473,30 @@ def _interior_bound(jumps: np.ndarray, x: np.ndarray):
     # Interior-interior pairs of different knots.
     sums = inner.sum(axis=1)
     apart = np.outer(sums, sums) - inner @ inner.T
-    q = np.add.outer(np.arange(4), np.arange(4))
+    # Term (k, k'), q = k + k', is 2 min(2 spread cutoff^-(q+1), plain cutoff^-q / q)
+    # + apart cutoff^-q / q; at q = 0 the plain bound is absent (inf) and the
+    # apart term is 2 apart / (closest cutoff).
+    q = np.add.outer(np.arange(4.0), np.arange(4.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain_q, apart_q = plain / q, apart / q
+    plain_q[0, 0], apart_q[0, 0] = np.inf, 0.0
+    apart_same = 2.0 * apart[0, 0] / closest
+    oscillating = 2.0 * spread
 
     def bound(cutoff: float) -> float:
-        total = 0.0
-        for k in range(4):
-            for kk in range(4):
-                qq = q[k, kk]
-                oscillating = 2.0 * spread[k, kk] * cutoff ** -(qq + 1)
-                if qq:
-                    total += 2.0 * min(oscillating, plain[k, kk] * cutoff ** -qq / qq)
-                    total += apart[k, kk] * cutoff ** -qq / qq
-                else:
-                    total += 2.0 * oscillating + 2.0 * apart[k, kk] / (closest * cutoff)
-        return total
+        power = cutoff ** -q
+        capped = np.minimum(oscillating * (power / cutoff), plain_q * power)
+        return float(np.sum(2.0 * capped + apart_q * power)) + apart_same / cutoff
 
     return bound
+
+
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_PANEL_NODES``-point rule every panel shares, built on first use, read-only."""
+    nodes, weights = gauss_legendre(_PANEL_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def spectral_moment(pp, rel_tol: float) -> float:
@@ -466,7 +530,7 @@ def spectral_moment(pp, rel_tol: float) -> float:
     growth = float(np.sum(jumps[0] ** 2))
     span = float(x[-1] - x[0])
     width = 2.0 * _PANEL_PHASE / span
-    ref_nodes, ref_weights = gauss_legendre(_PANEL_NODES)
+    ref_nodes, ref_weights = _panel_rule()
     bound = _interior_bound(jumps, x)
     transform = _panel_fourier(spline, 0.5 * width * ref_nodes)
 

@@ -616,6 +616,16 @@ def test_oracle_flag_only_where_there_is_an_oracle(tmp_path, capsys):
     assert "--oracle" in capsys.readouterr().err
 
 
+def test_seed_flag_only_where_something_is_drawn(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", CHARGE_CONFIG)
+    for sub in ("bound", "echo", "causality", "radiation", "vacuum"):
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--config", str(config), "--output", str(out), "--seed", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"supertime: error: --seed: {sub} draws no random numbers"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_radiation_magnitude_sweep_scales_as_charge_squared(tmp_path):
     payload = {**CHARGE_CONFIG, "sweep": {"parameter": "magnitude", "min": 1e-19,
                                           "max": 1e-17, "points": 5, "scale": "log"}}

@@ -1,6 +1,7 @@
 """Spline Fourier kernel, spectral moments, Gauss-Legendre nodes, validation."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -225,6 +226,49 @@ def test_knot_jumps_are_the_unsigned_closed_form_knot_terms(pp):
     assert np.any((jumps == 0.0) & (closed_knots.T != 0.0))
 
 
+def _loop_interior_bound(jumps, x):
+    """The bound of ``tabulated._interior_bound`` term by term, as first written."""
+    mag = np.abs(jumps)
+    ends, inner = mag[:, [0, -1]], mag[:, 1:-1]
+    distance = np.abs(x[[0, -1]][:, None] - x[None, 1:-1])
+    closest = float(np.min(np.diff(x)))
+    spread = np.einsum("ke,le->kl", ends, inner @ (1.0 / distance).T)
+    plain = np.outer(ends.sum(axis=1), inner.sum(axis=1))
+    sums = inner.sum(axis=1)
+    apart = np.outer(sums, sums) - inner @ inner.T
+
+    def bound(cutoff):
+        total = 0.0
+        for k in range(4):
+            for kk in range(4):
+                q = k + kk
+                oscillating = 2.0 * spread[k, kk] * cutoff ** -(q + 1)
+                if q:
+                    total += 2.0 * min(oscillating, plain[k, kk] * cutoff ** -q / q)
+                    total += apart[k, kk] * cutoff ** -q / q
+                else:
+                    total += 2.0 * oscillating + 2.0 * apart[k, kk] / (closest * cutoff)
+        return total
+
+    return bound
+
+
+@pytest.mark.parametrize("pp", [_gaussian_spline(801), _sin2_velocity(400),
+                                _random_spline(np.random.default_rng(0), 12),
+                                PPoly(np.random.default_rng(1).normal(size=(4, 12)),
+                                      np.sort(np.random.default_rng(2).uniform(size=13)))],
+                         ids=["gaussian-801", "sin2-400", "random-12", "discontinuous-12"])
+def test_interior_bound_matches_the_term_by_term_loop(pp):
+    # Cutoffs from well below to well above the knot spacing's scale, so that
+    # each term takes both sides of its min; only the discontinuous case has
+    # interior jumps of the value itself, the q = 0 interior term.
+    x, h, a = tabulated._pieces(pp)
+    jumps = tabulated._knot_jumps(tabulated._prepare(x, h, a), h, a)
+    bound, reference = tabulated._interior_bound(jumps, x), _loop_interior_bound(jumps, x)
+    for cutoff in np.geomspace(1e-3, 1e9, 61) / (x[-1] - x[0]):
+        assert bound(cutoff) == pytest.approx(reference(cutoff), rel=1e-14, abs=0.0)
+
+
 def test_spectral_moment_of_a_hat_is_four_ln_two():
     # p = 1 - |t| on [-1, 1]: p_hat = 2 (1 - cos w) / w^2 and
     # int_0^inf |p_hat|^2 w dw = 4 int_0^inf sin^4(u) / u^3 du = 4 ln 2.
@@ -255,21 +299,37 @@ def test_gauss_legendre_matches_leggauss(n):
     assert np.max(np.abs(weights / ref_weights - 1.0)) <= (1e-13 if n < 200 else 1e-10)
 
 
-def _allocating_legendre_pair(n, x):
-    """The three-term recurrence with fresh temporaries per step, as first written."""
-    prev, cur = np.ones_like(x), x.copy()
+def _decimal_legendre(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence in the current decimal context."""
+    prev, cur = Decimal(1), x
     for j in range(2, n + 1):
         prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
-    return cur, prev
+    return cur, n * (x * cur - prev) / (x * x - 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 24, 200, 4096])
-def test_gauss_legendre_in_reused_buffers_is_bitwise_the_allocating_recurrence(n, monkeypatch):
+def _reference_node(n, x):
+    """The node nearest the double ``x`` and its weight, to 40 digits."""
+    with localcontext() as context:
+        context.prec = 40
+        x = Decimal(float(x))
+        # Newton from a double-precision node: two steps reach 40 digits.
+        for _ in range(2):
+            p, dp = _decimal_legendre(n, x)
+            x -= p / dp
+        _, dp = _decimal_legendre(n, x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [24, 400, 4096])
+def test_gauss_legendre_matches_a_40_digit_reference(n):
+    # The 8 largest nodes, where the recurrence rounding used to cost 6.7e-12
+    # of the weight at n = 4096; two either side of the switch from Laplace's
+    # integral to Stieltjes' series near (n + 1/2) theta = 30; two interior.
     nodes, weights = gauss_legendre(n)
-    monkeypatch.setattr(tabulated, "_legendre_pair", _allocating_legendre_pair)
-    ref_nodes, ref_weights = gauss_legendre(n)
-    assert nodes.tobytes() == ref_nodes.tobytes()
-    assert weights.tobytes() == ref_weights.tobytes()
+    for i in sorted({*range(n - 8, n), n - 10, n - 11, (3 * n) // 4, n // 2}):
+        node, weight = _reference_node(n, nodes[i])
+        assert abs(Decimal(float(nodes[i])) - node) <= Decimal("4e-16"), i
+        assert abs(Decimal(float(weights[i])) / weight - 1) <= Decimal("1e-14"), i
 
 
 def test_gauss_legendre_4096_is_exact_for_even_monomials():
@@ -283,6 +343,14 @@ def test_gauss_legendre_4096_is_exact_for_even_monomials():
     for k in range(101):
         exact = 2.0 / (2 * k + 1)
         assert abs(np.sum(weights * nodes ** (2 * k)) - exact) <= 3e-14 * exact, k
+
+
+def test_panel_rule_is_shared_and_read_only():
+    nodes, weights = tabulated._panel_rule()
+    assert tabulated._panel_rule()[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    expected = gauss_legendre(tabulated._PANEL_NODES)
+    assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
 
 
 def test_gauss_legendre_rejects_bad_order():
