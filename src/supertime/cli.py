@@ -225,15 +225,23 @@ def _columns_echo(config: RunConfig, use_oracle: bool):
 
 
 def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
-    """The grid size and step count, the rows run through the balanced pair
+    """The dipole formula's own relative error, and with ``--oracle`` the
+    grid size and step count, the rows run through the balanced pair
     because their b/a is out of the grid's reach, the b/a range of the
-    nonzero rows, and the largest |numeric - analytic| overlap."""
+    nonzero rows, and the largest |numeric - analytic| overlap.
+
+    The exact branch forces differ by F_L - F_R = 2 delta_F (1 - d^2/4R^2)^-2,
+    so the dipole delta_F is short by eps = (1 - d^2/4R^2)^-2 - 1 ~ d^2/2R^2,
+    about 5.02e-3 at the d < R/10 gate.
+    """
+    d, R = config.scenario.alice.separation_d, config.scenario.R
+    checks = {"dipole_check": {"rel_error": math.expm1(-2.0 * math.log1p(-d * d / (4.0 * R * R)))}}
     if not use_oracle:
-        return {}
+        return checks
     _, _, _, overlap, numeric, (a, b) = columns
     nonzero = [(x, p) for x, p in zip(a, b) if x > 0.0 or p > 0.0]
     ratios = [p / x if x > 0.0 else math.inf for x, p in nonzero]
-    return {"oracle_check": {
+    return {**checks, "oracle_check": {
         "grid_points": oracle.MATCHED_GRID_POINTS,
         "steps": oracle.MATCHED_STEPS,
         "fallback_rows": sum(not oracle.in_matched_reach(x, p) for x, p in nonzero),
@@ -423,21 +431,43 @@ def _write_all_or_nothing(files: "list[tuple[Path, str]]") -> None:
 _POW10 = np.array([float(f"1e{j}") for j in range(-308, 309)])
 # "00" .. "99", each as the little-endian uint16 of its two ASCII bytes.
 _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2")
+# "0000" .. "9999", each as the little-endian uint32 of its four ASCII bytes.
+_DIGIT_QUADS = np.column_stack([np.repeat(_DIGIT_PAIRS, 100),
+                                np.tile(_DIGIT_PAIRS, 100)]).view("<u4").ravel()
+# The exponent j = -308 .. 308 of a field, at index j + 308, as the bytes
+# "e-hjj": its sign, its hundreds digit (NUL below 100) and its last two.
+_EXPONENT_FIELDS = np.frombuffer(b"".join(
+    b"e%c%c%02d" % (b"+-"[j < 0], abs(j) // 100 + ord("0") if abs(j) >= 100 else 0, abs(j) % 100)
+    for j in range(-308, 309)), np.uint8).reshape(-1, 5)
+# The same as the little-endian uint32 of "e-jj", for a block with no
+# hundreds byte, and of "-hjj", for a block that writes the "e" before it.
+_EXPONENT_QUADS = np.ascontiguousarray(_EXPONENT_FIELDS[:, [0, 1, 3, 4]]).view("<u4")[:, 0]
+_EXPONENT_HUNDREDS_QUADS = np.ascontiguousarray(_EXPONENT_FIELDS[:, 1:]).view("<u4")[:, 0]
 # |x| 10**(12 - e) computed in float64 is within 2 * 2**-53 * 1e13 ~ 0.0022 of
 # its exact value, so one further than this from a half-integer rounds as the
 # exact value does.
 _TIE_GAP = 0.003
-# A float field as ten byte pairs: "-d", ".d", five pairs of digits, "de",
-# "-d" (the exponent's sign and hundreds digit) and "dd".  The sign and
-# hundreds bytes are NUL where the field has none; the widest "%.12e" field,
-# "-d.dddddddddddde-ddd", fills all 20 bytes.
-_FLOAT_PAIRS = 10
+
+
+def _put_quads(block: np.ndarray, offset: int, table: np.ndarray, index: np.ndarray) -> None:
+    """Write ``table[index]`` as the four bytes at ``offset`` of each row of ``block``."""
+    np.take(table, index, out=block[:, offset:offset + 4].view("<u4")[:, 0], mode="clip")
 
 
 def _float_fields(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """``"%.12e" % v`` of each of ``values`` as NUL-padded rows of a
-    (len(values), 20) uint8 block, and the mask of the fields that were
-    written by ``%`` itself (the exact route)."""
+    """``"%.12e" % v`` of each of ``values`` as NUL-padded rows of a uint8
+    block, and the mask of the fields that were written by ``%`` itself
+    (the exact route).
+
+    A field of the array route is the leading digit, a point, three 4-digit
+    groups (each one uint32 gathered from ``_DIGIT_QUADS``) and the
+    exponent: "d.dddddddddddde+dd", 18 bytes.  The block puts a sign byte
+    in front only if some value has its sign bit set (-0.0 and -nan
+    included; NUL on the others), and a hundreds byte after the exponent's
+    sign only if some exponent estimate has three digits (NUL on the
+    others).  It is wider only where an exact-route field is longer;
+    shorter ones (``nan``, ``inf``) are NUL-padded to its width.
+    """
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
     fast = (a >= 1e-290) & (a <= 1e300)  # also False for 0, inf and nan
@@ -447,23 +477,48 @@ def _float_fields(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     # A log10 one off puts y out of range; a near-tie could round either way.
     fast &= (y >= 1e12) & (y < 1e13 - 0.5) & (np.abs(y - np.floor(y) - 0.5) > _TIE_GAP)
     digits = np.rint(y).astype(np.int64)  # 13 of them
-    tail = digits % 10**12
-    pairs = np.empty((x.size, _FLOAT_PAIRS), "<u2")
-    pairs[:, 0] = np.where(np.signbit(x), ord("-"), 0) | (digits // 10**12 + ord("0")) << 8
-    pairs[:, 1] = ord(".") | (tail // 10**11 + ord("0")) << 8
-    for k in range(5):
-        pairs[:, 2 + k] = _DIGIT_PAIRS[tail // 10**(9 - 2 * k) % 100]
-    pairs[:, 7] = (tail % 10 + ord("0")) | ord("e") << 8
-    exponent = np.abs(e)
-    pairs[:, 8] = (np.where(e < 0, ord("-"), ord("+"))
-                   | np.where(exponent >= 100, exponent // 100 + ord("0"), 0) << 8)
-    pairs[:, 9] = _DIGIT_PAIRS[exponent % 100]
-    block = pairs.view(np.uint8)
+    # The leading digit and three groups of four: one int64 division, then int32.
+    high = digits // 10**8
+    low = (digits - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
+    lead = high // 10**4
+    middle = low // 10**4
+    negative = np.signbit(x)
+    sign = int(negative.any())
+    hundreds = int(np.abs(e).max(initial=0) >= 100)
+    layout = 18 + sign + hundreds
     exact = ~fast
-    if exact.any():
-        fields = np.array(["%.12e" % v for v in x[exact].tolist()], dtype=f"S{block.shape[1]}")
-        block[exact] = fields.view(np.uint8).reshape(-1, block.shape[1])
+    exact_rows = np.flatnonzero(exact)
+    fields = ["%.12e" % v for v in x[exact_rows].tolist()]
+    width = max([layout, *map(len, fields)])
+    block = np.empty((x.size, width), np.uint8)
+    if sign:
+        block[:, 0] = negative.view(np.uint8) * np.uint8(ord("-"))
+    block[:, sign] = lead + ord("0")
+    block[:, sign + 1] = ord(".")
+    _put_quads(block, sign + 2, _DIGIT_QUADS, high - lead * 10**4)
+    _put_quads(block, sign + 6, _DIGIT_QUADS, middle)
+    _put_quads(block, sign + 10, _DIGIT_QUADS, low - middle * 10**4)
+    if hundreds:
+        block[:, sign + 14] = ord("e")
+        _put_quads(block, sign + 15, _EXPONENT_HUNDREDS_QUADS, e + 308)
+    else:
+        _put_quads(block, sign + 14, _EXPONENT_QUADS, e + 308)
+    block[:, layout:] = 0
+    if fields:
+        block[exact_rows] = np.array(fields, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return block, exact
+
+
+def _text_fields(values: np.ndarray) -> np.ndarray:
+    """Each of ``values``, a boolean as ``true`` or ``false`` and anything
+    else as its ``str`` in UTF-8, as NUL-padded rows of a uint8 block as
+    wide as its longest field."""
+    if values.dtype == bool:  # five bytes wide only if some value is false
+        values = np.where(values, b"true", b"true" if values.all() else b"false")
+    else:
+        values = np.char.encode(values.astype(str), "utf-8")
+    return values.view(np.uint8).reshape(values.size, values.dtype.itemsize)
 
 
 def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int, int]":
@@ -475,35 +530,57 @@ def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int, int]":
     needs quoting or holds a NUL, and lines end in CRLF as ``csv.writer``
     ends them.
 
-    Each column becomes a block of NUL-padded byte rows, and the blocks and
-    separators are joined and the pads dropped in one pass.  A float column
-    is formatted by array operations with the bytes of Python's ``%``:
-    e = floor(log10|x|) and y = |x| 10**(12 - e), from a table of correctly
-    rounded powers of ten, so y is within 0.0022 of its exact value, and
-    round(y) gives the 13 digits.  The exact route, ``"%.12e" % v`` itself,
-    takes every field whose y lies within 0.003 of a half-integer (a near-tie
-    that the error could round either way) or outside [1e12, 1e13 - 1/2) (a
-    log10 one off, or a carry into the next power of ten), and every x that
-    is zero, not finite or of magnitude outside [1e-290, 1e300].
+    Each column becomes a block of NUL-padded byte rows, as wide as its
+    longest field.  The blocks, broadcast where a value repeats, and the
+    separators are written into their slices of one preallocated
+    (rows, row width) table, and any pads are dropped in one pass.  A table
+    whose columns each share one sign and one exponent width has none, so
+    that pass only copies it.
+
+    A float column is formatted by array operations with the bytes of
+    Python's ``%``: e = floor(log10|x|) and y = |x| 10**(12 - e), from a
+    table of correctly rounded powers of ten, so y is within 0.0022 of its
+    exact value, and round(y) gives the 13 digits, written as the leading
+    digit and three 4-digit groups from a table of ASCII quads.  The exact
+    route, ``"%.12e" % v`` itself, takes every field whose y lies within
+    0.003 of a half-integer (a near-tie that the error could round either
+    way) or outside [1e12, 1e13 - 1/2) (a log10 one off, or a carry into the
+    next power of ten), and every x that is zero, not finite or of magnitude
+    outside [1e-290, 1e300].
     """
     n_rows = max(np.size(column) for column in columns)
     blocks, exact_fields = [], 0
-    comma = np.broadcast_to(np.frombuffer(b",", np.uint8), (n_rows, 1))
     for column in columns:
         column = np.ravel(column)
         if column.dtype.kind == "f":
             block, exact = _float_fields(column)
             exact_fields += int(np.count_nonzero(np.broadcast_to(exact, n_rows)))
         else:
-            if column.dtype == bool:
-                column = np.where(column, b"true", b"false")
-            else:
-                column = np.char.encode(column.astype(str), "utf-8")
-            block = column.view(np.uint8).reshape(column.size, column.dtype.itemsize)
-        blocks += [np.broadcast_to(block, (n_rows, block.shape[1])), comma]
-    blocks[-1] = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (n_rows, 2))
-    rows = np.concatenate(blocks, axis=1).tobytes().replace(b"\0", b"").decode()
-    return ",".join(header) + "\r\n" + rows, n_rows, exact_fields
+            block = _text_fields(column)
+        blocks.append(block)
+    # One row of the table: the single values, each block's comma and, in
+    # the last comma's place, CRLF.  Every row starts as a copy of it, and
+    # the blocks of whole columns are written over their slices.
+    row = np.zeros(sum(block.shape[1] + 1 for block in blocks) + 1, np.uint8)
+    whole, start = [], 0
+    for block in blocks:
+        end = start + block.shape[1]
+        if block.shape[0] == 1:
+            row[start:end] = block[0]
+        else:
+            whole.append((start, end, block))
+        row[end] = ord(",")
+        start = end + 1
+    row[-2:] = np.frombuffer(b"\r\n", np.uint8)
+    head = np.frombuffer((",".join(header) + "\r\n").encode(), np.uint8)
+    text = np.empty(head.size + n_rows * row.size, np.uint8)
+    text[:head.size] = head
+    table = text[head.size:].reshape(n_rows, row.size)
+    # Each row of a slice as one void field, so a row is copied at a time.
+    table.view(f"V{row.size}")[:, 0] = row.view(f"V{row.size}")[0]
+    for start, end, block in whole:
+        table[:, start:end].view(f"V{end - start}")[:, 0] = block.view(f"V{end - start}")[:, 0]
+    return text.tobytes().replace(b"\0", b"").decode(), n_rows, exact_fields
 
 
 def run(subcommand: str, config: RunConfig, output: Path,

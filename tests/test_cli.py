@@ -269,6 +269,31 @@ def test_echo_table_and_oracle_column(tmp_path):
     assert "oracle_check" not in json.loads(out.with_suffix(".csv.meta.json").read_text())
 
 
+def _dipole_check(tmp_path, payload, *flags):
+    config = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "echo.csv"
+    assert main(["echo", "--config", str(config), "--output", str(out), *flags]) == 0
+    return json.loads(out.with_suffix(".csv.meta.json").read_text())["dipole_check"]
+
+
+def test_echo_sidecar_reports_the_dipole_formulas_error_against_the_branch_forces(tmp_path):
+    config = parse_config(json.dumps(MASS_CONFIG))
+    pair = causality.force_pair(config.scenario, config.constants)
+    # The exact branch forces differ by twice the dipole delta_F, times 1 + eps.
+    from_forces = (pair.F_L - pair.F_R) / (2.0 * pair.delta_F) - 1.0
+    for flags in ([], ["--oracle"]):
+        rel_error = _dipole_check(tmp_path, MASS_CONFIG, *flags)["rel_error"]
+        assert rel_error == pytest.approx(from_forces, rel=1e-6)
+        assert rel_error == pytest.approx(2e-6, rel=1e-5)  # ~ d^2 / 2R^2
+
+
+def test_echo_sidecar_dipole_error_at_the_d_below_r_over_10_gate(tmp_path):
+    payload = _with_parameter(MASS_CONFIG, "separation_d", math.nextafter(0.05, 0.0))
+    # eps = (1 - 1/400)^-2 - 1 = 799/159201 at d = R/10.
+    assert _dipole_check(tmp_path, payload)["rel_error"] == pytest.approx(799 / 159201, rel=1e-12)
+    assert 799 / 159201 == pytest.approx(5.02e-3, rel=1e-3)
+
+
 def test_echo_evaluates_the_force_pair_and_sigma_once(tmp_path, monkeypatch):
     calls = {"force_pair": 0, "effective_sigma": 0}
 
@@ -512,6 +537,58 @@ def test_a_20000_row_table_of_every_column_kind_is_the_per_row_bytes():
     special = np.array([3421.4379448974983, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
     repeated = special[rng.integers(0, special.size, 20_000)]
     assert _assert_formats_as_per_row(["repeated", "x"], [repeated, x]) > 20_000
+
+
+# Positive values with two-digit exponents and far from any rounding tie, so
+# every field takes the array route.
+_TWO_DIGIT = np.tile([1.5, 2.25e-7, 3.125e40, 6.0e-99, 7.75e99, 1.0e-10, 42.0], 100)
+
+
+def test_per_row_positive_two_digit_columns_are_18_byte_blocks_with_no_pad():
+    x = _TWO_DIGIT
+    block, exact = cli._float_fields(x)
+    assert block.shape == (x.size, 18) and np.all(block != 0) and not exact.any()
+    # A flag column that is true on every row has no fifth byte either.
+    assert cli._text_fields(x > 0.0).shape == (x.size, 4)
+    assert cli._text_fields(np.array([True, False])).shape == (2, 5)
+    _assert_formats_as_per_row(["kind", "x", "scalar", "y", "flag"],
+                               ["mass", x, 2.5e-7, x[::-1], x > 0.0])
+
+
+@pytest.mark.parametrize("signed", [-0.0, -np.nan], ids=["minus_zero", "minus_nan"])
+def test_per_row_sign_byte_only_from_minus_zero_or_minus_nan(signed):
+    x = np.concatenate([_TWO_DIGIT, [signed]])
+    block, exact = cli._float_fields(x)
+    assert np.signbit(x).sum() == 1 and exact[-1] and not exact[:-1].any()
+    assert block.shape[1] == 19
+    _assert_formats_as_per_row(["x", "first"], [x, x[0]])
+
+
+def test_per_row_three_digit_exponents_only_on_the_exact_route():
+    x = np.concatenate([_TWO_DIGIT, [1e-300, 5e-324, 2e300]])
+    block, exact = cli._float_fields(x)
+    assert exact[-3:].all() and not exact[:-3].any()
+    # No hundreds byte for the array route; the exact fields widen the block.
+    assert block.shape[1] == 19
+    assert np.count_nonzero(block[:-3] == 0) == _TWO_DIGIT.size
+    assert _assert_formats_as_per_row(["x"], [x]) == 3
+
+
+@pytest.mark.parametrize("values", [[np.nan, np.inf], [np.nan, np.inf, -np.inf]],
+                         ids=["unsigned", "signed"])
+def test_per_row_column_of_only_nan_and_infinities(values):
+    x = np.array(values * 100)
+    block, exact = cli._float_fields(x)
+    assert exact.all() and block.shape[1] == 18 + int(np.signbit(x).any())
+    assert _assert_formats_as_per_row(["x", "y"], [x, 1.5]) == x.size
+
+
+def test_per_row_broadcast_single_value_with_a_three_digit_exponent():
+    block, exact = cli._float_fields(np.array([-2.5e-150]))
+    assert block.shape == (1, 20) and not exact.any()
+    x = _TWO_DIGIT
+    _assert_formats_as_per_row(["x", "single", "flag"], [x, -2.5e-150, True])
+    _assert_formats_as_per_row(["single", "x"], [np.array([3.0e200]), x])
 
 
 def _mutated(base, edit):
