@@ -443,6 +443,9 @@ _EXPONENT_FIELDS = np.frombuffer(b"".join(
 # hundreds byte, and of "-hjj", for a block that writes the "e" before it.
 _EXPONENT_QUADS = np.ascontiguousarray(_EXPONENT_FIELDS[:, [0, 1, 3, 4]]).view("<u4")[:, 0]
 _EXPONENT_HUNDREDS_QUADS = np.ascontiguousarray(_EXPONENT_FIELDS[:, 1:]).view("<u4")[:, 0]
+# Every call shares these tables, so none of them may be written.
+_POW10.flags.writeable = _DIGIT_QUADS.flags.writeable = False
+_EXPONENT_QUADS.flags.writeable = _EXPONENT_HUNDREDS_QUADS.flags.writeable = False
 # |x| 10**(12 - e) computed in float64 is within 2 * 2**-53 * 1e13 ~ 0.0022 of
 # its exact value, so one further than this from a half-integer rounds as the
 # exact value does.
@@ -462,11 +465,12 @@ def _float_fields(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     A field of the array route is the leading digit, a point, three 4-digit
     groups (each one uint32 gathered from ``_DIGIT_QUADS``) and the
     exponent: "d.dddddddddddde+dd", 18 bytes.  The block puts a sign byte
-    in front only if some value has its sign bit set (-0.0 and -nan
-    included; NUL on the others), and a hundreds byte after the exponent's
-    sign only if some exponent estimate has three digits (NUL on the
-    others).  It is wider only where an exact-route field is longer;
-    shorter ones (``nan``, ``inf``) are NUL-padded to its width.
+    in front only if some array-route value is negative, and a hundreds
+    byte after the exponent's sign only if some array-route exponent has
+    three digits (NUL on the other rows).  An exact-route field never adds
+    either: a longer one (``-0.0``, 19 bytes, or a three-digit exponent)
+    widens the block, and a shorter one (``nan``, ``-inf``; ``%`` prints
+    -nan as ``nan``) is NUL-padded to its width.
     """
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
@@ -484,8 +488,8 @@ def _float_fields(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     lead = high // 10**4
     middle = low // 10**4
     negative = np.signbit(x)
-    sign = int(negative.any())
-    hundreds = int(np.abs(e).max(initial=0) >= 100)
+    sign = int((negative & fast).any())
+    hundreds = int(((np.abs(e) >= 100) & fast).any())
     layout = 18 + sign + hundreds
     exact = ~fast
     exact_rows = np.flatnonzero(exact)

@@ -13,6 +13,7 @@ spectral accuracy at any step count.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,9 +94,6 @@ class GridState:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.dx)
 
-    def check_boundaries(self) -> None:
-        _check_boundaries(np.abs(self.amplitudes))
-
     def position_moments(self) -> tuple[float, float]:
         """(<x>, Delta x)."""
         x = self.spec.x
@@ -116,13 +114,6 @@ class GridState:
         return mean, math.sqrt(var)
 
 
-def _check_boundaries(magnitude: np.ndarray) -> None:
-    """Raise GridError if |psi| at either edge exceeds _BOUNDARY_FRACTION of its peak."""
-    peak = magnitude.max()
-    if magnitude[0] > _BOUNDARY_FRACTION * peak or magnitude[-1] > _BOUNDARY_FRACTION * peak:
-        raise GridError("wavefunction reaches the grid boundary")
-
-
 def init_gaussian(spec: GridSpec, state: GaussianState) -> GridState:
     """Normalized minimum-uncertainty Gaussian on the grid."""
     if state.x0 - 6.0 * state.sigma < spec.x_min or \
@@ -141,36 +132,22 @@ def strang_phase(F: float, m: float, t: float, n_steps: int) -> float:
     return F**2 * t**3 / (24.0 * m * n_steps**2)
 
 
-# The last factor built by ``_kinetic``: (key, read-only factor), replaced
-# as one tuple so a concurrent caller never pairs a key with another
-# key's factor.
-_kinetic_memo: "tuple[tuple, np.ndarray] | None" = None
-
-
-def _kinetic(spec: GridSpec, m: float, t: float) -> np.ndarray:
-    """exp(-i k^2 t / 2m) on the FFT wavenumbers of ``spec``, read-only.
+@functools.lru_cache(maxsize=1, typed=True)
+def _kinetic(n: int, dx: float, m: float, t: float) -> np.ndarray:
+    """exp(-i k^2 t / 2m) on the FFT wavenumbers of n points spaced dx, read-only.
 
     Bitwise the full-spectrum expression: the exp is taken on the n/2 + 1
     non-negative frequencies only, and fftfreq's k_{n-j} = -k_j exactly, so
     k^2, and with it the factor, of j and n - j have the same bits.  The
-    factor depends on spec only through n_points and dx; the last one is
-    memoised, keyed on those and on the types and values of m and t (a
-    numpy float32 m doubles in float32).  t = 0.0 and -0.0 give the same
-    bits, so they may share an entry.
+    last factor is kept.  Its key is typed, since a numpy float32 m doubles
+    in float32; t = 0.0 and -0.0 give the same bits, so they may share it.
     """
-    global _kinetic_memo
-    n, dx = spec.n_points, spec.dx
-    key = (n, dx, type(m), m, type(t), t)
-    memo = _kinetic_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
     half = n // 2 + 1
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)[:half]
     kinetic = np.empty(n, dtype=complex)
     kinetic[:half] = np.exp(-1j * k**2 * t / (2.0 * m))
     kinetic[half:] = kinetic[half - 2:0:-1]
     kinetic.flags.writeable = False
-    _kinetic_memo = (key, kinetic)
     return kinetic
 
 
@@ -198,7 +175,7 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
     spec = state.spec
     # kinetic stays the first operand, as in the step loop: numpy's SIMD
     # complex multiply is not bitwise commutative.
-    kinetic = _kinetic(spec, m, t)
+    kinetic = _kinetic(spec.n_points, spec.dx, m, t)
     if F == 0.0:
         psi = np.fft.ifft(kinetic * np.fft.fft(state.amplitudes))
     else:
@@ -207,13 +184,15 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
         psi *= half_potential
         if n_steps > 1:
             psi *= cmath.exp(1j * (strang_phase(F, m, t, n_steps) - strang_phase(F, m, t, 1)))
-    norm0 = np.sum(np.abs(state.amplitudes) ** 2) * spec.dx
+    norm0 = state.norm
     magnitude = np.abs(psi)
     norm = np.sum(magnitude ** 2) * spec.dx
     # Written so that a NaN norm fails it.
     if not (abs(norm - norm0) <= 1e-8):
         raise GridError(f"norm drifted by {abs(norm - norm0):.3e}")
-    _check_boundaries(magnitude)
+    peak = magnitude.max()
+    if magnitude[0] > _BOUNDARY_FRACTION * peak or magnitude[-1] > _BOUNDARY_FRACTION * peak:
+        raise GridError("wavefunction reaches the grid boundary")
     return GridState(spec=spec, amplitudes=psi)
 
 

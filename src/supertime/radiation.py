@@ -44,8 +44,6 @@ __all__ = [
     "gauss_legendre_grid",
     "displacement_from_trajectory",
     "coherent_overlap",
-    "coherent_overlap_amplitude",
-    "composition_phase",
 ]
 
 # Si(pi), written out so that importing this module loads no scipy: the
@@ -321,46 +319,11 @@ def displacement_from_trajectory(profile: TrajectoryProfile, q: float,
     return DisplacementFunction(values=values, warnings=warnings)
 
 
-def _natural_weights(grid: ModeGrid, constants: PhysicalConstants) -> np.ndarray:
-    return grid.weights / constants.c
-
-
-def _check_same_grid(f: DisplacementFunction, g: DisplacementFunction,
-                     grid: ModeGrid) -> None:
-    if len(f.values) != len(grid) or len(g.values) != len(grid):
-        raise ValidationError("displacement functions must live on the given grid")
-
-
 def coherent_overlap(f: DisplacementFunction, g: DisplacementFunction,
                      grid: ModeGrid,
                      constants: PhysicalConstants = CODATA) -> float:
     """|<f|g>|^2 = exp(-sum w |f-g|^2) on the discretized mode set."""
-    _check_same_grid(f, g, grid)
-    w = _natural_weights(grid, constants)
+    if len(f.values) != len(grid) or len(g.values) != len(grid):
+        raise ValidationError("displacement functions must live on the given grid")
+    w = grid.weights / constants.c
     return math.exp(-float(np.sum(w * np.abs(f.values - g.values) ** 2)))
-
-
-def coherent_overlap_amplitude(f: DisplacementFunction, g: DisplacementFunction,
-                               grid: ModeGrid,
-                               constants: PhysicalConstants = CODATA) -> complex:
-    """Complex overlap <f|g> = exp(-|f|^2/2 - |g|^2/2 + <f, g>)."""
-    _check_same_grid(f, g, grid)
-    w = _natural_weights(grid, constants)
-    inner = np.sum(w * np.conj(f.values) * g.values)
-    norm_f = np.sum(w * np.abs(f.values) ** 2)
-    norm_g = np.sum(w * np.abs(g.values) ** 2)
-    return complex(np.exp(-0.5 * norm_f - 0.5 * norm_g + inner))
-
-
-def composition_phase(f: DisplacementFunction, g: DisplacementFunction,
-                      grid: ModeGrid,
-                      constants: PhysicalConstants = CODATA) -> complex:
-    """Scalar factor in D[f] D[g] = exp(phase) D[f+g].
-
-    phase = (1/2) sum w (f g* - f* g), a pure imaginary number.
-    """
-    _check_same_grid(f, g, grid)
-    w = _natural_weights(grid, constants)
-    phase = 0.5 * np.sum(w * (f.values * np.conj(g.values)
-                              - np.conj(f.values) * g.values))
-    return complex(np.exp(phase))

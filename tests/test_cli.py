@@ -555,12 +555,15 @@ def test_per_row_positive_two_digit_columns_are_18_byte_blocks_with_no_pad():
                                ["mass", x, 2.5e-7, x[::-1], x > 0.0])
 
 
-@pytest.mark.parametrize("signed", [-0.0, -np.nan], ids=["minus_zero", "minus_nan"])
-def test_per_row_sign_byte_only_from_minus_zero_or_minus_nan(signed):
+# An exact-route field adds no sign byte: -0.0 widens the block by its own
+# 19 bytes, and -nan prints as "nan".
+@pytest.mark.parametrize("signed, width", [(-0.0, 19), (-np.nan, 18)],
+                         ids=["minus_zero", "minus_nan"])
+def test_per_row_sign_byte_only_from_minus_zero_or_minus_nan(signed, width):
     x = np.concatenate([_TWO_DIGIT, [signed]])
     block, exact = cli._float_fields(x)
     assert np.signbit(x).sum() == 1 and exact[-1] and not exact[:-1].any()
-    assert block.shape[1] == 19
+    assert block.shape[1] == width
     _assert_formats_as_per_row(["x", "first"], [x, x[0]])
 
 
@@ -574,13 +577,33 @@ def test_per_row_three_digit_exponents_only_on_the_exact_route():
     assert _assert_formats_as_per_row(["x"], [x]) == 3
 
 
+def test_per_row_hundreds_byte_only_from_array_route_exponents():
+    # A near-tie with a three-digit exponent takes the exact route, and
+    # widens the block by its own 19 bytes instead of adding a hundreds byte.
+    x = np.concatenate([_TWO_DIGIT, [float("12345678901235e-163")]])
+    block, exact = cli._float_fields(x)
+    assert exact[-1] and not exact[:-1].any()
+    assert block.shape[1] == 19 and np.all(block[:-1, :18] != 0) and not block[:-1, 18].any()
+    assert _assert_formats_as_per_row(["x"], [x]) == 1
+
+
 @pytest.mark.parametrize("values", [[np.nan, np.inf], [np.nan, np.inf, -np.inf]],
                          ids=["unsigned", "signed"])
 def test_per_row_column_of_only_nan_and_infinities(values):
     x = np.array(values * 100)
     block, exact = cli._float_fields(x)
-    assert exact.all() and block.shape[1] == 18 + int(np.signbit(x).any())
+    assert exact.all() and block.shape[1] == 18
     assert _assert_formats_as_per_row(["x", "y"], [x, 1.5]) == x.size
+
+
+def test_per_row_tables_are_read_only():
+    for table in (cli._POW10, cli._DIGIT_QUADS, cli._EXPONENT_QUADS,
+                  cli._EXPONENT_HUNDREDS_QUADS):
+        with pytest.raises(ValueError):
+            table[0] = table[1]
+    # The failed writes changed nothing: the bytes are still the reference's.
+    x = np.concatenate([_TWO_DIGIT, -_TWO_DIGIT, [2.5e-150]])
+    _assert_formats_as_per_row(["x"], [x])
 
 
 def test_per_row_broadcast_single_value_with_a_three_digit_exponent():

@@ -355,18 +355,33 @@ def test_kinetic_factor_is_bitwise_the_full_spectrum_expression():
     calls += [(GridSpec(-16.0, 16.0, 64), 1.0, 1.2), (GridSpec(-32.0, 32.0, 128), 1.0, 1.2),
               (GridSpec(-16.0, 16.0, 64), 1.0, 1.2)]
     for spec, m, t in calls:
-        factor = oracle._kinetic(spec, m, t)
+        factor = oracle._kinetic(spec.n_points, spec.dx, m, t)
         assert factor.tobytes() == _full_spectrum_kinetic(spec, m, t).tobytes(), (spec, m, t)
 
 
 def test_kinetic_factor_is_shared_and_read_only():
     state, spec, _, _, m, t = _reference_case()
-    factor = oracle._kinetic(spec, m, t)
-    assert oracle._kinetic(spec, m, t) is factor
+    factor = oracle._kinetic(spec.n_points, spec.dx, m, t)
+    assert oracle._kinetic(spec.n_points, spec.dx, m, t) is factor
     assert not factor.flags.writeable
     with pytest.raises(ValueError):
         factor[0] = 0.0
     # Propagation leaves the shared factor as it was.
     before = factor.tobytes()
     echo_overlap_numeric(init_gaussian(spec, state), 0.9, 0.0, m, t, 10)
-    assert oracle._kinetic(spec, m, t).tobytes() == before
+    assert oracle._kinetic(spec.n_points, spec.dx, m, t).tobytes() == before
+
+
+def test_kinetic_factor_key_is_typed():
+    # A float32 m doubles in float32: 2e38 overflows there and not in
+    # float64, so a float32 m and a float64 m of equal value need factors
+    # with other bits, and an untyped key would serve one for the other.
+    spec = GridSpec(-16.0, 16.0, 64)
+    m32 = np.float32(2e38)
+    factors = []
+    with np.errstate(over="ignore"):
+        for m in (m32, float(m32), m32):
+            factor = oracle._kinetic(spec.n_points, spec.dx, m, 1.2)
+            assert factor.tobytes() == _full_spectrum_kinetic(spec, m, 1.2).tobytes(), type(m)
+            factors.append(factor.tobytes())
+    assert factors[0] != factors[1] and factors[0] == factors[2]

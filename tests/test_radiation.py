@@ -1,4 +1,4 @@
-"""Radiated-field overlap: spectra, quadrature, displacement algebra."""
+"""Radiated-field overlap: spectra, quadrature, and the discretized mode sum."""
 
 import math
 
@@ -14,8 +14,6 @@ from supertime.radiation import (
     Shape,
     TrajectoryProfile,
     coherent_overlap,
-    coherent_overlap_amplitude,
-    composition_phase,
     displacement_from_trajectory,
     gauss_legendre_grid,
     min_radiationless_time,
@@ -217,46 +215,20 @@ def test_coherent_overlap_against_vacuum_overlap():
     assert discrete == pytest.approx(vacuum_overlap(profile, Q), rel=1e-4)
 
 
-def test_overlap_amplitude_modulus_squared_matches_overlap():
+def test_coherent_overlap_is_the_mode_sum_of_the_difference():
     rng = np.random.default_rng(5)
-    grid = ModeGrid(omega_nodes=np.sort(rng.uniform(1e8, 1e10, 32)),
-                    weights=rng.uniform(1e7, 1e8, 32))
-    f = DisplacementFunction(rng.normal(size=32) + 1j * rng.normal(size=32))
-    g = DisplacementFunction(rng.normal(size=32) + 1j * rng.normal(size=32))
-    amp = coherent_overlap_amplitude(f, g, grid)
-    assert abs(amp) ** 2 == pytest.approx(coherent_overlap(f, g, grid), rel=1e-9)
-
-
-def test_composition_rule_preserves_overlap_modulus():
-    # D[f] D[g] = exp(phase) D[f+g] with a purely imaginary phase: the
-    # composed overlap |<h| exp(phase) |f+g>| equals the direct |<h|f+g>|.
-    rng = np.random.default_rng(6)
     for _ in range(20):
-        n = int(rng.integers(4, 24))
+        n = int(rng.integers(4, 64))
         grid = ModeGrid(omega_nodes=np.sort(rng.uniform(1e8, 1e10, n)),
                         weights=rng.uniform(1e6, 1e8, n))
-        def rand():
-            return DisplacementFunction(
-                rng.normal(size=n) + 1j * rng.normal(size=n))
-        f, g, h = rand(), rand(), rand()
-        phase = composition_phase(f, g, grid)
-        assert abs(phase) == pytest.approx(1.0, rel=1e-12)
-        fg = DisplacementFunction(f.values + g.values)
-        composed = phase * coherent_overlap_amplitude(h, fg, grid)
-        assert abs(composed) == pytest.approx(
-            abs(coherent_overlap_amplitude(h, fg, grid)), rel=1e-9)
-
-
-def test_composition_phase_antisymmetry():
-    rng = np.random.default_rng(8)
-    n = 16
-    grid = ModeGrid(omega_nodes=np.sort(rng.uniform(1e8, 1e10, n)),
-                    weights=rng.uniform(1e6, 1e8, n))
-    f = DisplacementFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
-    g = DisplacementFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
-    forward = composition_phase(f, g, grid)
-    backward = composition_phase(g, f, grid)
-    assert forward * backward == pytest.approx(1.0 + 0.0j, rel=1e-12)
+        f, g = (DisplacementFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
+                for _ in range(2))
+        zero = DisplacementFunction(values=np.zeros(n, dtype=complex))
+        overlap = coherent_overlap(f, g, grid)
+        assert overlap == coherent_overlap(DisplacementFunction(f.values - g.values), zero, grid)
+        assert overlap == coherent_overlap(g, f, grid)
+        exponent = math.fsum(grid.weights * np.abs(f.values - g.values) ** 2 / CODATA.c)
+        assert overlap == pytest.approx(math.exp(-exponent), rel=1e-12)
 
 
 def test_long_wavelength_gate_warns():
