@@ -40,6 +40,9 @@ from .errors import SupertimeError, ValidationError, require_nonnegative, requir
 
 _CONSTANT_KEYS = {"hbar", "c", "G", "epsilon0"}
 _SWEEPABLE = {"magnitude", "separation_d", "bob_mass", "bob_charge", "R", "sigma", "t0"}
+# The most sweep points: numpy's largest float64 array (its size in bytes is
+# an intp), rounded down to a float64 as np.linspace counts them.
+_MAX_POINTS = int(np.nextafter(float(np.iinfo(np.intp).max // 8), 0.0))
 _INTERFERENCE_DEFAULTS = {"n": 10000, "trials": 100, "d_over_sigma": 20.0,
                           "noise_multiples": [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]}
 
@@ -122,8 +125,9 @@ def parse_config(text: str) -> RunConfig:
     scenario = Scenario(**{**raw["scenario"], "alice": alice})
     sweep = raw.get("sweep")
     if sweep is not None:
-        if sweep["points"] < 1:
-            raise ValidationError(f"sweep.points: must be >= 1, got {sweep['points']}")
+        if not 1 <= sweep["points"] <= _MAX_POINTS:
+            raise ValidationError(f"sweep.points: must be 1 to {_MAX_POINTS}, the most float64 "
+                                  f"values numpy can address, got {sweep['points']}")
         for end in ("min", "max"):
             if sweep.get("scale") == "log" and not sweep[end] > 0.0:
                 raise ValidationError(f"sweep.{end}: a log sweep needs > 0, got {sweep[end]}")
@@ -165,8 +169,8 @@ def _swept(subcommand: str, config: RunConfig, stop: "int | None" = None) -> Run
     return replace(config, scenario=scenario, extras=extras)
 
 
-def _evaluate(subcommand: str, config: RunConfig, use_oracle: bool) -> list:
-    """The subcommand's columns over all sweep points.
+def _evaluate(subcommand: str, config: RunConfig, use_oracle: bool) -> "tuple[list, dict]":
+    """The subcommand's columns over all sweep points, and its report.
 
     A swept check reports its own first failing point, but a check that
     runs earlier may fail further along the sweep.  So on failure the
@@ -193,10 +197,9 @@ def _evaluate(subcommand: str, config: RunConfig, use_oracle: bool) -> list:
 
 
 # --- subcommand columns, over all sweep points at once ------------------------
-# Each returns one entry per CSV column: an array over the sweep points, a
-# sequence over the subcommand's own rows, or one value for every row.
-# Entries past the CSV header are not written; they carry what the
-# subcommand's checks report, so the checks compute nothing twice.
+# Each returns the CSV columns, one entry per column (an array over the sweep
+# points, a sequence over the subcommand's own rows, or one value for every
+# row), and its report: the sidecar entries that say how they were computed.
 
 
 def _columns_bound(config: RunConfig, use_oracle: bool):
@@ -204,51 +207,46 @@ def _columns_bound(config: RunConfig, use_oracle: bool):
     a = config.scenario.alice
     return [a.kind.value, a.magnitude, a.separation_d,
             bounds.min_time(a, constants),
-            bounds.sharp_min_time(a, constants)]
+            bounds.sharp_min_time(a, constants)], {}
 
 
 def _columns_echo(config: RunConfig, use_oracle: bool):
+    """The echo table, the dipole formula's own relative error, and with
+    ``--oracle`` the grid size and step count, the rows run through the
+    balanced pair because their b/a is out of the grid's reach, the b/a
+    range of the nonzero rows, and the largest |numeric - analytic| overlap.
+
+    The exact branch forces differ by F_L - F_R = 2 delta_F (1 - d^2/4R^2)^-2,
+    so the dipole delta_F is short by eps = (1 - d^2/4R^2)^-2 - 1 ~ d^2/2R^2,
+    about 5.02e-3 at the d < R/10 gate.
+    """
     constants = config.constants
     scenario = config.scenario
     pair, sigma, T_B = causality._at_localization_limit(scenario, constants)
     times = np.linspace(0.0, 2.0 * T_B, 41)
     result = echo.echo_displacements(pair.delta_F, scenario.bob_mass, pair.F_L + pair.F_R,
                                      times, constants)
-    columns = [times, result.delta_x, result.delta_p,
-               echo.echo_overlap(GaussianState(sigma=sigma), result, constants)]
-    if use_oracle:  # one grid run per row
-        # a = |dx|/(2 sigma) and b = |dp| sigma/hbar of each row, which the checks read too.
-        a = (np.abs(result.delta_x) / (2.0 * sigma)).tolist()
-        b = (np.abs(result.delta_p) * sigma / constants.hbar).tolist()
-        columns += [[oracle.matched_echo_overlap(x, p) for x, p in zip(a, b)], (a, b)]
-    return columns
-
-
-def _checks_echo(config: RunConfig, columns: list, use_oracle: bool) -> dict:
-    """The dipole formula's own relative error, and with ``--oracle`` the
-    grid size and step count, the rows run through the balanced pair
-    because their b/a is out of the grid's reach, the b/a range of the
-    nonzero rows, and the largest |numeric - analytic| overlap.
-
-    The exact branch forces differ by F_L - F_R = 2 delta_F (1 - d^2/4R^2)^-2,
-    so the dipole delta_F is short by eps = (1 - d^2/4R^2)^-2 - 1 ~ d^2/2R^2,
-    about 5.02e-3 at the d < R/10 gate.
-    """
-    d, R = config.scenario.alice.separation_d, config.scenario.R
-    checks = {"dipole_check": {"rel_error": math.expm1(-2.0 * math.log1p(-d * d / (4.0 * R * R)))}}
+    overlap = echo.echo_overlap(GaussianState(sigma=sigma), result, constants)
+    columns = [times, result.delta_x, result.delta_p, overlap]
+    d, R = scenario.alice.separation_d, scenario.R
+    report = {"dipole_check": {"rel_error": math.expm1(-2.0 * math.log1p(-d * d / (4.0 * R * R)))}}
     if not use_oracle:
-        return checks
-    _, _, _, overlap, numeric, (a, b) = columns
+        return columns, report
+    # One grid run per row, at its a = |dx|/(2 sigma) and b = |dp| sigma/hbar.
+    a = (np.abs(result.delta_x) / (2.0 * sigma)).tolist()
+    b = (np.abs(result.delta_p) * sigma / constants.hbar).tolist()
+    numeric = [oracle.matched_echo_overlap(x, p) for x, p in zip(a, b)]
     nonzero = [(x, p) for x, p in zip(a, b) if x > 0.0 or p > 0.0]
     ratios = [p / x if x > 0.0 else math.inf for x, p in nonzero]
-    return {**checks, "oracle_check": {
+    report["oracle_check"] = {
         "grid_points": oracle.MATCHED_GRID_POINTS,
         "steps": oracle.MATCHED_STEPS,
         "fallback_rows": sum(not oracle.in_matched_reach(x, p) for x, p in nonzero),
         "min_b_over_a": min(ratios, default=None),
         "max_b_over_a": max(ratios, default=None),
         "max_abs_err": float(np.max(np.abs(np.subtract(numeric, overlap)))),
-    }}
+    }
+    return [*columns, numeric], report
 
 
 def _columns_causality(config: RunConfig, use_oracle: bool):
@@ -258,7 +256,7 @@ def _columns_causality(config: RunConfig, use_oracle: bool):
     if T_A is None:
         T_A = bounds.sharp_min_time(scenario.alice, constants)
     report = causality.audit_timeline(scenario, T_A, constants)
-    return [scenario.R, report.T_A_bound, report.T_B, report.eta, report.satisfied]
+    return [scenario.R, report.T_A_bound, report.T_B, report.eta, report.satisfied], {}
 
 
 def _columns_radiation(config: RunConfig, use_oracle: bool):
@@ -282,7 +280,7 @@ def _columns_radiation(config: RunConfig, use_oracle: bool):
         raise ValidationError("radiation section requires t0 or trajectory_csv")
     exponent = radiation.mode_integral(profile, a.magnitude, constants)
     return [profile.t0, exponent, np.exp(-exponent),
-            radiation.min_radiationless_time(a.magnitude, profile.d, constants)]
+            radiation.min_radiationless_time(a.magnitude, profile.d, constants)], {}
 
 
 def _columns_vacuum(config: RunConfig, use_oracle: bool):
@@ -307,15 +305,17 @@ def _columns_vacuum(config: RunConfig, use_oracle: bool):
         raise ValidationError("vacuum section requires window_T or window_csv")
     return [T_seconds, variance,
             vacuum.momentum_error(a.magnitude, T_seconds, constants),
-            vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)]
-
-
-def _interference_section(config: RunConfig) -> dict:
-    return {**_INTERFERENCE_DEFAULTS, **config.extras["interference"]}
+            vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)], {}
 
 
 def _columns_interference(config: RunConfig, use_oracle: bool):
-    section = _interference_section(config)
+    """The power curve, the trials, the worker threads it ran on, each
+    power's Monte-Carlo standard error, and the level decisions and
+    acceptances the float32 screens left to float64, with their bases."""
+    section = {**_INTERFERENCE_DEFAULTS, **config.extras["interference"]}
+    if section["n"] > _MAX_POINTS:
+        raise ValidationError(f"interference.n: must be <= {_MAX_POINTS}, the most float64 "
+                              f"values numpy can address, got {section['n']}")
     d = config.scenario.alice.separation_d
     d_over_sigma = section["d_over_sigma"]
     require_positive(**{"interference.d_over_sigma": d_over_sigma})
@@ -327,18 +327,11 @@ def _columns_interference(config: RunConfig, use_oracle: bool):
     # Each noise std, named by the JSON path of its multiple.
     require_nonnegative(**{f"interference.noise_multiples[{i}] pi/d": level
                            for i, level in enumerate(levels)})
+    trials = section["trials"]
     powers, rechecks, workers = interference._power_curve_with_rechecks(
-        packet, section["n"], levels, section["trials"], config.seed)
-    return [multiples, levels, [float(p) for p in powers], rechecks, workers]
-
-
-def _checks_interference(config: RunConfig, columns: list, use_oracle: bool) -> dict:
-    """Trials, the worker threads the curve ran on, each power's Monte-Carlo
-    standard error, and the level decisions and acceptances the float32
-    screens left to float64, with their bases."""
-    trials = _interference_section(config)["trials"]
-    _, _, powers, rechecks, workers = columns
-    return {"power_check": {
+        packet, section["n"], levels, trials, config.seed)
+    powers = [float(p) for p in powers]
+    return [multiples, levels, powers], {"power_check": {
         "trials": trials,
         "workers": workers,
         "mc_stderr": [math.sqrt(p * (1.0 - p) / trials) for p in powers],
@@ -367,15 +360,14 @@ def _read_two_column_csv(path: str) -> np.ndarray:
 
 
 class _Subcommand(NamedTuple):
-    """CSV header, columns over all sweep points, sweepable parameters, --oracle
-    column, the sidecar entries that report how the columns were computed, and
+    """CSV header; columns over all sweep points, with the sidecar entries that
+    report how they were computed; sweepable parameters; --oracle column; and
     whether the columns draw random numbers (and so read the seed)."""
 
     header: tuple[str, ...]
-    columns: Callable[[RunConfig, bool], list]
+    columns: Callable[[RunConfig, bool], "tuple[list, dict]"]
     sweeps: frozenset = frozenset()
     oracle_column: str | None = None
-    checks: Callable[[RunConfig, list, bool], dict] | None = None
     seeded: bool = False
 
 
@@ -384,8 +376,7 @@ SUBCOMMANDS = {
                           "sharp_min_time_seconds"),
                          _columns_bound, frozenset({"magnitude", "separation_d"})),
     "echo": _Subcommand(("t_seconds", "delta_x_m", "delta_p_kg_m_per_s", "overlap"),
-                        _columns_echo, oracle_column="overlap_numeric",
-                        checks=_checks_echo),
+                        _columns_echo, oracle_column="overlap_numeric"),
     "causality": _Subcommand(("R_m", "T_A_seconds", "T_B_seconds", "eta", "satisfied"),
                              _columns_causality, frozenset({"magnitude", "separation_d",
                                                          "bob_mass", "bob_charge", "R", "sigma"})),
@@ -395,27 +386,26 @@ SUBCOMMANDS = {
     "vacuum": _Subcommand(("T_seconds", "averaged_variance_natural", "momentum_error_kg_m_per_s",
                            "min_measurement_time_seconds"), _columns_vacuum),
     "interference": _Subcommand(("noise_multiple_of_pi_over_d", "noise_dP_natural", "power"),
-                                _columns_interference, checks=_checks_interference,
-                                seeded=True),
+                                _columns_interference, seeded=True),
 }
 
 
-def _write_all_or_nothing(files: "list[tuple[Path, str]]") -> None:
-    """Write each ``(path, text)`` pair, or none of them.
+def _write_all_or_nothing(files: "list[tuple[Path, bytes]]") -> None:
+    """Write each ``(path, data)`` pair, or none of them.
 
-    Every text goes to a temporary file next to its target first; the
+    Each ``data`` goes to a temporary file next to its ``path`` first; the
     temporaries are renamed into place, in order, only once all are
     written.  On any failure the temporaries and whatever was already
     renamed into place are removed before the exception propagates.
     """
     token = uuid.uuid4().hex[:8]
-    staged = [(path, path.with_name(f".{path.name}.{token}.tmp"), text)
-              for path, text in files]
+    staged = [(path, path.with_name(f".{path.name}.{token}.tmp"), data)
+              for path, data in files]
     placed = []
     try:
-        for _, tmp, text in staged:
-            with open(tmp, "x", newline="") as handle:
-                handle.write(text)
+        for _, tmp, data in staged:
+            with open(tmp, "xb") as handle:
+                handle.write(data)
         for path, tmp, _ in staged:
             os.replace(tmp, path)
             placed.append(path)
@@ -525,8 +515,8 @@ def _text_fields(values: np.ndarray) -> np.ndarray:
     return values.view(np.uint8).reshape(values.size, values.dtype.itemsize)
 
 
-def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int, int]":
-    """CSV text of ``header`` and ``columns``, its number of rows, and the
+def _csv_table(header: "list[str]", columns: list) -> "tuple[bytes, int, int]":
+    """CSV bytes of ``header`` and ``columns``, its number of rows, and the
     number of its float fields that took the exact route.
 
     Single values repeat on every row.  Floats are written as ``%.12e``,
@@ -584,7 +574,7 @@ def _csv_table(header: "list[str]", columns: list) -> "tuple[str, int, int]":
     table.view(f"V{row.size}")[:, 0] = row.view(f"V{row.size}")[0]
     for start, end, block in whole:
         table[:, start:end].view(f"V{end - start}")[:, 0] = block.view(f"V{end - start}")[:, 0]
-    return text.tobytes().replace(b"\0", b"").decode(), n_rows, exact_fields
+    return text.tobytes().replace(b"\0", b""), n_rows, exact_fields
 
 
 def run(subcommand: str, config: RunConfig, output: Path,
@@ -600,9 +590,9 @@ def run(subcommand: str, config: RunConfig, output: Path,
         raise ValidationError(f"--oracle: {subcommand} has no cross-check column")
     header = [*entry.header, entry.oracle_column] if use_oracle else list(entry.header)
     start = time.perf_counter()
-    columns = _evaluate(subcommand, config, use_oracle)
+    columns, report = _evaluate(subcommand, config, use_oracle)
     evaluated = time.perf_counter()
-    text, n_rows, exact_fields = _csv_table(header, columns[:len(header)])
+    table, n_rows, exact_fields = _csv_table(header, columns)
     formatted = time.perf_counter()
     scales = planck_scales(config.constants)
     meta = {
@@ -628,14 +618,13 @@ def run(subcommand: str, config: RunConfig, output: Path,
         "timings_s": {"parse": parse_s, "evaluate": evaluated - start,
                       "format": formatted - evaluated},
     }
-    if entry.checks is not None:
-        meta.update(entry.checks(config, columns, use_oracle))
+    meta.update(report)
     # The sidecar is renamed into place first, so a CSV never exists
     # without its metadata record.
     _write_all_or_nothing([
         (output.with_suffix(output.suffix + ".meta.json"),
-         json.dumps(meta, indent=2, sort_keys=True) + "\n"),
-        (output, text),
+         (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()),
+        (output, table),
     ])
 
 
@@ -660,9 +649,10 @@ def main(argv: "list[str] | None" = None) -> int:
         parse_s = time.perf_counter() - start
         output = Path(args.output or config.output or f"{args.subcommand}.csv")
         run(args.subcommand, config, output, use_oracle=args.oracle, parse_s=parse_s)
-    # UnicodeDecodeError: a non-UTF-8 config; OverflowError: an integer beyond any float.
-    except (SupertimeError, OSError, UnicodeDecodeError, OverflowError) as exc:
-        print(f"supertime: error: {exc}", file=sys.stderr)
+    # UnicodeDecodeError: a non-UTF-8 config; OverflowError: an integer beyond
+    # any float; MemoryError: an array larger than the memory there is.
+    except (SupertimeError, OSError, UnicodeDecodeError, OverflowError, MemoryError) as exc:
+        print(f"supertime: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants, planck_scales
-from .errors import ValidationError, require_nonnegative, require_positive
+from .errors import ValidationError, require, require_nonnegative, require_positive
 from .tabulated import sample_columns, spectral_moment, spline_fourier
 
 if TYPE_CHECKING:
@@ -110,9 +110,18 @@ def averaged_variance(window: WindowFunction) -> float:
     (2 pi^2) per factor e of the cutoff.  DivergentIntegralError is raised
     when that growth exceeds ``_SPECTRAL_REL_TOL`` times the finite part (a
     sharp box always; a Gaussian cut at +-4T, but not one cut at +-5T).
+    A Gaussian width T whose variance is not a finite positive float raises
+    ValidationError naming ``width_T``.
     """
     if window.shape is WindowShape.GAUSSIAN:
-        return 1.0 / (4.0 * math.pi**2 * window.width_T**2)
+        try:
+            variance = 1.0 / (4.0 * math.pi**2 * window.width_T**2)
+        except (OverflowError, ZeroDivisionError):  # T**2 beyond the float range, or 0.0
+            variance = math.nan
+        require(0.0 < variance < math.inf, ValidationError,
+                "width_T={width_T} is out of range: its variance 1/(4 pi^2 T^2) is not a "
+                "finite positive float", width_T=window.width_T)
+        return variance
     return spectral_moment(window._spline, _SPECTRAL_REL_TOL) / (2.0 * math.pi**2)
 
 

@@ -127,6 +127,27 @@ def test_bound_subcommand_end_to_end(tmp_path):
     assert 0 <= meta["format_exact_fields"] <= 4
 
 
+# The sidecar keys of every run; each subcommand adds only its own report.
+_COMMON_META_KEYS = {"subcommand", "seed", "oracle", "version", "constants", "planck_scales",
+                     "scenario", "sweep", "extras", "rows", "format_exact_fields", "timings_s"}
+_REPORT_KEYS = {"bound": set(), "causality": set(), "radiation": set(), "vacuum": set(),
+                "echo": {"dipole_check"}, "echo --oracle": {"dipole_check", "oracle_check"},
+                "interference": {"power_check"}}
+
+
+@pytest.mark.parametrize("payload", [MASS_CONFIG, CHARGE_CONFIG], ids=["mass", "charge"])
+def test_each_subcommand_adds_only_its_report_to_the_sidecar(tmp_path, payload):
+    config = _write(tmp_path, "cfg.json", payload)
+    for run, keys in _REPORT_KEYS.items():
+        sub, *extra = run.split()
+        if payload is MASS_CONFIG and sub in ("radiation", "vacuum"):
+            continue  # they need a charge scenario
+        out = tmp_path / f"{sub}{''.join(extra)}.csv"
+        assert main([sub, "--config", str(config), "--output", str(out), *extra]) == 0
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert set(meta) == _COMMON_META_KEYS | keys, run
+
+
 def test_headers_carry_units(tmp_path):
     config = _write(tmp_path, "cfg.json", CHARGE_CONFIG)
     for sub, expect in [("radiation", "t0_seconds"),
@@ -332,7 +353,7 @@ def test_oracle_check_reports_the_fallback_rows(tmp_path):
 def test_echo_times_span_twice_the_audited_entanglement_time(payload):
     # The echo table and the causality audit take T_B from one function.
     config = parse_config(json.dumps(payload))
-    times = SUBCOMMANDS["echo"].columns(config, False)[0]
+    times = SUBCOMMANDS["echo"].columns(config, False)[0][0]
     T_B = causality.audit_timeline(config.scenario, 0.0, config.constants).T_B
     assert len(times) == 41 and times[0] == 0.0 and times[-1] == 2.0 * T_B
 
@@ -483,8 +504,8 @@ def _per_row_csv_table(header, columns):
 def _assert_formats_as_per_row(header, columns):
     """``_csv_table``'s text and row count are the reference's; returns its
     count of exact-route fields."""
-    text, n_rows, exact_fields = cli._csv_table(header, columns)
-    assert (text, n_rows) == _per_row_csv_table(header, columns)
+    data, n_rows, exact_fields = cli._csv_table(header, columns)
+    assert (data.decode(), n_rows) == _per_row_csv_table(header, columns)
     return exact_fields
 
 
@@ -679,6 +700,25 @@ BAD_CONFIGS = [
     # sigma = d / 1e308 is subnormal, and its momentum spread 1/(2 sigma) inf.
     ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
         d_over_sigma=1e308)), "sigma=1e-314 is too small"),
+    # Arrays beyond any address space: numpy refuses to allocate them, or
+    # cannot size them at all.  None is ever allocated.
+    ("bound", {**MASS_CONFIG, "sweep": {**_sweep("magnitude"), "points": 10**17}},
+     "Unable to allocate"),
+    ("bound", {**MASS_CONFIG, "sweep": {**_sweep("magnitude"), "points": 2**62}},
+     "sweep.points: must be 1 to"),
+    ("bound", {**MASS_CONFIG, "sweep": {**_sweep("magnitude"), "points": 10**21}},
+     "sweep.points: must be 1 to"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        n=10**17, trials=2)), "Unable to allocate"),
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(n=2**62)),
+     "interference.n: must be <="),
+    # (c T)**2 underflows to 0.0, leaves 1/(4 pi^2 T^2) infinite, or overflows.
+    ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_T=1e-200)),
+     "width_T=2.99792458e-192 is out of range"),
+    ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_T=1e-170)),
+     "width_T=2.99792458e-162 is out of range"),
+    ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_T=1e200)),
+     "width_T=2.99792458e+208 is out of range"),
 ]
 
 
@@ -707,6 +747,17 @@ def test_non_utf8_config_is_one_error_line(tmp_path, capsys):
                  str(tmp_path / "b.csv")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("supertime: error:")
+
+
+def test_bare_memory_error_is_one_error_line_naming_it(tmp_path, capsys, monkeypatch):
+    # Python's own MemoryError carries no message, unlike numpy's.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    config = _write(tmp_path, "cfg.json", MASS_CONFIG)
+    assert main(["bound", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "supertime: error: MemoryError\n"
 
 
 def test_oracle_flag_only_where_there_is_an_oracle(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Time-averaged vacuum variance, divergences, and the measurement time."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def test_gaussian_closed_form_vs_quadrature_over_six_decades():
         closed = 1.0 / (4.0 * math.pi**2 * T**2)
         assert averaged_variance(window) == pytest.approx(closed, rel=1e-12)
         assert direct == pytest.approx(closed, rel=1e-8)
+
+
+def test_gaussian_variance_is_the_closed_form_bits_or_an_error_naming_the_width():
+    # Out of range, T**2 overflows or underflows to 0.0, or the variance is
+    # infinite or 0.0; in range, the variance is the plain expression.
+    for T in (1.2e-155, 1e-100, 1.0, 1e100, 2.1e153):
+        assert averaged_variance(WindowFunction(width_T=T)) == 1.0 / (4.0 * math.pi**2 * T**2)
+    for T in (1e-200, 1e-162, 1.1e-155, 2.2e153, 1.4e154, 1e200, 1e308):
+        with pytest.raises(ValidationError, match=re.escape(f"width_T={T!r} is out of range")):
+            averaged_variance(WindowFunction(width_T=T))
 
 
 def test_gaussian_fourier_closed_form():
