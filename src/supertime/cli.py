@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -270,17 +271,17 @@ def _columns_radiation(config: RunConfig, use_oracle: bool):
             raise ValidationError(
                 "radiation.trajectory_csv takes t0 from its last sample; "
                 "remove radiation.t0")
-        samples = _read_two_column_csv(section["trajectory_csv"])
+        samples, report = _read_two_column_csv(section["trajectory_csv"])
         profile = radiation.TrajectoryProfile(
             d=float(samples[-1, 1]), t0=float(samples[-1, 0]),
             shape=radiation.Shape.TABULATED, samples=samples)
     elif "t0" in section:
-        profile = radiation.TrajectoryProfile(d=a.separation_d, t0=section["t0"])
+        profile, report = radiation.TrajectoryProfile(d=a.separation_d, t0=section["t0"]), {}
     else:
         raise ValidationError("radiation section requires t0 or trajectory_csv")
     exponent = radiation.mode_integral(profile, a.magnitude, constants)
     return [profile.t0, exponent, np.exp(-exponent),
-            radiation.min_radiationless_time(a.magnitude, profile.d, constants)], {}
+            radiation.min_radiationless_time(a.magnitude, profile.d, constants)], report
 
 
 def _columns_vacuum(config: RunConfig, use_oracle: bool):
@@ -293,19 +294,19 @@ def _columns_vacuum(config: RunConfig, use_oracle: bool):
         if "window_T" in section:
             raise ValidationError(
                 "vacuum.window_csv takes its width from its variance; remove vacuum.window_T")
-        samples = _read_two_column_csv(section["window_csv"])
+        samples, report = _read_two_column_csv(section["window_csv"])
         variance = vacuum.averaged_variance(vacuum.WindowFunction(
             shape=vacuum.WindowShape.TABULATED, samples=samples))
         # The width of the Gaussian window of the same variance 1/(4 pi^2 T^2).
         T_seconds = 1.0 / (2.0 * math.pi * math.sqrt(variance)) / constants.c
     elif "window_T" in section:
-        T_seconds = section["window_T"]
+        T_seconds, report = section["window_T"], {}
         variance = vacuum.averaged_variance(vacuum.WindowFunction(width_T=T_seconds * constants.c))
     else:
         raise ValidationError("vacuum section requires window_T or window_csv")
     return [T_seconds, variance,
             vacuum.momentum_error(a.magnitude, T_seconds, constants),
-            vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)], {}
+            vacuum.min_measurement_time(a.magnitude, a.separation_d, constants)], report
 
 
 def _columns_interference(config: RunConfig, use_oracle: bool):
@@ -339,24 +340,33 @@ def _columns_interference(config: RunConfig, use_oracle: bool):
     }}
 
 
-def _read_two_column_csv(path: str) -> np.ndarray:
-    """Two-column CSV with a header row, as used for trajectories/windows."""
+def _read_two_column_csv(path: str) -> "tuple[np.ndarray, dict]":
+    """Two-column CSV with a header row, as used for trajectories/windows,
+    and the report that records it by content: its ``input_csv`` path,
+    SHA-256, data rows and first and last t.  The file is read once."""
+    # Imported here: hashlib loads OpenSSL, about 4 ms and 3 MB that runs
+    # reading no file need not pay.
+    import hashlib
+
     try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+        with open(path, "rb") as handle:
+            content = handle.read()
+        rows = list(csv.reader(io.StringIO(content.decode(), newline="")))
     except (ValueError, csv.Error) as exc:  # undecodable text, NUL in the path
         raise ValidationError(f"{path!r}: {exc}") from None
     if len(rows) < 2:
         raise ValidationError(f"{path}: expected a header row plus data")
-    data = []
+    samples = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ValidationError(f"{path}:{i}: expected exactly two columns")
         try:
-            data.append((float(row[0]), float(row[1])))
+            samples.append((float(row[0]), float(row[1])))
         except ValueError:
             raise ValidationError(f"{path}:{i}: non-numeric value") from None
-    return np.asarray(data)
+    return np.asarray(samples), {"input_csv": {
+        "path": path, "sha256": hashlib.sha256(content).hexdigest(), "rows": len(samples),
+        "t_first": samples[0][0], "t_last": samples[-1][0]}}
 
 
 class _Subcommand(NamedTuple):

@@ -423,9 +423,11 @@ def _worker_count(trials: int) -> int:
 
 
 def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray,
-                  children: "list[np.random.SeedSequence]", decisions: np.ndarray,
+                  seed: int, decisions: np.ndarray,
                   rechecks: np.ndarray, share: int, shares: int) -> None:
     """Decide trials share, share + shares, ... into their rows of ``decisions``.
+
+    Trial i draws from child i of ``SeedSequence(seed)``.
 
     The share allocates its own arrays once and reuses them for each of its
     trials, so shares running in parallel share no buffer.  Its counts of
@@ -435,8 +437,8 @@ def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray
     true_k, unit_noise = np.empty(n), np.empty(n)
     scratch = _RejectionScratch(n)
     screen = _LevelScreen(packet, n, noise_levels)
-    for trial in range(share, len(children), shares):
-        rng = np.random.default_rng(children[trial])
+    for trial in range(share, len(decisions), shares):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
         rng.standard_normal(out=unit_noise)
         screen.decide(true_k, unit_noise, decisions[trial])
@@ -505,15 +507,17 @@ def _power_curve_with_rechecks(packet: SuperposedWavepacket, n: int,
                            for i, level in enumerate(noise_levels.tolist())})
     from concurrent.futures import ThreadPoolExecutor
 
-    children = np.random.SeedSequence(seed).spawn(trials)
+    # Trial i draws from child i of SeedSequence(seed).spawn(trials), built
+    # only when its share reaches it, as SeedSequence(seed, spawn_key=(i,)),
+    # which has the same state: nothing sized by trials precedes the decisions.
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
     shares = _worker_count(trials)
     rechecks = np.zeros((shares, 3), dtype=np.int64)
     # With one share the pool never starts a thread.
     with ThreadPoolExecutor(max(shares - 1, 1)) as pool:
-        others = [pool.submit(_decide_share, packet, n, noise_levels, children, decisions,
+        others = [pool.submit(_decide_share, packet, n, noise_levels, seed, decisions,
                               rechecks, share, shares) for share in range(1, shares)]
-        _decide_share(packet, n, noise_levels, children, decisions, rechecks, 0, shares)
+        _decide_share(packet, n, noise_levels, seed, decisions, rechecks, 0, shares)
         for future in others:
             future.result()
     levels, acceptances, candidates = rechecks.sum(axis=0).tolist()

@@ -54,6 +54,9 @@ SIN2_EXPONENT_CONSTANT = math.pi * (math.pi * SI_PI - 2.0) / 6.0
 
 # Hard gate encoding d << c t0 (nonrelativistic motion).
 NONRELATIVISTIC_GATE = 1.0 / 3.0
+# And on a tabulated path's own peak speed: max|v| / c below the pi/6 that
+# d < c t0 / 3 implies on the sin^2 path, whose peak speed is pi d / (2 t0).
+PEAK_SPEED_GATE = math.pi / 6.0
 # Soft gate encoding omega << c / d (long-wavelength approximation).
 LONG_WAVELENGTH_GATE = 1.0 / 3.0
 
@@ -143,6 +146,24 @@ class TrajectoryProfile:
         moment = spectral_moment(self._spline.derivative(), _TABULATED_REL_TOL)
         return moment * (self.t0 / self.d) ** 2
 
+    @functools.cached_property
+    def _peak_speed(self) -> float:
+        """max |v| of a tabulated profile, exactly, once per profile.
+
+        The clamped spline's derivative is quadratic on each piece, so |v|
+        peaks at a knot or at the vertex of a piece's parabola.
+        """
+        v = self._spline.derivative()
+        a, b, c = v.c
+        h = np.diff(v.x)
+        # Knots: each piece's left end, and the right end of the last.
+        speeds = [np.abs(c), [abs(a[-1] * h[-1] ** 2 + b[-1] * h[-1] + c[-1])]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -b / (2.0 * a)
+        inside = (a != 0.0) & (vertex > 0.0) & (vertex < h)
+        speeds.append(np.abs(c[inside] - b[inside] ** 2 / (4.0 * a[inside])))
+        return float(max(np.max(part, initial=0.0) for part in speeds))
+
     def velocity(self, t: np.ndarray) -> np.ndarray:
         """Instantaneous velocity; zero outside [0, t0]."""
         t = np.asarray(t, dtype=float)
@@ -183,10 +204,17 @@ def velocity_fourier(profile: TrajectoryProfile, omega):
 
 def _check_nonrelativistic(profile: TrajectoryProfile,
                            constants: PhysicalConstants) -> None:
+    """d < c t0 / 3 on every path; on a tabulated one also its own peak
+    speed, max|v| / c < pi / 6, which the end points alone do not bound."""
     require(profile.d < NONRELATIVISTIC_GATE * constants.c * profile.t0,
             RelativisticMotionError,
             "nonrelativistic gate requires d < c t0 / 3, got d={d}, t0={t0}, c t0={c_t0}",
             d=profile.d, t0=profile.t0, c_t0=constants.c * profile.t0)
+    if profile.shape is Shape.TABULATED:
+        beta_max = profile._peak_speed / constants.c
+        require(beta_max < PEAK_SPEED_GATE, RelativisticMotionError,
+                "nonrelativistic gate requires a peak speed max|v|/c < pi/6, got {beta}",
+                beta=beta_max)
 
 
 def _charge_ratio(q: float, constants: PhysicalConstants) -> float:

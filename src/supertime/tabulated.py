@@ -9,12 +9,16 @@ int_0^inf |p_hat|^2 omega domega built on it, the Gauss-Legendre rule the
 moment integrates with, and the sample validation shared by every
 tabulated input.
 
-The kernel needs the phase e^{i omega x_j} of every (frequency, knot)
-pair.  ``spline_fourier`` takes a cos and a sin of each; the moment only
-asks for Gauss-Legendre panel nodes omega = c_p + s_i, whose offsets s_i
-are the same in every panel, and builds each phase as the product
-e^{i c_p x_j} e^{i s_i x_j} of a (panels, knots) and an (offsets, knots)
-table.  Both routes hand their phases to one branch body, ``_transform``.
+At a frequency where its terms are no larger than the power series'
+(``_knot_sum_rows``), the transform is the knot sum: for each derivative
+order k, the jumps of p^(k) at the knots x_j times e^{i omega x_j}.  Other
+frequencies sum each piece's power series, or its own end terms.
+``spline_fourier`` takes the phase of every (frequency, knot) pair from a
+cos and a sin.  The moment only asks for Gauss-Legendre panel nodes
+omega = c_p + s_i, whose offsets s_i are the same in every panel, so there
+sum_j e^{i omega x_j} K_j = sum_j e^{i s_i x_j} (e^{i c_p x_j} K_j) is one
+complex matrix product over the knots (``_panel_fourier``); its few other
+rows take the direct route.  Both routes apply the same row rule.
 
 The Gauss-Legendre rule is built in O(n): Newton's method in theta,
 x = cos theta, with P_n(cos theta) evaluated in O(1) per node from
@@ -230,19 +234,23 @@ def _end_derivatives(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class _Spline(NamedTuple):
     """A piecewise polynomial prepared for ``_transform``.
 
-    Lengths are in units of the widest piece and knots are taken relative
-    to the first, so that high powers of h and omega stay in range and
-    phases stay small.
+    Series powers are in units of the widest piece, so that high powers of
+    h and omega stay in range.  Knots are taken relative to the middle of
+    their range, so that each phase argument w * knot[j] is one product of
+    at most half the span: its rounding, which the phase carries, is small.
     """
 
-    start: float               # first knot
+    middle: float              # middle of the breakpoint range
     unit: float                # width of the widest piece
-    rel_x: np.ndarray          # (knots,)
+    knot: np.ndarray           # (knots,): breakpoints less ``middle``
     rel_h: np.ndarray          # (pieces,)
     series: np.ndarray         # (pieces, terms): power series of each piece
     closed_right: np.ndarray   # (pieces, 4): closed-form terms at right ends
     closed_left: np.ndarray    # (pieces, 4): and at left ends
     closed_knots: np.ndarray   # (knots, 4): both, summed per knot
+    knot_terms: np.ndarray     # (knots, 4): closed_knots, rounding-level interior entries zeroed
+    knot_scale: np.ndarray     # (4,): sum over knots of |closed_knots|
+    series_scale: np.ndarray   # (terms,): sum over pieces of |series|
 
 
 def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
@@ -257,6 +265,7 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     c = inv_fact[:, None] * np.einsum(
         "nm,jn->jm", a * h ** np.arange(4)[:, None],
         1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
+    series = (c * h * rel_h ** j[:, None]).T
     left, right = _end_derivatives(a, h)
     closed_right = _SIGN * right.T
     closed_left = _SIGN * left.T
@@ -265,10 +274,14 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     closed_knots = np.zeros((len(x), 4))
     closed_knots[1:] += closed_right
     closed_knots[:-1] -= closed_left
-    return _Spline(start=float(x[0]), unit=unit, rel_x=(x - x[0]) / unit, rel_h=rel_h,
-                   series=(c * h * rel_h ** j[:, None]).T,
-                   closed_right=closed_right, closed_left=closed_left,
-                   closed_knots=closed_knots)
+    middle = 0.5 * (float(x[0]) + float(x[-1]))
+    spline = _Spline(middle=middle, unit=unit, knot=x - middle, rel_h=rel_h,
+                     series=series, closed_right=closed_right, closed_left=closed_left,
+                     closed_knots=closed_knots, knot_terms=closed_knots,
+                     # The zeroed terms' magnitudes plus what the zeroing dropped.
+                     knot_scale=np.abs(closed_knots).sum(axis=0),
+                     series_scale=np.abs(series).sum(axis=0))
+    return spline._replace(knot_terms=_SIGN * _knot_jumps(spline, h, a).T)
 
 
 def _rows(mask: np.ndarray):
@@ -281,26 +294,48 @@ def _rows(mask: np.ndarray):
     return slice(first, last + 1) if last - first + 1 == len(index) else mask
 
 
+def _knot_sum_rows(spline: _Spline, w: np.ndarray) -> np.ndarray:
+    """The rows that take the knot sum ``spline.knot_terms`` for the whole transform.
+
+    Row r does where w[r] != 0 and either every piece has |w h| >= 1/2, or
+    the knot terms are no larger than the series terms:
+    C(w) = sum_k |w|^-(k+1) knot_scale[k] <= S(w) = sum_m |w unit|^m series_scale[m].
+    Each side is the magnitude of the terms its route adds, which sets its
+    rounding; C also covers the rounding-level terms the knot sum leaves
+    out.  C falls with |w| and S rises, so on ascending nodes these rows
+    are a suffix.
+    """
+    wu = np.abs(w) * spline.unit
+    closed = wu * spline.rel_h.min() >= _SERIES_SWITCH
+    # At w = 0, C is infinite (or 0 * inf): never the knot sum.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        knot = np.abs(w)[:, None] ** -np.arange(1.0, 5.0) @ spline.knot_scale
+        series = np.vander(wu, _SERIES_TERMS, increasing=True) @ spline.series_scale
+    return closed | (knot <= series)
+
+
 def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray):
     """The transform of ``spline`` at the frequencies ``w``.
 
     Row r of ``cos`` and ``sin`` holds the cosine and sine of
-    w[r] * (x_j - x_0) at every knot x_j.  Each piece of each row takes the
-    series or the closed form by its own |w h|.
+    w[r] * (x_j - middle) at every knot x_j.  Rows of ``_knot_sum_rows`` take
+    the knot sum; the others take the series on every piece where
+    |w unit| < 1/2, and otherwise the series or the closed form on each
+    piece by its own |w h|.
     """
     wu = w * spline.unit
     value = np.empty(len(w), dtype=complex)
     # Rows whose pieces all take one branch need no per-piece mask
     # (every row, when the knots are uniform).
-    series_rows = np.abs(wu) < _SERIES_SWITCH
-    closed_rows = np.abs(wu) * spline.rel_h.min() >= _SERIES_SWITCH
-    mixed_rows = ~(series_rows | closed_rows)
+    knot_rows = _knot_sum_rows(spline, w)
+    series_rows = ~knot_rows & (np.abs(wu) < _SERIES_SWITCH)
+    mixed_rows = ~(knot_rows | series_rows)
     if series_rows.any():
         rows = _rows(series_rows)
         value[rows] = _series_sum(cos[rows, :-1], sin[rows, :-1], spline.series, wu[rows])
-    if closed_rows.any():
-        rows = _rows(closed_rows)
-        value[rows] = _closed_sum(cos[rows], sin[rows], spline.closed_knots, w[rows])
+    if knot_rows.any():
+        rows = _rows(knot_rows)
+        value[rows] = _closed_sum(cos[rows], sin[rows], spline.knot_terms, w[rows])
     if mixed_rows.any():
         rows = _rows(mixed_rows)
         small = np.abs(np.outer(wu[rows], spline.rel_h)) < _SERIES_SWITCH
@@ -310,76 +345,97 @@ def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray)
             _series_sum(c[:, :-1] * small, s[:, :-1] * small, spline.series, wu[rows])
             + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, spline.closed_right, wm)
             - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, spline.closed_left, wm))
-    return value * np.exp(1j * w * spline.start)
+    return value * np.exp(1j * w * spline.middle)
+
+
+def _direct_transform(spline: _Spline, w: np.ndarray) -> np.ndarray:
+    """``_transform`` at the 1-D ``w`` from a cos and a sin per (frequency, knot), in blocks."""
+    out = np.empty(len(w), dtype=complex)
+    step = max(1, _BLOCK_ELEMENTS // len(spline.knot))
+    for start in range(0, len(w), step):
+        block = w[start:start + step]
+        arg = np.outer(block, spline.knot)
+        out[start:start + step] = _transform(spline, block, np.cos(arg), np.sin(arg))
+    return out
 
 
 def spline_fourier(pp, omega):
     """Exact int pp(t) e^{i omega t} dt over the breakpoint range of ``pp``.
 
     ``pp`` is a scalar ``scipy.interpolate.PPoly`` (a ``CubicSpline``, or a
-    derivative of one) of degree <= 3.  Each piece [x_i, x_i + h] contributes
+    derivative of one) of degree <= 3.  Each frequency takes one of
 
-    - for |omega h| >= 1/2, the closed form of repeated integration by parts,
-      sum_k (-1)^k [q^(k)(s) e^{i omega (x_i + s)}]_0^h / (i omega)^(k+1);
-    - below that, the power series e^{i omega x_i} h sum_j (i omega h)^j c_j
-      of the same integral, which does not cancel as omega h -> 0.
+    - the knot sum of repeated integration by parts, for omega != 0,
+      sum_k (-1)^k (i omega)^-(k+1) sum_j [jump of p^(k) at x_j] e^{i omega x_j},
+      wherever its terms are no larger than the series' or every piece has
+      |omega h| >= 1/2 (``_knot_sum_rows``);
+    - otherwise, piece by piece, the power series
+      e^{i omega x_i} h sum_j (i omega h)^j c_j of [x_i, x_i + h] where
+      |omega h| < 1/2, which does not cancel as omega h -> 0, and that
+      piece's own closed-form end terms above.
 
-    Both are the exact integral and agree to rounding at the switch.
-    Accepts scalar or array omega (any sign) and returns complex values of
-    the same shape.  The knot phases take a cos and a sin per (frequency,
-    knot); ``spectral_moment`` builds them from panel and node factors
-    instead, and both hand them to the same branch body, ``_transform``.
+    All are the exact integral and agree to rounding.  Accepts scalar or
+    array omega (any sign) and returns complex values of the same shape.
+    The knot phases take a cos and a sin per (frequency, knot);
+    ``spectral_moment`` contracts its knot sums over the knots instead
+    (``_panel_fourier``), and both apply the same row rule.
     """
     spline = _prepare(*_pieces(pp))
     w_all = np.asarray(omega, dtype=float)
-    w_flat = w_all.ravel()
-    out = np.empty(w_flat.shape, dtype=complex)
-    step = max(1, _BLOCK_ELEMENTS // len(spline.rel_x))
-    for start in range(0, len(w_flat), step):
-        w = w_flat[start:start + step]
-        arg = np.outer(w * spline.unit, spline.rel_x)
-        out[start:start + step] = _transform(spline, w, np.cos(arg), np.sin(arg))
+    out = _direct_transform(spline, w_all.ravel())
     if w_all.ndim == 0:
         return complex(out[0])
     return out.reshape(w_all.shape)
+
+
+def _phases(w: np.ndarray, knot: np.ndarray) -> np.ndarray:
+    """e^{i w knot} for every (w, knot) pair, from a cos and a sin of each argument."""
+    arg = np.outer(w, knot)
+    phase = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase
 
 
 def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     """The transform at the nodes c + offsets of panels centred at c.
 
     Returns a function of the panel centres that gives (nodes, transform),
-    panel by panel.  With w = c + s, e^{i w x} = e^{i c x} e^{i s x}, so
-    every row of the (panels * offsets, knots) phase matrix is the product
-    of one row of a (panels, knots) table and one of an (offsets, knots)
-    table: a complex product per element in place of a cos and a sin.  The
-    offset table is built once here; the rows still take their branches by
-    their own node w.  Blocks hold whole panels, at most
-    ``_BLOCK_ELEMENTS`` phases each unless one panel alone is more.
+    panel by panel.  The knot sum comes from one complex matrix product per
+    block of panels: with w = c + s, e^{i w x} = e^{i c x} e^{i s x}, so for
+    every order k, sum_j e^{i w x_j} K[j, k] = sum_j e^{i s x_j} (e^{i c x_j} K[j, k])
+    is a (panels x orders, knots) table times the (knots, offsets) one,
+    built once here.  Only the interior knots and the orders with a nonzero
+    interior term enter the product; the two end knots are added directly.
+    The rows that ``_knot_sum_rows`` leaves out, at most about the first
+    panel's, are replaced by ``_transform`` on a cos and a sin per phase.
+    Blocks hold at most ``_BLOCK_ELEMENTS`` weighted phases unless one
+    panel alone is more.
     """
-    knots = len(spline.rel_x)
-    arg = np.outer(offsets * spline.unit, spline.rel_x)
-    offset_cos, offset_sin = np.cos(arg), np.sin(arg)
-    step = max(1, _BLOCK_ELEMENTS // (len(offsets) * knots))
-    # Every block of every call reuses these, so no phase-sized temporary
-    # is made; pages no block reaches are never touched.
-    shape = (step, len(offsets), knots)
-    cos, sin, product = np.empty(shape), np.empty(shape), np.empty(shape)
+    terms = spline.knot_terms
+    orders = np.flatnonzero(np.any(terms[1:-1] != 0.0, axis=0))
+    inner = terms[1:-1, orders].T                                # (orders, interior)
+    offset_phase = _phases(offsets, spline.knot[1:-1])
+    step = max(1, _BLOCK_ELEMENTS // (len(spline.knot) * max(1, len(orders))))
+
+    def knot_sum(centers: np.ndarray, w: np.ndarray) -> np.ndarray:
+        weighted = _phases(centers, spline.knot[1:-1])[:, None, :] * inner
+        sums = weighted.reshape(len(centers) * len(orders), inner.shape[1]) @ offset_phase.T
+        total = _phases(w, spline.knot[[0, -1]]) @ terms[[0, -1]]        # (nodes, 4)
+        total[:, orders] += sums.reshape(len(centers), len(orders), len(offsets)).transpose(
+            0, 2, 1).reshape(len(w), len(orders))
+        return _by_inverse_powers(total, w) * np.exp(1j * w * spline.middle)
 
     def at(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nodes = (centers[:, None] + offsets).ravel()
         out = np.empty(nodes.shape, dtype=complex)
         for first in range(0, len(centers), step):
-            arg = np.outer(centers[first:first + step] * spline.unit, spline.rel_x)[:, None]
-            center_cos, center_sin = np.cos(arg), np.sin(arg)
-            n = len(arg)
-            c, s, p = cos[:n], sin[:n], product[:n]
-            np.multiply(center_cos, offset_cos, out=c)
-            c -= np.multiply(center_sin, offset_sin, out=p)
-            np.multiply(center_sin, offset_cos, out=s)
-            s += np.multiply(center_cos, offset_sin, out=p)
-            rows = slice(first * len(offsets), (first + n) * len(offsets))
-            out[rows] = _transform(spline, nodes[rows],
-                                   c.reshape(-1, knots), s.reshape(-1, knots))
+            rows = slice(first * len(offsets), (first + step) * len(offsets))
+            out[rows] = knot_sum(centers[first:first + step], nodes[rows])
+        rest = ~_knot_sum_rows(spline, nodes)
+        if rest.any():
+            rows = _rows(rest)
+            out[rows] = _direct_transform(spline, nodes[rows])
         return nodes, out
 
     return at
@@ -394,7 +450,11 @@ def _series_sum(cos, sin, series, wu):
 
 def _closed_sum(cos, sin, ends, w):
     """sum_k (i w)^-(k+1) sum_points phase * ends[:, k], row by row."""
-    terms = (cos @ ends) + 1j * (sin @ ends)
+    return _by_inverse_powers((cos @ ends) + 1j * (sin @ ends), w)
+
+
+def _by_inverse_powers(terms, w):
+    """sum_k (i w)^-(k+1) terms[:, k], row by row."""
     return np.sum(terms * (1j * w[:, None]) ** -np.arange(1.0, 5.0), axis=1)
 
 
@@ -513,9 +573,11 @@ def spectral_moment(pp, rel_tol: float) -> float:
     The finite part is a Gauss-Legendre panel body on [0, W] plus the
     terms of the expansion that ``_exact_tail`` integrates exactly over
     [W, inf); the rest pair different knots, one of them interior, and are
-    bounded (``_interior_bound``).  The spline is prepared once, and the
-    body's transform takes its phases from panel and offset factors
-    (``_panel_fourier``) rather than a cos and a sin per node and knot.  W is the fewest panels that bring the
+    bounded (``_interior_bound``).  The spline is prepared once.  The
+    body's transform is the knot sum, contracted over the knots by one
+    complex matrix product per block of panels (``_panel_fourier``), at
+    every node past the first few, where ``_knot_sum_rows`` puts the
+    switch from the series.  W is the fewest panels that bring the
     bound below ``rel_tol`` times a lower bound on M.  A first pass, with
     the bound at half the first panel's share of M, brackets M: that
     settles a clear divergence early and sharpens the lower bound.
@@ -526,7 +588,7 @@ def spectral_moment(pp, rel_tol: float) -> float:
     if not np.any(a):
         return 0.0
     spline = _prepare(x, h, a)
-    jumps = _knot_jumps(spline, h, a)
+    jumps = _SIGN[:, None] * spline.knot_terms.T   # _knot_jumps, as prepared
     growth = float(np.sum(jumps[0] ** 2))
     span = float(x[-1] - x[0])
     width = 2.0 * _PANEL_PHASE / span

@@ -439,6 +439,24 @@ def test_window_csv_ingestion(tmp_path):
     assert rows["csv"] == pytest.approx(rows["closed"], rel=1e-8)
 
 
+def test_tabulated_inputs_are_recorded_by_content(tmp_path):
+    t, width = np.linspace(0.0, 1e-12, 200), 2.99792458e8 * 1e-15    # c T in metres
+    window_t = np.linspace(-8.0, 8.0, 200) * width
+    samples = {"radiation": np.column_stack([t, 1e-9 * np.sin(math.pi * t / 2e-12) ** 2]),
+               "vacuum": np.column_stack([window_t, np.exp(-0.5 * (window_t / width) ** 2)
+                                          / (math.sqrt(2.0 * math.pi) * width)])}
+    for sub, key in (("radiation", "trajectory_csv"), ("vacuum", "window_csv")):
+        path = tmp_path / f"{sub}_input.csv"
+        np.savetxt(path, samples[sub], fmt="%.17g", delimiter=",", header="t,value",
+                   comments="")
+        payload = {**CHARGE_CONFIG, sub: {key: str(path)}}
+        _csv_of(tmp_path, sub, payload, name=sub)
+        meta = json.loads((tmp_path / f"{sub}.csv.meta.json").read_text())
+        assert meta["input_csv"] == {
+            "path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "rows": 200, "t_first": samples[sub][0, 0], "t_last": samples[sub][-1, 0]}, sub
+
+
 def test_two_column_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,x\n1,2,3\n")
@@ -645,6 +663,18 @@ def _sweep(parameter, **fields):
     return {"parameter": parameter, "min": 1.0, "max": 2.0, "points": 3, **fields}
 
 
+def _superluminal_trajectory(directory):
+    """x = d sin^2(pi t / 2 t0) + (1 mm) sin^4(pi t / t0): its ends satisfy
+    d < c t0 / 3 and its end speeds vanish, but its peak speed is 13.6 c."""
+    t0, d = 1e-12, 1e-6
+    t = np.linspace(0.0, t0, 401)
+    x = d * np.sin(math.pi * t / (2.0 * t0)) ** 2 + 1e-3 * np.sin(math.pi * t / t0) ** 4
+    path = directory / "superluminal.csv"
+    np.savetxt(path, np.column_stack([t, x]), fmt="%.17g", delimiter=",",
+               header="t_seconds,x_meters", comments="")
+    return str(path)
+
+
 BAD_CONFIGS = [
     ("bound", _mutated(MASS_CONFIG, lambda c: c["scenario"]["alice"].pop("magnitude")),
      "scenario.alice.magnitude"),
@@ -712,6 +742,13 @@ BAD_CONFIGS = [
         n=10**17, trials=2)), "Unable to allocate"),
     ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(n=2**62)),
      "interference.n: must be <="),
+    # No trial's seed is built before the (trials, levels) decisions.
+    ("interference", _mutated(CHARGE_CONFIG, lambda c: c["interference"].update(
+        n=10, trials=10**17)), "Unable to allocate"),
+    # A payload that reads an input file is built around a directory of its own.
+    ("radiation", lambda inputs: {**CHARGE_CONFIG, "radiation": {
+        "trajectory_csv": _superluminal_trajectory(inputs)}},
+     "peak speed max|v|/c < pi/6, got 13.6"),
     # (c T)**2 underflows to 0.0, leaves 1/(4 pi^2 T^2) infinite, or overflows.
     ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_T=1e-200)),
      "width_T=2.99792458e-192 is out of range"),
@@ -723,14 +760,16 @@ BAD_CONFIGS = [
 
 
 @pytest.mark.parametrize("sub,payload,names", BAD_CONFIGS)
-def test_bad_config_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch,
-                                                    sub, payload, names):
+def test_bad_config_is_one_error_line_and_no_output(tmp_path, tmp_path_factory, capsys,
+                                                    monkeypatch, sub, payload, names):
     # Rejected before any momentum is sampled: a sampler that cannot accept
     # a candidate would otherwise run forever.
     def no_sampling(*args):
         raise AssertionError("a bad config reached the momentum sampler")
 
     monkeypatch.setattr(interference, "_sample_true_momenta", no_sampling)
+    if callable(payload):
+        payload = payload(tmp_path_factory.mktemp("inputs"))
     config = _write(tmp_path, "cfg.json", payload)
     out = tmp_path / "out.csv"
     assert main([sub, "--config", str(config), "--output", str(out)]) == 2

@@ -181,6 +181,13 @@ def _reference_true_momenta(packet, rng, n):
     return true_k
 
 
+def test_a_trials_seed_built_alone_is_its_spawned_child():
+    # power_curve builds trial i's SeedSequence only when it decides trial i.
+    for i, child in enumerate(np.random.SeedSequence(2024).spawn(600)):
+        alone = np.random.SeedSequence(2024, spawn_key=(i,))
+        assert np.array_equal(alone.generate_state(8), child.generate_state(8)), i
+
+
 def _reference_power_curve(packet, n, noise_levels, trials, seed):
     """The per-trial loop with fresh arrays, deciding through ``discriminate``."""
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)

@@ -128,6 +128,40 @@ def test_relativistic_gate():
         mode_integral(fast, Q)
 
 
+def _tabulated(t0, x_of_t, samples=401):
+    t = np.linspace(0.0, t0, samples)
+    x = x_of_t(t)
+    return TrajectoryProfile(d=float(x[-1]), t0=t0, shape=Shape.TABULATED,
+                             samples=np.column_stack([t, x]))
+
+
+@pytest.mark.parametrize("wobble", [0.0, 1e-3], ids=["sin2", "sin2-plus-sin4"])
+def test_peak_speed_is_the_spline_derivatives_maximum(wobble):
+    # The derivative is quadratic on each piece: its maximum, from the
+    # knots and the parabolas' vertices, bounds every dense sample and is
+    # reached by the densest.
+    t0, d = 1e-12, 1e-6
+    profile = _tabulated(t0, lambda t: d * np.sin(math.pi * t / (2.0 * t0)) ** 2
+                         + wobble * np.sin(math.pi * t / t0) ** 4)
+    dense = np.max(np.abs(profile.velocity(np.linspace(0.0, t0, 400001))))
+    assert dense <= profile._peak_speed <= dense * (1.0 + 1e-9)
+    if wobble == 0.0:
+        assert profile._peak_speed == pytest.approx(math.pi * d / (2.0 * t0), rel=1e-5)
+
+
+def test_relativistic_gate_reads_a_tabulated_paths_peak_speed():
+    # Both ends satisfy d < c t0 / 3, but the path between them does not.
+    t0, d = 1e-12, 1e-6
+    fast = _tabulated(t0, lambda t: d * np.sin(math.pi * t / (2.0 * t0)) ** 2
+                      + 1e-3 * np.sin(math.pi * t / t0) ** 4)
+    assert d < CODATA.c * t0 / 3.0
+    with pytest.raises(RelativisticMotionError, match=r"max\|v\|/c < pi/6, got 13\.6"):
+        mode_integral(fast, Q)
+    # The sin^2 samples at the same d pass: their peak is pi d / (2 c t0) = 5.2e-3 c.
+    slow = _tabulated(t0, lambda t: d * np.sin(math.pi * t / (2.0 * t0)) ** 2)
+    assert mode_integral(slow, Q) > 0.0
+
+
 def test_min_radiationless_time_prefactor():
     d = 1e-6
     t = min_radiationless_time(Q, d)

@@ -2,9 +2,12 @@
 
 import math
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
 
@@ -195,6 +198,82 @@ def test_spectral_moment_matches_the_direct_panel_body(pp, monkeypatch):
     for mine, theirs in zip(panels["factored"], panels["direct"]):
         assert np.array_equal(mine, theirs)
     assert abs(got - expected) <= 1e-14 * expected
+
+
+def _old_rule(spline, w):
+    """The knot-sum rows of the row rule before it reached below the switch:
+    those where every piece has |w h| >= 1/2."""
+    return np.abs(w) * spline.unit * spline.rel_h.min() >= SWITCH
+
+
+def _drawn_piecewise(seed, pieces, uniform, variant):
+    """A spline on ``pieces`` uniform or random pieces of [-1, 2], a derivative
+    of one, or a piecewise cubic that jumps at every knot.
+
+    Random widths lie within a factor 4 of each other.  The panels up to
+    the narrowest switch then reach omega (x - middle) of a few hundred,
+    where the rounding of the phase arguments, which every route carries,
+    stays inside the tolerance of ``_check_panel_phases``.
+    """
+    rng = np.random.default_rng(seed)
+    widths = np.ones(pieces) if uniform else rng.uniform(0.25, 1.0, pieces)
+    x = 3.0 * np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths) - 1.0
+    x[-1] = 2.0
+    if variant == "discontinuous":
+        return PPoly(rng.normal(size=(4, pieces)), x)
+    spline = CubicSpline(x, rng.normal(size=pieces + 1))
+    return spline.derivative(variant) if variant else spline
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(2, 400), uniform=st.booleans(),
+       variant=st.sampled_from([0, 1, 2, "discontinuous"]))
+@example(seed=0, pieces=12, uniform=False, variant=0)
+@example(seed=1, pieces=12, uniform=False, variant=1)
+@example(seed=2, pieces=12, uniform=False, variant=2)
+@example(seed=3, pieces=12, uniform=True, variant="discontinuous")
+@example(seed=4, pieces=1, uniform=True, variant="discontinuous")  # no interior knot
+def test_knot_sum_rows_are_a_suffix_and_match_the_old_rule(seed, pieces, uniform, variant):
+    # On the panels of spectral_moment up to past the switch of the
+    # narrowest piece, the factored route with the knot sum wherever its
+    # terms are no larger than the series' agrees with the route that
+    # takes it only where every piece is past the switch, to the rounding
+    # of the terms the old rule sums; on 12 pieces, with quadrature too.
+    pp = _drawn_piecewise(seed, pieces, uniform, variant)
+    width = 2.0 * 18.0 / (pp.x[-1] - pp.x[0])
+    last = int(SWITCH / np.diff(pp.x).min() / width) + 2
+    centers = width * (np.arange(last) + 0.5)
+    nodes, got = _factored_transform(pp, centers, width)
+    with mock.patch.object(tabulated, "_knot_sum_rows", _old_rule):
+        _, old = _factored_transform(pp, centers, width)
+    scale, _ = _rounding_scale(pp, nodes)
+    tol = max(1e-14, 4.0 * np.finfo(float).eps * math.sqrt(pieces))
+    assert np.all(np.abs(got - old) <= tol * scale)
+    spline = tabulated._prepare(*tabulated._pieces(pp))
+    knot_rows = tabulated._knot_sum_rows(spline, nodes)
+    first = int(np.argmax(knot_rows))
+    assert knot_rows[-1] and knot_rows[first:].all()
+    if pieces == 12:
+        l1 = _l1_scale(pp)
+        for i in {*range(max(first - 2, 0), first + 2), len(nodes) - 1}:
+            assert abs(got[i] - _quad_fourier(pp, nodes[i])) <= 1e-12 * l1, nodes[i]
+
+
+def _hann_spline():
+    t = np.linspace(0.0, 1.0, 801)
+    return CubicSpline(t, 1.0 - np.cos(2.0 * math.pi * t))
+
+
+@pytest.mark.parametrize("pp", [_gaussian_spline(801), _gaussian_spline(3201),
+                                _sin2_velocity(400), _hann_spline(),
+                                PPoly(np.array([[1.0, -1.0], [0.0, 1.0]]),
+                                      np.array([-1.0, 0.0, 1.0]))],
+                         ids=["gaussian-801", "gaussian-3201", "sin2-400", "hann", "hat"])
+def test_spectral_moment_is_the_same_under_the_old_row_rule(pp, monkeypatch):
+    got = spectral_moment(pp, 1e-10)
+    monkeypatch.setattr(tabulated, "_knot_sum_rows", _old_rule)
+    assert abs(got - spectral_moment(pp, 1e-10)) <= 1e-14 * got
 
 
 def _derivative_jumps(x, h, a):
