@@ -16,9 +16,10 @@ frequencies sum each piece's power series, or its own end terms.
 ``spline_fourier`` takes the phase of every (frequency, knot) pair from a
 cos and a sin.  The moment only asks for Gauss-Legendre panel nodes
 omega = c_p + s_i, whose offsets s_i are the same in every panel, so there
-sum_j e^{i omega x_j} K_j = sum_j e^{i s_i x_j} (e^{i c_p x_j} K_j) is one
-complex matrix product over the knots (``_panel_fourier``); its few other
-rows take the direct route.  Both routes apply the same row rule.
+sum_j e^{i omega x_j} K_j = sum_j e^{i s_i x_j} (e^{i c_p x_j} K_j) is a
+complex matrix product over the knots (``_panel_fourier``), made in blocks
+small enough to stay on the calling thread; its few other rows take the
+direct route.  Both routes apply the same row rule.
 
 The Gauss-Legendre rule is built in O(n): Newton's method in theta,
 x = cos theta, with P_n(cos theta) evaluated in O(1) per node from
@@ -60,6 +61,13 @@ _PANEL_PHASE = 18.0
 
 # Elements of the (frequency x knot) phase matrix evaluated at once.
 _BLOCK_ELEMENTS = 1 << 18
+
+# Complex multiply-adds of one block of a knot-sum matrix product
+# (``_small_products``).  A threaded BLAS runs a product this small on the
+# calling thread.  Split across threads it would gain little, its second
+# thread would spin on for milliseconds after it, and waiting for that
+# thread while another process holds its CPU costs milliseconds more.
+_PRODUCT_MACS = 1 << 16
 
 # Cap on the frequency panels of one spectral moment: a bound that needs
 # more than this cannot be met at the requested tolerance in double precision.
@@ -401,12 +409,14 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     """The transform at the nodes c + offsets of panels centred at c.
 
     Returns a function of the panel centres that gives (nodes, transform),
-    panel by panel.  The knot sum comes from one complex matrix product per
+    panel by panel.  The knot sum comes from a complex matrix product per
     block of panels: with w = c + s, e^{i w x} = e^{i c x} e^{i s x}, so for
     every order k, sum_j e^{i w x_j} K[j, k] = sum_j e^{i s x_j} (e^{i c x_j} K[j, k])
     is a (panels x orders, knots) table times the (knots, offsets) one,
     built once here.  Only the interior knots and the orders with a nonzero
     interior term enter the product; the two end knots are added directly.
+    The product is made in pieces small enough to stay on the calling
+    thread (``_small_products``).
     The rows that ``_knot_sum_rows`` leaves out, at most about the first
     panel's, are replaced by ``_transform`` on a cos and a sin per phase.
     Blocks hold at most ``_BLOCK_ELEMENTS`` weighted phases unless one
@@ -420,7 +430,8 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
 
     def knot_sum(centers: np.ndarray, w: np.ndarray) -> np.ndarray:
         weighted = _phases(centers, spline.knot[1:-1])[:, None, :] * inner
-        sums = weighted.reshape(len(centers) * len(orders), inner.shape[1]) @ offset_phase.T
+        sums = _small_products(weighted.reshape(len(centers) * len(orders), inner.shape[1]),
+                               offset_phase.T)
         total = _phases(w, spline.knot[[0, -1]]) @ terms[[0, -1]]        # (nodes, 4)
         total[:, orders] += sums.reshape(len(centers), len(orders), len(offsets)).transpose(
             0, 2, 1).reshape(len(w), len(orders))
@@ -439,6 +450,28 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
         return nodes, out
 
     return at
+
+
+def _small_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, as a sum of block products of at most ``_PRODUCT_MACS`` multiply-adds.
+
+    Rows are split evenly, and the columns of ``a`` only when four rows of
+    them would exceed the cap; every block has at least two rows.  A
+    one-row product would be a matrix-vector product, which a threaded BLAS
+    splits at a far smaller size, so a single row is summed by array
+    operations instead.
+    """
+    out = np.zeros((len(a), b.shape[1]), dtype=np.result_type(a, b))
+    if len(a) == 1:
+        out[0] = (a[0][:, None] * b).sum(axis=0)
+        return out
+    span = max(1, min(a.shape[1], _PRODUCT_MACS // (4 * b.shape[1])))
+    blocks = -(-len(a) // (_PRODUCT_MACS // (span * b.shape[1])))
+    for block in range(blocks):
+        first, last = len(a) * block // blocks, len(a) * (block + 1) // blocks
+        for start in range(0, a.shape[1], span):
+            out[first:last] += a[first:last, start:start + span] @ b[start:start + span]
+    return out
 
 
 def _series_sum(cos, sin, series, wu):
@@ -574,7 +607,7 @@ def spectral_moment(pp, rel_tol: float) -> float:
     terms of the expansion that ``_exact_tail`` integrates exactly over
     [W, inf); the rest pair different knots, one of them interior, and are
     bounded (``_interior_bound``).  The spline is prepared once.  The
-    body's transform is the knot sum, contracted over the knots by one
+    body's transform is the knot sum, contracted over the knots by a
     complex matrix product per block of panels (``_panel_fourier``), at
     every node past the first few, where ``_knot_sum_rows`` puts the
     switch from the series.  W is the fewest panels that bring the

@@ -432,6 +432,35 @@ def test_panel_rule_is_shared_and_read_only():
     assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
 
 
+class _CountedProducts(np.ndarray):
+    """An array that records the operand shapes of every ``@`` it is the left of."""
+
+    shapes: list = []
+
+    def __matmul__(self, other):
+        _CountedProducts.shapes.append((self.shape, other.shape))
+        return np.asarray(self) @ np.asarray(other)
+
+
+# (rows, knots): empty, a single row, one block, row blocks, knot blocks too.
+@pytest.mark.parametrize("rows, knots", [(0, 40), (1, 3199), (3, 5), (5, 0), (48, 106),
+                                         (51, 367), (24, 1154), (24, 3199)])
+def test_small_products_are_the_product_in_blocks_under_the_cap(rows, knots):
+    rng = np.random.default_rng(rows * 10_000 + knots)
+    a = rng.normal(size=(rows, knots)) + 1j * rng.normal(size=(rows, knots))
+    # The (knots, offsets) operand is a transposed table, as in _panel_fourier.
+    b = (rng.normal(size=(24, knots)) + 1j * rng.normal(size=(24, knots))).T
+    _CountedProducts.shapes = []
+    got = np.asarray(tabulated._small_products(a.view(_CountedProducts), b))
+    want = a @ b
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(a) @ np.abs(b)))
+    for (m, k), (_, n) in _CountedProducts.shapes:
+        assert m >= 2 and m * k * n <= tabulated._PRODUCT_MACS, (m, k, n)
+    if rows == 1:
+        assert _CountedProducts.shapes == []
+
+
 def test_gauss_legendre_rejects_bad_order():
     for n in (0, -3, 2.5):
         with pytest.raises(ValidationError):
