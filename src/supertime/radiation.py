@@ -14,7 +14,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,10 +25,14 @@ from .errors import (
     require_nonnegative,
     require_positive,
 )
-from .tabulated import gauss_legendre, sample_columns, spectral_moment, spline_fourier
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+from .tabulated import (
+    PiecewisePolynomial,
+    cubic_spline,
+    gauss_legendre,
+    sample_columns,
+    spectral_moment,
+    spline_fourier,
+)
 
 __all__ = [
     "Shape",
@@ -89,7 +92,7 @@ class TrajectoryProfile:
     t0: float
     shape: Shape = Shape.SIN_SQUARED
     samples: np.ndarray | None = None
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _spline: PiecewisePolynomial | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         require_nonnegative(d=self.d)
@@ -101,7 +104,7 @@ class TrajectoryProfile:
         elif self.samples is not None:
             raise ValidationError("samples are only meaningful for TABULATED shapes")
 
-    def _build_spline(self) -> CubicSpline:
+    def _build_spline(self) -> PiecewisePolynomial:
         if self.samples is None:
             raise ValidationError("TABULATED profile requires samples")
         t, x = sample_columns(self.samples, _MIN_TABULATED_SAMPLES, "x")
@@ -122,11 +125,9 @@ class TrajectoryProfile:
                     f"endpoint velocity at {where} must vanish "
                     f"(finite difference {v_fd:.3e}, tol {v_tol:.3e})"
                 )
-        from scipy.interpolate import CubicSpline
-
         # Clamped spline: the interpolant's endpoint velocities are exactly
         # zero, preventing spurious high-frequency radiation.
-        return CubicSpline(t, x, bc_type="clamped")
+        return cubic_spline(t, x, "clamped")
 
     @functools.cached_property
     def _tabulated_spectral_integral(self) -> float:

@@ -1,15 +1,16 @@
 """Exact spectral tools for tabulated curves.
 
 Tabulated trajectories and averaging windows are interpolated by cubic
-splines.  The Fourier transform of a piecewise polynomial has a closed
+splines (``cubic_spline``, scipy's spline system solved by cyclic
+reduction).  The Fourier transform of a piecewise polynomial has a closed
 form: integrating each piece by parts until its derivatives vanish leaves
 only endpoint terms (Filon-type integration; Iserles & Norsett, Proc. R.
-Soc. A 461, 2005).  This module holds that kernel, the spectral moment
-int_0^inf |p_hat|^2 omega domega built on it, the Gauss-Legendre rule the
-moment integrates with, and the sample validation shared by every
-tabulated input.
+Soc. A 461, 2005).  This module holds the splines, that kernel, the
+spectral moment int_0^inf |p_hat|^2 omega domega built on it, the
+Gauss-Legendre rule the moment integrates with, and the sample
+validation shared by every tabulated input.  None of it loads scipy.
 
-At a frequency where its terms are no larger than the power series'
+At a frequency where it rounds no worse than the other route
 (``_knot_sum_rows``), the transform is the knot sum: for each derivative
 order k, the jumps of p^(k) at the knots x_j times e^{i omega x_j}.  Other
 frequencies sum each piece's power series, or its own end terms.
@@ -18,8 +19,8 @@ cos and a sin.  The moment only asks for Gauss-Legendre panel nodes
 omega = c_p + s_i, whose offsets s_i are the same in every panel, so there
 sum_j e^{i omega x_j} K_j = sum_j e^{i s_i x_j} (e^{i c_p x_j} K_j) is a
 complex matrix product over the knots (``_panel_fourier``), made in blocks
-small enough to stay on the calling thread; its few other rows take the
-direct route.  Both routes apply the same row rule.
+small enough to stay on the calling thread; its other rows, few on uniform
+knots, take the direct route.  Both routes apply the same row rule.
 
 The Gauss-Legendre rule is built in O(n): Newton's method in theta,
 x = cos theta, with P_n(cos theta) evaluated in O(1) per node from
@@ -30,6 +31,7 @@ Stieltjes' asymptotic series, or from Laplace's integral near the end nodes
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import NamedTuple
@@ -40,6 +42,8 @@ from .errors import DivergentIntegralError, ValidationError
 
 __all__ = [
     "sample_columns",
+    "PiecewisePolynomial",
+    "cubic_spline",
     "gauss_legendre",
     "spline_fourier",
     "spectral_moment",
@@ -91,6 +95,140 @@ def sample_columns(samples, min_rows: int, value_name: str):
     if not np.all(np.diff(t) > 0.0):
         raise ValidationError("sample times must be strictly increasing")
     return t, value
+
+
+# --- cubic splines ------------------------------------------------------------
+
+
+class PiecewisePolynomial(NamedTuple):
+    """p(t) = sum_m c[m, i] (t - x_i)^(k - m) on [x_i, x_{i+1}], k = len(c) - 1.
+
+    The layout of ``scipy.interpolate.PPoly``, which ``spline_fourier`` and
+    ``spectral_moment`` read.
+    """
+
+    x: np.ndarray              # (pieces + 1,): breakpoints, increasing
+    c: np.ndarray              # (k + 1, pieces): local coefficients, highest power first
+
+    def derivative(self, nu: int = 1) -> PiecewisePolynomial:
+        """The nu-th derivative, 1 <= nu <= k."""
+        degree = len(self.c) - 1
+        factor = np.array([math.perm(p, nu) for p in range(degree, nu - 1, -1)], dtype=float)
+        return PiecewisePolynomial(self.x, self.c[:degree + 1 - nu] * factor[:, None])
+
+    def integral(self) -> float:
+        """int p over [x_0, x_last]."""
+        power = np.arange(len(self.c), 0, -1)[:, None]
+        return float(np.sum(self.c * np.diff(self.x) ** power / power))
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        """p^(nu)(t).  A knot belongs to the piece on its right, the last knot
+        to the last piece; the end pieces extend past the breakpoints."""
+        pp = self.derivative(nu) if nu else self
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(pp.x, t, side="right") - 1, 0, len(pp.x) - 2)
+        s = t - pp.x[i]
+        value = pp.c[0, i]
+        for row in pp.c[1:]:
+            value = value * s + row[i]
+        return value
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray, end: str) -> PiecewisePolynomial:
+    """The C^2 cubic spline through (x, y), built as ``scipy.interpolate.CubicSpline`` builds it.
+
+    ``end`` is "clamped", a zero first derivative at both ends, or
+    "not-a-knot", a continuous third derivative at the second and the
+    second-to-last knots; ``x`` is strictly increasing, with at least 4
+    knots.  The knot slopes s solve scipy's tridiagonal system, row by row
+    h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
+    = 3 (h_i m_{i-1} + h_{i-1} m_i), with h_i the widths and m_i the secants
+    of the pieces, and its two end rows.  Eliminating the end slopes from
+    their neighbours' rows, as the first step of Gaussian elimination does,
+    leaves strictly diagonally dominant interior rows, solved by cyclic
+    reduction (``_cyclic_reduction``).  Each piece is then the cubic
+    Hermite interpolant of its end values and slopes.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) < 4:
+        raise ValidationError(f"a cubic spline needs at least 4 knots, got {len(x)}")
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    lower = np.concatenate([[0.0], h[1:], [0.0]])
+    diag = np.concatenate([[1.0], 2.0 * (h[:-1] + h[1:]), [1.0]])
+    upper = np.concatenate([[0.0], h[:-1], [0.0]])
+    rhs = np.concatenate([[0.0], 3.0 * (h[1:] * secant[:-1] + h[:-1] * secant[1:]), [0.0]])
+    if end == "not-a-knot":
+        first, last = x[2] - x[0], x[-1] - x[-3]
+        diag[0], upper[0] = h[1], first
+        rhs[0] = ((h[0] + 2.0 * first) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / first
+        diag[-1], lower[-1] = h[-2], last
+        rhs[-1] = (h[-1] ** 2 * secant[-2] + (2.0 * last + h[-1]) * h[-2] * secant[-1]) / last
+    elif end != "clamped":
+        raise ValidationError(f"end must be 'clamped' or 'not-a-knot', got {end!r}")
+    for row, end_row, coupling, across in ((1, 0, lower, upper), (-2, -1, upper, lower)):
+        factor = coupling[row] / diag[end_row]
+        diag[row] -= factor * across[end_row]
+        rhs[row] -= factor * rhs[end_row]
+        coupling[row] = 0.0
+    slopes = np.empty_like(x)
+    slopes[1:-1] = _cyclic_reduction(lower[1:-1], diag[1:-1], upper[1:-1], rhs[1:-1])
+    slopes[0] = (rhs[0] - upper[0] * slopes[1]) / diag[0]
+    slopes[-1] = (rhs[-1] - lower[-1] * slopes[-2]) / diag[-1]
+    t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
+    return PiecewisePolynomial(x, np.stack([t / h, (secant - slopes[:-1]) / h - t,
+                                            slopes[:-1], y[:-1]]))
+
+
+def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
+    """s with lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i].
+
+    lower[0] = upper[-1] = 0, and every row is strictly diagonally dominant.
+    Level l eliminates the unknowns at odd multiples of 2^l from the rows
+    at multiples of 2^(l+1) (1-based), whose system is again tridiagonal
+    and dominant; back substitution then recovers them level by level.
+    Every level at least squares the largest ratio of a row's couplings to
+    its diagonal (Heller, SIAM J. Numer. Anal. 13, 484, 1976), so once that
+    bound is below rounding, the rows left are solved as if decoupled.  The
+    rows are padded, with decoupled rows s = 0, to a multiple of 2^levels,
+    so that every level works on strided views of one array: O(n) work in
+    at most log2(n) levels of array operations.
+    """
+    n = len(diag)
+    coupling = float(np.max((np.abs(lower) + np.abs(upper)) / np.abs(diag)))
+    levels = 0
+    while coupling > 0.5 * _EPS and (2 << levels) <= n:
+        coupling *= coupling
+        levels += 1
+    step = 1 << levels
+    size = -(-(n + 1) // step) * step
+    # Rows 1..n, between pad rows; the couplings are held negated.
+    system = np.zeros((4, size + 1))
+    system[1] = 1.0
+    np.negative(lower, out=system[0, 1:n + 1])
+    system[1, 1:n + 1] = diag
+    np.negative(upper, out=system[2, 1:n + 1])
+    system[3, 1:n + 1] = rhs
+    a, b, c, d = system
+    for level in range(levels):
+        stride = 1 << level
+        keep, drop = slice(2 * stride, size, 2 * stride), slice(stride, size, 2 * stride)
+        a_drop, b_drop, c_drop, d_drop = a[drop], b[drop], c[drop], d[drop]
+        left = a[keep] / b_drop[:-1]
+        right = c[keep] / b_drop[1:]
+        b[keep] -= left * c_drop[:-1] + right * a_drop[1:]
+        d[keep] += left * d_drop[:-1] + right * d_drop[1:]
+        np.multiply(left, a_drop[:-1], out=a[keep])
+        np.multiply(right, c_drop[1:], out=c[keep])
+    s = np.zeros(size + 1)
+    s[step:size:step] = d[step:size:step] / b[step:size:step]
+    for level in reversed(range(levels)):
+        stride = 1 << level
+        solve = slice(stride, size, 2 * stride)
+        s[solve] = (d[solve] + a[solve] * s[0:size - stride:2 * stride]
+                    + c[solve] * s[2 * stride::2 * stride]) / b[solve]
+    return s[1:n + 1]
 
 
 # --- Gauss-Legendre nodes -----------------------------------------------------
@@ -257,8 +395,8 @@ class _Spline(NamedTuple):
     closed_left: np.ndarray    # (pieces, 4): and at left ends
     closed_knots: np.ndarray   # (knots, 4): both, summed per knot
     knot_terms: np.ndarray     # (knots, 4): closed_knots, rounding-level interior entries zeroed
-    knot_scale: np.ndarray     # (4,): sum over knots of |closed_knots|
-    series_scale: np.ndarray   # (terms,): sum over pieces of |series|
+    knot_scale: np.ndarray     # (2, 4): sums over knots of |closed_knots|, and times |knot|
+    series_scale: np.ndarray   # (2, terms): sums over pieces of |series|, and times |left knot|
 
 
 def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
@@ -283,19 +421,21 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     closed_knots[1:] += closed_right
     closed_knots[:-1] -= closed_left
     middle = 0.5 * (float(x[0]) + float(x[-1]))
-    spline = _Spline(middle=middle, unit=unit, knot=x - middle, rel_h=rel_h,
+    knot = x - middle
+    reach = np.stack([np.ones_like(knot), np.abs(knot)])
+    spline = _Spline(middle=middle, unit=unit, knot=knot, rel_h=rel_h,
                      series=series, closed_right=closed_right, closed_left=closed_left,
                      closed_knots=closed_knots, knot_terms=closed_knots,
                      # The zeroed terms' magnitudes plus what the zeroing dropped.
-                     knot_scale=np.abs(closed_knots).sum(axis=0),
-                     series_scale=np.abs(series).sum(axis=0))
+                     knot_scale=reach @ np.abs(closed_knots),
+                     series_scale=reach[:, :-1] @ np.abs(series))
     return spline._replace(knot_terms=_SIGN * _knot_jumps(spline, h, a).T)
 
 
 def _rows(mask: np.ndarray):
     """Index of the rows in ``mask``: a slice, which copies nothing, if they are adjacent.
 
-    They are on the ascending nodes of ``spectral_moment``.
+    Each kind of row mostly is, on the ascending nodes of ``spectral_moment``.
     """
     index = np.flatnonzero(mask)
     first, last = int(index[0]), int(index[-1])
@@ -306,20 +446,80 @@ def _knot_sum_rows(spline: _Spline, w: np.ndarray) -> np.ndarray:
     """The rows that take the knot sum ``spline.knot_terms`` for the whole transform.
 
     Row r does where w[r] != 0 and either every piece has |w h| >= 1/2, or
-    the knot terms are no larger than the series terms:
-    C(w) = sum_k |w|^-(k+1) knot_scale[k] <= S(w) = sum_m |w unit|^m series_scale[m].
-    Each side is the magnitude of the terms its route adds, which sets its
-    rounding; C also covers the rounding-level terms the knot sum leaves
-    out.  C falls with |w| and S rises, so on ascending nodes these rows
-    are a suffix.
+    the knot sum rounds no worse than the route ``_transform`` takes
+    otherwise: C(w) <= T(w).  Each side sums the magnitudes of the terms
+    its route adds, each weighted by 1 + |w (x_j - middle)| at the knot x_j
+    whose phase it takes: a term's own rounding, and the rounding of its
+    phase argument, which grows with it.  C sums the closed-form knot
+    terms divided by |w|^(k+1), the rounding-level ones the knot sum leaves
+    out included.  Where |w unit| < 1/2, the other route is every piece's
+    series, and T = S sums the series terms times |w unit|^m
+    (``knot_scale`` and ``series_scale`` hold both weights' sums).  Where
+    pieces on both sides of the switch meet, it is the mixed route, and T
+    sums each piece's series terms below its switch and its closed-form end
+    terms above it (``_mixed_scale``).  C falls or holds with |w| and S
+    rises, so on ascending nodes below |w unit| = 1/2 these rows are a
+    suffix; the mixed route's T jumps as each piece passes its switch, so
+    past it they need not be adjacent.
     """
-    wu = np.abs(w) * spline.unit
+    aw = np.abs(w)
+    wu = aw * spline.unit
     closed = wu * spline.rel_h.min() >= _SERIES_SWITCH
+    mixed = ~closed & (wu >= _SERIES_SWITCH)
     # At w = 0, C is infinite (or 0 * inf): never the knot sum.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        knot = np.abs(w)[:, None] ** -np.arange(1.0, 5.0) @ spline.knot_scale
-        series = np.vander(wu, _SERIES_TERMS, increasing=True) @ spline.series_scale
-    return closed | (knot <= series)
+        knot = aw[:, None] ** -np.arange(1.0, 5.0) @ spline.knot_scale.T
+        other = np.vander(wu, _SERIES_TERMS, increasing=True) @ spline.series_scale.T
+        knot = knot[:, 0] + aw * knot[:, 1]
+    other = other[:, 0] + aw * other[:, 1]
+    if mixed.any():
+        other[mixed] = _mixed_scale(spline, w[mixed])
+    return closed | (knot <= other)
+
+
+def _mixed_scale(spline: _Spline, w: np.ndarray) -> np.ndarray:
+    """T(w) of ``_knot_sum_rows`` on rows of the mixed route, w != 0.
+
+    Its terms are each piece's series where |w h| < 1/2 and its closed-form
+    end terms above, and their own rounding is that of their magnitudes.
+    Their phase rounding is that of their magnitudes at each knot once the
+    closed terms that share the knot's phase are combined: a knot takes the
+    terms of its wider piece once that piece is past its switch, and the
+    knot sum's once the narrower one is too.  Each sum runs over the pieces
+    or knots on one side of a threshold on a width, so it is read from
+    cumulative sums in order of that width: O(n log n + rows) work.
+    """
+    aw = np.abs(w)
+    switch = _SERIES_SWITCH / (aw * spline.unit)   # past its switch where rel_h >= switch
+    inverse = aw[:, None] ** -np.arange(1.0, 5.0)
+
+    def summed(width: np.ndarray, terms: np.ndarray, past: bool = True) -> np.ndarray:
+        """Per row, the sum of terms[i] over the i with width[i] >= switch, or
+        below it; cumulated from that side's own end, since the terms of the
+        other side can be larger by far than the sum."""
+        order = np.argsort(width)
+        count = np.searchsorted(width[order], switch)
+        if past:
+            order, count = order[::-1], len(width) - count
+        zero = np.zeros((1,) + terms.shape[1:])
+        return np.cumsum(np.concatenate([zero, terms[order]]), axis=0)[count]
+
+    h, reach = spline.rel_h, np.abs(spline.knot)
+    series = np.abs(spline.series)
+    series = np.stack([series, series * reach[:-1, None]], axis=1)     # (pieces, 2, terms)
+    below = np.einsum("rm,rkm->rk", np.vander(aw * spline.unit, _SERIES_TERMS, increasing=True),
+                      summed(h, series, past=False))
+    right, left = np.abs(spline.closed_right), np.abs(spline.closed_left)
+    # Per knot: its wider piece's end terms, and what the knot sum's add to them.
+    wider = np.concatenate([[h[0]], np.maximum(h[:-1], h[1:]), [h[-1]]])
+    narrower = np.concatenate([[0.0], np.minimum(h[:-1], h[1:]), [0.0]])
+    one = np.concatenate([left[:1], np.where((h[:-1] >= h[1:])[:, None], right[:-1], left[1:]),
+                          right[-1:]])
+    both = np.abs(spline.closed_knots) - one
+    both[[0, -1]] = 0.0
+    closed = inverse * (summed(h, right + left) + aw[:, None] * (
+        summed(wider, reach[:, None] * one) + summed(narrower, reach[:, None] * both)))
+    return below[:, 0] + aw * below[:, 1] + closed.sum(axis=1)
 
 
 def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray):
@@ -370,12 +570,15 @@ def _direct_transform(spline: _Spline, w: np.ndarray) -> np.ndarray:
 def spline_fourier(pp, omega):
     """Exact int pp(t) e^{i omega t} dt over the breakpoint range of ``pp``.
 
-    ``pp`` is a scalar ``scipy.interpolate.PPoly`` (a ``CubicSpline``, or a
-    derivative of one) of degree <= 3.  Each frequency takes one of
+    ``pp`` is a scalar piecewise polynomial of degree <= 3 with breakpoints
+    ``pp.x`` and coefficients ``pp.c`` in the layout of
+    ``scipy.interpolate.PPoly``: a ``PiecewisePolynomial`` (a
+    ``cubic_spline``, or a derivative of one), or scipy's own.  Each
+    frequency takes one of
 
     - the knot sum of repeated integration by parts, for omega != 0,
       sum_k (-1)^k (i omega)^-(k+1) sum_j [jump of p^(k) at x_j] e^{i omega x_j},
-      wherever its terms are no larger than the series' or every piece has
+      wherever it rounds no worse than the other route or every piece has
       |omega h| >= 1/2 (``_knot_sum_rows``);
     - otherwise, piece by piece, the power series
       e^{i omega x_i} h sum_j (i omega h)^j c_j of [x_i, x_i + h] where
@@ -418,7 +621,8 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     The product is made in pieces small enough to stay on the calling
     thread (``_small_products``).
     The rows that ``_knot_sum_rows`` leaves out, at most about the first
-    panel's, are replaced by ``_transform`` on a cos and a sin per phase.
+    panel's on uniform knots, are replaced by ``_transform`` on a cos and a
+    sin per phase.
     Blocks hold at most ``_BLOCK_ELEMENTS`` weighted phases unless one
     panel alone is more.
     """
@@ -525,12 +729,10 @@ def _exact_tail(jumps: np.ndarray, span: float, cutoff: float) -> float:
     from E_1 by integration by parts:
     I_p = (cutoff^(1-p) e^{i span cutoff} + i span I_{p-1}) / (p - 1).
     """
-    from scipy.special import exp1
-
     ends = jumps[:, [0, -1]]
     same = jumps @ jumps.T
     phase = np.exp(1j * span * cutoff)
-    osc = [complex(exp1(-1j * span * cutoff))]                # I_1(span)
+    osc = [_exp1(-1j * span * cutoff)]                        # I_1(span)
     for p in range(2, 8):
         osc.append((cutoff ** (1 - p) * phase + 1j * span * osc[-1]) / (p - 1))
     total = 0.0
@@ -544,6 +746,41 @@ def _exact_tail(jumps: np.ndarray, span: float, cutoff: float) -> float:
             total += (coef * (ends[k, 1] * ends[kk, 0] * osc[q]
                               + ends[k, 0] * ends[kk, 1] * np.conj(osc[q]))).real
     return float(total)
+
+
+# The tail's E_1 argument is -i span cutoff, and the cutoff is a whole
+# number of panels of width 2 _PANEL_PHASE / span: |z| = 36 panels.
+_EXP1_MIN_MODULUS = 2.0 * _PANEL_PHASE
+_EXP1_TERMS = 64
+
+
+def _exp1(z: complex) -> complex:
+    """E_1(z) = int_1^inf e^{-z t} / t dt, for |z| >= 36 and Re z >= 0.
+
+    From its continued fraction
+    E_1(z) = e^{-z} / (z + 1 - 1^2 / (z + 3 - 2^2 / (z + 5 - ...))),
+    evaluated front to back by the modified Lentz method (Press et al.,
+    Numerical Recipes, 3rd ed., sec. 6.3).  ``_exact_tail`` asks for it at
+    z = -36 i k, k panels; there it converges in at most 8 terms, within a
+    few roundings of the value.  Smaller |z| are refused: the fraction
+    converges more slowly nearer 0, and no caller needs them.
+    """
+    if not (abs(z) >= _EXP1_MIN_MODULUS and z.real >= 0.0):
+        raise ValueError(f"_exp1 takes |z| >= {_EXP1_MIN_MODULUS:g} with Re z >= 0, got {z!r}")
+    b = z + 1.0
+    c = 1.0 / np.finfo(float).tiny
+    d = 1.0 / b
+    value = d
+    for k in range(1, _EXP1_TERMS):
+        a = -float(k * k)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        value *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return value * cmath.exp(-z)
+    raise ArithmeticError(f"E_1 continued fraction did not converge at z={z!r}")
 
 
 def _interior_bound(jumps: np.ndarray, x: np.ndarray):
@@ -609,8 +846,8 @@ def spectral_moment(pp, rel_tol: float) -> float:
     bounded (``_interior_bound``).  The spline is prepared once.  The
     body's transform is the knot sum, contracted over the knots by a
     complex matrix product per block of panels (``_panel_fourier``), at
-    every node past the first few, where ``_knot_sum_rows`` puts the
-    switch from the series.  W is the fewest panels that bring the
+    the nodes ``_knot_sum_rows`` gives it: on uniform knots, every node
+    past the first few.  W is the fewest panels that bring the
     bound below ``rel_tol`` times a lower bound on M.  A first pass, with
     the bound at half the first panel's share of M, brackets M: that
     settles a clear divergence early and sharpens the lower bound.

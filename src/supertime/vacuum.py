@@ -14,16 +14,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants, planck_scales
 from .errors import ValidationError, require, require_nonnegative, require_positive
-from .tabulated import sample_columns, spectral_moment, spline_fourier
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+from .tabulated import (
+    PiecewisePolynomial,
+    cubic_spline,
+    sample_columns,
+    spectral_moment,
+    spline_fourier,
+)
 
 __all__ = [
     "WindowShape",
@@ -55,25 +57,23 @@ class WindowFunction:
     """Normalized time-averaging profile phi(t) of characteristic width T.
 
     For TABULATED windows, ``samples`` is an (n, 2) array of (t, phi)
-    pairs; phi is interpolated with a cubic spline, built once here, whose
-    integral must be 1, and taken as zero outside the samples.
+    pairs; phi is interpolated with a not-a-knot cubic spline, built once
+    here, whose integral must be 1, and taken as zero outside the samples.
     """
 
     shape: WindowShape = WindowShape.GAUSSIAN
     width_T: float = 1.0
     samples: np.ndarray | None = None
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _spline: PiecewisePolynomial | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         require_positive(width_T=self.width_T)
         if self.shape is WindowShape.TABULATED:
-            from scipy.interpolate import CubicSpline
-
             if self.samples is None:
                 raise ValidationError("TABULATED window requires samples")
             t, phi = sample_columns(self.samples, _MIN_WINDOW_SAMPLES, "phi")
-            spline = CubicSpline(t, phi)
-            norm = spline.integrate(t[0], t[-1])
+            spline = cubic_spline(t, phi, "not-a-knot")
+            norm = spline.integral()
             if abs(norm - 1.0) > 1e-8:
                 raise ValidationError(
                     f"window spline must integrate to 1 (got {norm:.10f})"

@@ -19,7 +19,8 @@ from supertime.tabulated import (
     spectral_moment,
     spline_fourier,
 )
-from supertime.vacuum import WindowFunction, WindowShape, averaged_variance
+from supertime.radiation import _MIN_TABULATED_SAMPLES
+from supertime.vacuum import _MIN_WINDOW_SAMPLES, WindowFunction, WindowShape, averaged_variance
 
 # The kernel switches from the power series to the closed form at |omega h| = 1/2.
 SWITCH = 0.5
@@ -206,23 +207,44 @@ def _old_rule(spline, w):
     return np.abs(w) * spline.unit * spline.rel_h.min() >= SWITCH
 
 
-def _drawn_piecewise(seed, pieces, uniform, variant):
+def _drawn_piecewise(seed, pieces, uniform, variant, narrowest=0.25):
     """A spline on ``pieces`` uniform or random pieces of [-1, 2], a derivative
     of one, or a piecewise cubic that jumps at every knot.
 
-    Random widths lie within a factor 4 of each other.  The panels up to
-    the narrowest switch then reach omega (x - middle) of a few hundred,
-    where the rounding of the phase arguments, which every route carries,
-    stays inside the tolerance of ``_check_panel_phases``.
+    Random widths lie between ``narrowest`` and 1 times the widest.  Within
+    a factor 4, the panels up to the narrowest switch reach omega
+    (x - middle) of a few hundred, where the rounding of the phase
+    arguments, which every route carries, stays inside the tolerance of
+    ``_check_panel_phases``.
     """
     rng = np.random.default_rng(seed)
-    widths = np.ones(pieces) if uniform else rng.uniform(0.25, 1.0, pieces)
+    widths = np.ones(pieces) if uniform else rng.uniform(narrowest, 1.0, pieces)
     x = 3.0 * np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths) - 1.0
     x[-1] = 2.0
     if variant == "discontinuous":
         return PPoly(rng.normal(size=(4, pieces)), x)
     spline = CubicSpline(x, rng.normal(size=pieces + 1))
     return spline.derivative(variant) if variant else spline
+
+
+def _check_against_the_old_rule(pp):
+    """On the panels of spectral_moment up to past the switch of the
+    narrowest piece, the factored route under the row rule agrees with it
+    under ``_old_rule``, to the rounding of the terms the old rule sums.
+
+    Returns the nodes, the transform and the rule's knot-sum rows.
+    """
+    pieces = len(pp.x) - 1
+    width = 2.0 * 18.0 / (pp.x[-1] - pp.x[0])
+    last = int(SWITCH / np.diff(pp.x).min() / width) + 2
+    centers = width * (np.arange(last) + 0.5)
+    nodes, got = _factored_transform(pp, centers, width)
+    with mock.patch.object(tabulated, "_knot_sum_rows", _old_rule):
+        _, old = _factored_transform(pp, centers, width)
+    scale, _ = _rounding_scale(pp, nodes)
+    tol = max(1e-14, 4.0 * np.finfo(float).eps * math.sqrt(pieces))
+    assert np.all(np.abs(got - old) <= tol * scale)
+    return nodes, got, tabulated._knot_sum_rows(tabulated._prepare(*tabulated._pieces(pp)), nodes)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -234,30 +256,71 @@ def _drawn_piecewise(seed, pieces, uniform, variant):
 @example(seed=2, pieces=12, uniform=False, variant=2)
 @example(seed=3, pieces=12, uniform=True, variant="discontinuous")
 @example(seed=4, pieces=1, uniform=True, variant="discontinuous")  # no interior knot
-def test_knot_sum_rows_are_a_suffix_and_match_the_old_rule(seed, pieces, uniform, variant):
-    # On the panels of spectral_moment up to past the switch of the
-    # narrowest piece, the factored route with the knot sum wherever its
-    # terms are no larger than the series' agrees with the route that
-    # takes it only where every piece is past the switch, to the rounding
-    # of the terms the old rule sums; on 12 pieces, with quadrature too.
+@example(seed=56, pieces=163, uniform=False, variant=1)  # knot rows before mixed rows
+def test_knot_sum_rows_match_the_old_rule_and_are_a_suffix_below_the_widest_switch(
+        seed, pieces, uniform, variant):
+    # The factored route with the knot sum wherever it rounds no worse
+    # agrees with the route that takes it only where every piece is past
+    # the switch (_check_against_the_old_rule); on 12 pieces, with
+    # quadrature too.  Below the widest piece's switch the knot-sum rows
+    # are a suffix; above it, rows where the mixed route rounds better may
+    # follow them, and past the narrowest piece's switch every row is one.
     pp = _drawn_piecewise(seed, pieces, uniform, variant)
-    width = 2.0 * 18.0 / (pp.x[-1] - pp.x[0])
-    last = int(SWITCH / np.diff(pp.x).min() / width) + 2
-    centers = width * (np.arange(last) + 0.5)
-    nodes, got = _factored_transform(pp, centers, width)
-    with mock.patch.object(tabulated, "_knot_sum_rows", _old_rule):
-        _, old = _factored_transform(pp, centers, width)
-    scale, _ = _rounding_scale(pp, nodes)
-    tol = max(1e-14, 4.0 * np.finfo(float).eps * math.sqrt(pieces))
-    assert np.all(np.abs(got - old) <= tol * scale)
-    spline = tabulated._prepare(*tabulated._pieces(pp))
-    knot_rows = tabulated._knot_sum_rows(spline, nodes)
-    first = int(np.argmax(knot_rows))
-    assert knot_rows[-1] and knot_rows[first:].all()
+    nodes, got, knot_rows = _check_against_the_old_rule(pp)
+    below = knot_rows[np.abs(nodes) * np.diff(pp.x).max() < SWITCH]
+    assert not below.any() or below[int(np.argmax(below)):].all()
+    assert knot_rows[-1]
     if pieces == 12:
+        first = int(np.argmax(knot_rows))
         l1 = _l1_scale(pp)
         for i in {*range(max(first - 2, 0), first + 2), len(nodes) - 1}:
             assert abs(got[i] - _quad_fourier(pp, nodes[i])) <= 1e-12 * l1, nodes[i]
+
+
+def _mixed_scale_by_pieces(spline, w):
+    """``tabulated._mixed_scale`` piece by piece and knot by knot, as first written."""
+    aw = np.abs(w)[:, None]
+    small = aw * spline.unit * spline.rel_h < SWITCH
+    big = ~small
+    series = np.vander(aw[:, 0] * spline.unit, spline.series.shape[1], increasing=True) @ np.abs(
+        spline.series).T
+    inverse = aw ** -np.arange(1.0, 5.0)
+    right = inverse @ np.abs(spline.closed_right).T
+    left = inverse @ np.abs(spline.closed_left).T
+    own = np.where(small, series, right + left).sum(axis=1)
+    at_knot = np.zeros((len(w), len(spline.knot)))
+    at_knot[:, 1:] += big * right
+    at_knot[:, :-1] += big * left
+    both = np.zeros(at_knot.shape, dtype=bool)
+    both[:, 1:-1] = big[:, :-1] & big[:, 1:]
+    at_knot[both] = (inverse @ np.abs(spline.closed_knots).T)[both]
+    reach = np.abs(spline.knot)
+    return own + aw[:, 0] * (at_knot @ reach + (series * small) @ reach[:-1])
+
+
+@pytest.mark.parametrize("narrowest", [0.25, 0.05, 0.001])
+@pytest.mark.parametrize("variant", [0, 1, 2, "discontinuous"])
+def test_mixed_scale_is_its_piece_by_piece_sum(variant, narrowest):
+    # Across the mixed rows, from the widest piece's switch to the
+    # narrowest's.  At widths down to 1/1000, the series of the pieces past
+    # their switch outweigh those of the pieces below it so far that the
+    # difference of two cumulative sums loses the latter.
+    pp = _drawn_piecewise(11, 150, False, variant, narrowest=narrowest)
+    spline = tabulated._prepare(*tabulated._pieces(pp))
+    low, high = SWITCH / spline.unit, SWITCH / (spline.unit * spline.rel_h.min())
+    w = np.geomspace(low, high, 400)[1:-1] * np.where(np.arange(398) % 2, 1.0, -1.0)
+    expected = _mixed_scale_by_pieces(spline, w)
+    assert np.all(np.abs(tabulated._mixed_scale(spline, w) - expected) <= 1e-12 * expected)
+
+
+def test_mixed_rows_take_the_knot_sum_only_where_it_rounds_no_worse():
+    # With widths down to 1/20 of the widest, the second derivative of this
+    # spline has mixed rows over 40 panels.  A rule that weighed the knot
+    # sum against the series of every piece there, pieces past their switch
+    # included, took it from omega (x - middle) ~ 400, where its terms at
+    # the narrow pieces' knots round worse than those pieces' series: it
+    # then differed from the old rule's route by 1.7 times the tolerance.
+    _check_against_the_old_rule(_drawn_piecewise(1493484917, 335, False, 2, narrowest=0.05))
 
 
 def _hann_spline():
@@ -539,3 +602,115 @@ def test_sample_columns_validation():
     bad[3, 1] = np.nan
     with pytest.raises(ValidationError, match="finite"):
         sample_columns(bad, 8, "x")
+
+
+def _longdouble_slopes(x, y, end):
+    """The knot slopes of scipy's spline system, solved in np.longdouble by the
+    Thomas algorithm (no pivoting; its first step is Gaussian elimination's)."""
+    x, y = x.astype(np.longdouble), y.astype(np.longdouble)
+    h, secant = np.diff(x), np.diff(y) / np.diff(x)
+    n = len(x)
+    lower, diag, upper, rhs = (np.zeros(n, dtype=np.longdouble) for _ in range(4))
+    lower[1:-1], diag[1:-1], upper[1:-1] = h[1:], 2 * (h[:-1] + h[1:]), h[:-1]
+    rhs[1:-1] = 3 * (h[1:] * secant[:-1] + h[:-1] * secant[1:])
+    diag[0] = diag[-1] = 1
+    if end == "not-a-knot":
+        first, last = x[2] - x[0], x[-1] - x[-3]
+        diag[0], upper[0] = h[1], first
+        rhs[0] = ((h[0] + 2 * first) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / first
+        diag[-1], lower[-1] = h[-2], last
+        rhs[-1] = (h[-1] ** 2 * secant[-2] + (2 * last + h[-1]) * h[-2] * secant[-1]) / last
+    for i in range(1, n):
+        factor = lower[i] / diag[i - 1]
+        diag[i] -= factor * upper[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    slopes = np.zeros(n, dtype=np.longdouble)
+    slopes[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        slopes[i] = (rhs[i] - upper[i] * slopes[i + 1]) / diag[i]
+    return slopes
+
+
+# A trajectory's spline is clamped, a window's not-a-knot: each at its
+# fewest samples and at the benchmark's largest window.
+@pytest.mark.parametrize("end, samples", [("clamped", _MIN_TABULATED_SAMPLES), ("clamped", 3201),
+                                          ("not-a-knot", _MIN_WINDOW_SAMPLES),
+                                          ("not-a-knot", 3201)])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random"])
+def test_cubic_spline_is_scipys(end, samples, uniform):
+    rng = np.random.default_rng(samples + uniform)
+    widths = np.ones(samples - 1) if uniform else rng.uniform(0.25, 1.0, samples - 1)
+    x = np.concatenate([[0.0], np.cumsum(widths)])
+    y = np.sin(0.2 * x) + 0.1 * rng.normal(size=samples)
+    spline = tabulated.cubic_spline(x, y, end)
+    reference = CubicSpline(x, y, bc_type=end)
+    eps = np.finfo(float).eps
+    assert np.array_equal(spline.x, x) and spline.c.shape == reference.c.shape
+    assert np.array_equal(spline.c[3], y[:-1])
+    # Slopes: the left ends' are the coefficients, the last the derivative at x[-1].
+    slopes = np.append(spline.c[2], spline(x[-1], 1))
+    exact = _longdouble_slopes(x, y, end)
+    scale = float(np.max(np.abs(exact)))
+    assert float(np.max(np.abs(slopes - exact))) <= 8.0 * eps * scale
+    assert np.max(np.abs(reference(x, 1) - slopes)) <= 16.0 * eps * scale
+    if end == "clamped":
+        assert spline.c[2, 0] == 0.0 and slopes[-1] == pytest.approx(0.0, abs=8.0 * eps * scale)
+    # Derivatives and values at every knot (the last included: t = t0), at
+    # the middles of the pieces and past both ends.
+    middles = 0.5 * (x[:-1] + x[1:])
+    t = np.concatenate([x, middles, [x[0] - 0.1, x[-1] + 0.1]])
+    derivative, reference_derivative = spline.derivative(), reference.derivative()
+    for nu in range(4):
+        expected = reference(t, nu)
+        tol = 64.0 * eps * np.max(np.abs(expected))
+        assert np.max(np.abs(spline(t, nu) - expected)) <= tol, nu
+        if nu < 3:
+            assert np.max(np.abs(derivative(t, nu) - reference_derivative(t, nu))) <= (
+                64.0 * eps * np.max(np.abs(reference(t, nu + 1)))), nu
+    assert spline(x[-1], 1) == pytest.approx(reference(x[-1], 1), abs=16.0 * eps * scale)
+    assert spline.integral() == pytest.approx(reference.integrate(x[0], x[-1]), rel=1e-13)
+    # Both transform kernels read it as they read scipy's spline.
+    w = np.array([0.0, 0.7, 40.0, 900.0])
+    assert np.allclose(spline_fourier(spline, w), spline_fourier(reference, w),
+                       rtol=1e-12, atol=1e-12 * np.sum(np.abs(y)) * np.diff(x).max())
+
+
+def test_cubic_spline_rejects_too_few_knots_and_unknown_ends():
+    x = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValidationError, match="at least 4 knots"):
+        tabulated.cubic_spline(x[:3], x[:3], "clamped")
+    with pytest.raises(ValidationError, match="'clamped' or 'not-a-knot'"):
+        tabulated.cubic_spline(x, x, "natural")
+
+
+def test_cyclic_reduction_solves_diagonally_dominant_systems():
+    # Any length (powers of two and their neighbours), couplings up to
+    # almost the diagonal, against a dense solve.
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 8, 9, 63, 64, 65, 1000):
+        diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        split = rng.uniform(0.0, 0.999, n)
+        lower = np.abs(diag) * split * rng.uniform(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        upper = (np.abs(diag) * split - np.abs(lower)) * rng.choice([-1.0, 1.0], n)
+        lower[0] = upper[-1] = 0.0
+        rhs = rng.normal(size=n)
+        matrix = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        expected = np.linalg.solve(matrix, rhs)
+        got = tabulated._cyclic_reduction(lower, diag, upper, rhs)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), n
+
+
+def test_exp1_is_scipys_on_every_tail_argument():
+    # The spectral moment's tail takes E_1 at -i span cutoff = -36 i k for
+    # k up to the panel cap; the continued fraction and scipy each round a
+    # few times.
+    from scipy.special import exp1
+
+    assert 2.0 * tabulated._PANEL_PHASE == 36.0
+    z = -36j * np.arange(1, tabulated._MAX_PANELS + 1)
+    got = np.array([tabulated._exp1(complex(value)) for value in z])
+    expected = exp1(z)
+    assert np.max(np.abs(got / expected - 1.0)) <= 8.0 * np.finfo(float).eps
+    for outside in (-35.9j, -1j, 1.0 + 0.0j, -40.0 + 0.0j, -36.0 - 1.0j):
+        with pytest.raises(ValueError, match=r"\|z\| >= 36"):
+            tabulated._exp1(outside)
