@@ -395,8 +395,8 @@ class _Spline(NamedTuple):
     closed_left: np.ndarray    # (pieces, 4): and at left ends
     closed_knots: np.ndarray   # (knots, 4): both, summed per knot
     knot_terms: np.ndarray     # (knots, 4): closed_knots, rounding-level interior entries zeroed
-    knot_scale: np.ndarray     # (2, 4): sums over knots of |closed_knots|, and times |knot|
-    series_scale: np.ndarray   # (2, terms): sums over pieces of |series|, and times |left knot|
+    knot_scale: np.ndarray     # (4,): sum over knots of |closed_knots|
+    series_scale: np.ndarray   # (terms,): sum over pieces of |series|
 
 
 def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
@@ -421,14 +421,12 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     closed_knots[1:] += closed_right
     closed_knots[:-1] -= closed_left
     middle = 0.5 * (float(x[0]) + float(x[-1]))
-    knot = x - middle
-    reach = np.stack([np.ones_like(knot), np.abs(knot)])
-    spline = _Spline(middle=middle, unit=unit, knot=knot, rel_h=rel_h,
+    spline = _Spline(middle=middle, unit=unit, knot=x - middle, rel_h=rel_h,
                      series=series, closed_right=closed_right, closed_left=closed_left,
                      closed_knots=closed_knots, knot_terms=closed_knots,
                      # The zeroed terms' magnitudes plus what the zeroing dropped.
-                     knot_scale=reach @ np.abs(closed_knots),
-                     series_scale=reach[:, :-1] @ np.abs(series))
+                     knot_scale=np.abs(closed_knots).sum(axis=0),
+                     series_scale=np.abs(series).sum(axis=0))
     return spline._replace(knot_terms=_SIGN * _knot_jumps(spline, h, a).T)
 
 
@@ -446,80 +444,34 @@ def _knot_sum_rows(spline: _Spline, w: np.ndarray) -> np.ndarray:
     """The rows that take the knot sum ``spline.knot_terms`` for the whole transform.
 
     Row r does where w[r] != 0 and either every piece has |w h| >= 1/2, or
-    the knot sum rounds no worse than the route ``_transform`` takes
-    otherwise: C(w) <= T(w).  Each side sums the magnitudes of the terms
-    its route adds, each weighted by 1 + |w (x_j - middle)| at the knot x_j
-    whose phase it takes: a term's own rounding, and the rounding of its
-    phase argument, which grows with it.  C sums the closed-form knot
-    terms divided by |w|^(k+1), the rounding-level ones the knot sum leaves
-    out included.  Where |w unit| < 1/2, the other route is every piece's
-    series, and T = S sums the series terms times |w unit|^m
-    (``knot_scale`` and ``series_scale`` hold both weights' sums).  Where
-    pieces on both sides of the switch meet, it is the mixed route, and T
-    sums each piece's series terms below its switch and its closed-form end
-    terms above it (``_mixed_scale``).  C falls or holds with |w| and S
-    rises, so on ascending nodes below |w unit| = 1/2 these rows are a
-    suffix; the mixed route's T jumps as each piece passes its switch, so
-    past it they need not be adjacent.
+    the knot terms are no larger than the series terms of the other route:
+    C(w) = sum_k |w|^-(k+1) knot_scale[k] <= S(w) = sum_m |w unit|^m s_m(w).
+    Each side is the magnitude of the terms its route adds, which sets its
+    rounding; C also covers the rounding-level terms the knot sum leaves
+    out.  Where no piece has |w h| >= 1/2, s_m is ``series_scale``, the
+    series of every piece: C falls with |w| and S rises, so on ascending
+    nodes these rows are a suffix.  Where some do (mixed rows, on uneven
+    knots), the other route sums the series of the pieces below their
+    switch and the closed-form end terms of the others: s_m sums those
+    series alone, a lower bound on that route's terms, so C <= S still
+    means the knot sum rounds no worse.  Past the widest piece's switch
+    the rows need not be adjacent.
     """
-    aw = np.abs(w)
-    wu = aw * spline.unit
+    wu = np.abs(w) * spline.unit
     closed = wu * spline.rel_h.min() >= _SERIES_SWITCH
     mixed = ~closed & (wu >= _SERIES_SWITCH)
     # At w = 0, C is infinite (or 0 * inf): never the knot sum.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        knot = aw[:, None] ** -np.arange(1.0, 5.0) @ spline.knot_scale.T
-        other = np.vander(wu, _SERIES_TERMS, increasing=True) @ spline.series_scale.T
-        knot = knot[:, 0] + aw * knot[:, 1]
-    other = other[:, 0] + aw * other[:, 1]
+        knot = np.abs(w)[:, None] ** -np.arange(1.0, 5.0) @ spline.knot_scale
+        series = np.vander(wu, _SERIES_TERMS, increasing=True) @ spline.series_scale
     if mixed.any():
-        other[mixed] = _mixed_scale(spline, w[mixed])
-    return closed | (knot <= other)
-
-
-def _mixed_scale(spline: _Spline, w: np.ndarray) -> np.ndarray:
-    """T(w) of ``_knot_sum_rows`` on rows of the mixed route, w != 0.
-
-    Its terms are each piece's series where |w h| < 1/2 and its closed-form
-    end terms above, and their own rounding is that of their magnitudes.
-    Their phase rounding is that of their magnitudes at each knot once the
-    closed terms that share the knot's phase are combined: a knot takes the
-    terms of its wider piece once that piece is past its switch, and the
-    knot sum's once the narrower one is too.  Each sum runs over the pieces
-    or knots on one side of a threshold on a width, so it is read from
-    cumulative sums in order of that width: O(n log n + rows) work.
-    """
-    aw = np.abs(w)
-    switch = _SERIES_SWITCH / (aw * spline.unit)   # past its switch where rel_h >= switch
-    inverse = aw[:, None] ** -np.arange(1.0, 5.0)
-
-    def summed(width: np.ndarray, terms: np.ndarray, past: bool = True) -> np.ndarray:
-        """Per row, the sum of terms[i] over the i with width[i] >= switch, or
-        below it; cumulated from that side's own end, since the terms of the
-        other side can be larger by far than the sum."""
-        order = np.argsort(width)
-        count = np.searchsorted(width[order], switch)
-        if past:
-            order, count = order[::-1], len(width) - count
-        zero = np.zeros((1,) + terms.shape[1:])
-        return np.cumsum(np.concatenate([zero, terms[order]]), axis=0)[count]
-
-    h, reach = spline.rel_h, np.abs(spline.knot)
-    series = np.abs(spline.series)
-    series = np.stack([series, series * reach[:-1, None]], axis=1)     # (pieces, 2, terms)
-    below = np.einsum("rm,rkm->rk", np.vander(aw * spline.unit, _SERIES_TERMS, increasing=True),
-                      summed(h, series, past=False))
-    right, left = np.abs(spline.closed_right), np.abs(spline.closed_left)
-    # Per knot: its wider piece's end terms, and what the knot sum's add to them.
-    wider = np.concatenate([[h[0]], np.maximum(h[:-1], h[1:]), [h[-1]]])
-    narrower = np.concatenate([[0.0], np.minimum(h[:-1], h[1:]), [0.0]])
-    one = np.concatenate([left[:1], np.where((h[:-1] >= h[1:])[:, None], right[:-1], left[1:]),
-                          right[-1:]])
-    both = np.abs(spline.closed_knots) - one
-    both[[0, -1]] = 0.0
-    closed = inverse * (summed(h, right + left) + aw[:, None] * (
-        summed(wider, reach[:, None] * one) + summed(narrower, reach[:, None] * both)))
-    return below[:, 0] + aw * below[:, 1] + closed.sum(axis=1)
+        # Cumulated narrowest piece first: a mixed row has 1 to pieces - 1 below.
+        order = np.argsort(spline.rel_h)
+        below = np.cumsum(np.abs(spline.series[order]), axis=0)
+        count = np.searchsorted(spline.rel_h[order], _SERIES_SWITCH / wu[mixed])
+        series[mixed] = np.sum(np.vander(wu[mixed], _SERIES_TERMS, increasing=True)
+                               * below[count - 1], axis=1)
+    return closed | (knot <= series)
 
 
 def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray):
@@ -578,7 +530,7 @@ def spline_fourier(pp, omega):
 
     - the knot sum of repeated integration by parts, for omega != 0,
       sum_k (-1)^k (i omega)^-(k+1) sum_j [jump of p^(k) at x_j] e^{i omega x_j},
-      wherever it rounds no worse than the other route or every piece has
+      wherever its terms are no larger than the series' or every piece has
       |omega h| >= 1/2 (``_knot_sum_rows``);
     - otherwise, piece by piece, the power series
       e^{i omega x_i} h sum_j (i omega h)^j c_j of [x_i, x_i + h] where
@@ -717,8 +669,13 @@ def _knot_jumps(spline: _Spline, h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return jumps
 
 
-def _exact_tail(jumps: np.ndarray, span: float, cutoff: float) -> float:
+def _exact_tail(jumps: np.ndarray, span: float, panels: int) -> float:
     """int_cutoff^inf of the terms of |p_hat|^2 w that are not bounded.
+
+    The cutoff is ``panels`` panels of width 2 _PANEL_PHASE / span, so
+    span cutoff = 2 _PANEL_PHASE panels.  The phases and E_1 take that
+    exact value: the rounded product span * cutoff can fall below
+    2 _PANEL_PHASE, which ``_exp1`` refuses.
 
     Expanding |p_hat|^2 w with ``_knot_jumps`` gives, for each pair of
     knots (j, l) and orders (k, k'), the term (-1)^(k+k') i^(k'-k)
@@ -729,10 +686,12 @@ def _exact_tail(jumps: np.ndarray, span: float, cutoff: float) -> float:
     from E_1 by integration by parts:
     I_p = (cutoff^(1-p) e^{i span cutoff} + i span I_{p-1}) / (p - 1).
     """
+    cutoff = panels * (2.0 * _PANEL_PHASE / span)
+    turn = 2.0 * _PANEL_PHASE * panels                        # span cutoff
     ends = jumps[:, [0, -1]]
     same = jumps @ jumps.T
-    phase = np.exp(1j * span * cutoff)
-    osc = [_exp1(-1j * span * cutoff)]                        # I_1(span)
+    phase = cmath.exp(1j * turn)
+    osc = [_exp1(-1j * turn)]                                 # I_1(span)
     for p in range(2, 8):
         osc.append((cutoff ** (1 - p) * phase + 1j * span * osc[-1]) / (p - 1))
     total = 0.0
@@ -749,7 +708,7 @@ def _exact_tail(jumps: np.ndarray, span: float, cutoff: float) -> float:
 
 
 # The tail's E_1 argument is -i span cutoff, and the cutoff is a whole
-# number of panels of width 2 _PANEL_PHASE / span: |z| = 36 panels.
+# number of panels of width 2 _PANEL_PHASE / span: z = -36 i panels.
 _EXP1_MIN_MODULUS = 2.0 * _PANEL_PHASE
 _EXP1_TERMS = 64
 
@@ -892,12 +851,12 @@ def spectral_moment(pp, rel_tol: float) -> float:
     first = body(0, 1)
     coarse = panels_for(0.5 * first)
     head = first + body(1, coarse)
-    estimate = head + _exact_tail(jumps, span, coarse * width)
+    estimate = head + _exact_tail(jumps, span, coarse)
     slack = bound(coarse * width)
     if growth > rel_tol * (estimate + slack):
         raise _divergent(growth, estimate + slack, rel_tol)
     fine = max(coarse, panels_for(rel_tol * max(first, estimate - slack)))
-    finite = head + body(coarse, fine) + _exact_tail(jumps, span, fine * width)
+    finite = head + body(coarse, fine) + _exact_tail(jumps, span, fine)
     if growth > rel_tol * finite:
         raise _divergent(growth, finite, rel_tol)
     return finite

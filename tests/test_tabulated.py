@@ -256,15 +256,16 @@ def _check_against_the_old_rule(pp):
 @example(seed=2, pieces=12, uniform=False, variant=2)
 @example(seed=3, pieces=12, uniform=True, variant="discontinuous")
 @example(seed=4, pieces=1, uniform=True, variant="discontinuous")  # no interior knot
-@example(seed=56, pieces=163, uniform=False, variant=1)  # knot rows before mixed rows
+@example(seed=56, pieces=163, uniform=False, variant=1)  # once knot rows before mixed rows
 def test_knot_sum_rows_match_the_old_rule_and_are_a_suffix_below_the_widest_switch(
         seed, pieces, uniform, variant):
     # The factored route with the knot sum wherever it rounds no worse
     # agrees with the route that takes it only where every piece is past
     # the switch (_check_against_the_old_rule); on 12 pieces, with
     # quadrature too.  Below the widest piece's switch the knot-sum rows
-    # are a suffix; above it, rows where the mixed route rounds better may
-    # follow them, and past the narrowest piece's switch every row is one.
+    # are a suffix; above it, mixed rows whose knot sum rounds worse than
+    # the mixed route may follow them, and past the narrowest piece's
+    # switch every row is one.
     pp = _drawn_piecewise(seed, pieces, uniform, variant)
     nodes, got, knot_rows = _check_against_the_old_rule(pp)
     below = knot_rows[np.abs(nodes) * np.diff(pp.x).max() < SWITCH]
@@ -277,42 +278,6 @@ def test_knot_sum_rows_match_the_old_rule_and_are_a_suffix_below_the_widest_swit
             assert abs(got[i] - _quad_fourier(pp, nodes[i])) <= 1e-12 * l1, nodes[i]
 
 
-def _mixed_scale_by_pieces(spline, w):
-    """``tabulated._mixed_scale`` piece by piece and knot by knot, as first written."""
-    aw = np.abs(w)[:, None]
-    small = aw * spline.unit * spline.rel_h < SWITCH
-    big = ~small
-    series = np.vander(aw[:, 0] * spline.unit, spline.series.shape[1], increasing=True) @ np.abs(
-        spline.series).T
-    inverse = aw ** -np.arange(1.0, 5.0)
-    right = inverse @ np.abs(spline.closed_right).T
-    left = inverse @ np.abs(spline.closed_left).T
-    own = np.where(small, series, right + left).sum(axis=1)
-    at_knot = np.zeros((len(w), len(spline.knot)))
-    at_knot[:, 1:] += big * right
-    at_knot[:, :-1] += big * left
-    both = np.zeros(at_knot.shape, dtype=bool)
-    both[:, 1:-1] = big[:, :-1] & big[:, 1:]
-    at_knot[both] = (inverse @ np.abs(spline.closed_knots).T)[both]
-    reach = np.abs(spline.knot)
-    return own + aw[:, 0] * (at_knot @ reach + (series * small) @ reach[:-1])
-
-
-@pytest.mark.parametrize("narrowest", [0.25, 0.05, 0.001])
-@pytest.mark.parametrize("variant", [0, 1, 2, "discontinuous"])
-def test_mixed_scale_is_its_piece_by_piece_sum(variant, narrowest):
-    # Across the mixed rows, from the widest piece's switch to the
-    # narrowest's.  At widths down to 1/1000, the series of the pieces past
-    # their switch outweigh those of the pieces below it so far that the
-    # difference of two cumulative sums loses the latter.
-    pp = _drawn_piecewise(11, 150, False, variant, narrowest=narrowest)
-    spline = tabulated._prepare(*tabulated._pieces(pp))
-    low, high = SWITCH / spline.unit, SWITCH / (spline.unit * spline.rel_h.min())
-    w = np.geomspace(low, high, 400)[1:-1] * np.where(np.arange(398) % 2, 1.0, -1.0)
-    expected = _mixed_scale_by_pieces(spline, w)
-    assert np.all(np.abs(tabulated._mixed_scale(spline, w) - expected) <= 1e-12 * expected)
-
-
 def test_mixed_rows_take_the_knot_sum_only_where_it_rounds_no_worse():
     # With widths down to 1/20 of the widest, the second derivative of this
     # spline has mixed rows over 40 panels.  A rule that weighed the knot
@@ -320,7 +285,33 @@ def test_mixed_rows_take_the_knot_sum_only_where_it_rounds_no_worse():
     # included, took it from omega (x - middle) ~ 400, where its terms at
     # the narrow pieces' knots round worse than those pieces' series: it
     # then differed from the old rule's route by 1.7 times the tolerance.
-    _check_against_the_old_rule(_drawn_piecewise(1493484917, 335, False, 2, narrowest=0.05))
+    # Weighed against the series of the pieces below their switch alone,
+    # it keeps the mixed route on every mixed row.
+    pp = _drawn_piecewise(1493484917, 335, False, 2, narrowest=0.05)
+    nodes, _, knot_rows = _check_against_the_old_rule(pp)
+    mixed = _mixed_rows(pp, nodes)
+    assert mixed.any() and not knot_rows[mixed].any()
+
+
+def _mixed_rows(pp, nodes):
+    """The nodes between the widest and the narrowest piece's switch."""
+    spline = tabulated._prepare(*tabulated._pieces(pp))
+    return (np.abs(nodes) * np.diff(pp.x).max() >= SWITCH) & ~_old_rule(spline, nodes)
+
+
+@pytest.mark.parametrize("pieces, narrowest", [(800, 0.25), (300, 0.05)])
+def test_mixed_rows_of_a_smooth_spline_take_the_knot_sum(pieces, narrowest):
+    # A Gaussian on uneven knots: its knot terms, third-derivative jumps
+    # and end values near zero, are far smaller than the series of its
+    # pieces below their switch, so every mixed row takes the knot sum, as
+    # uniform knots' rows do, and agrees with the mixed route.
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(narrowest, 1.0, pieces))])
+    x = 3.0 * x / x[-1] - 1.0
+    pp = CubicSpline(x, np.exp(-8.0 * (x - 0.5) ** 2))
+    nodes, _, knot_rows = _check_against_the_old_rule(pp)
+    mixed = _mixed_rows(pp, nodes)
+    assert mixed.sum() >= 100 and knot_rows[mixed].all()
 
 
 def _hann_spline():
@@ -417,6 +408,31 @@ def test_spectral_moment_of_a_hat_is_four_ln_two():
     # The kink at t = 0 is an interior knot of the expansion.
     hat = PPoly(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([-1.0, 0.0, 1.0]))
     assert spectral_moment(hat, 1e-12) == pytest.approx(4.0 * math.log(2.0), rel=1e-11)
+
+
+def _spans_whose_panel_rounds_short():
+    """Spans whose one-panel cutoff, span * fl(36 / span), rounds below 36."""
+    spans = [span for span in np.linspace(0.1, 10.0, 2001) if span * (36.0 / span) < 36.0]
+    assert len(spans) >= 10
+    return spans[:10]
+
+
+@pytest.mark.parametrize("span", [1.0, 3.0, 1e-3, 1e4] + _spans_whose_panel_rounds_short())
+def test_spectral_moment_of_one_piece_at_any_span(span):
+    # p = u (1 - u), u = t / span, on [0, span]: one piece, so no interior
+    # knot, and the moment's tail is taken at one panel.  The moment is half
+    # the double integral of ((p(t) - p(s)) / (t - s))^2, 1/6 inside and 1/3
+    # across the ends: 1/4 at every span.  So is that of the velocity of the
+    # smoothstep x = 3 u^2 - 2 u^3, 6 p / span, times span^2 / 36: its
+    # clamped spline is the cubic itself, its velocity's interior jumps are
+    # rounding, zeroed, and its tail also takes one panel.
+    one_piece = tabulated.PiecewisePolynomial(
+        np.array([0.0, span]), np.array([[-1.0 / span**2], [1.0 / span], [0.0]]))
+    assert spectral_moment(one_piece, 1e-10) == pytest.approx(0.25, rel=1e-12)
+    u = np.linspace(0.0, 1.0, _MIN_TABULATED_SAMPLES)
+    smoothstep = tabulated.cubic_spline(span * u, 3.0 * u**2 - 2.0 * u**3, "clamped")
+    velocity = spectral_moment(smoothstep.derivative(), 1e-10)
+    assert velocity * span**2 / 36.0 == pytest.approx(0.25, rel=1e-10)
 
 
 def test_spectral_moment_dilation_and_zero():
