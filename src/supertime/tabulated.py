@@ -10,10 +10,11 @@ spectral moment int_0^inf |p_hat|^2 omega domega built on it, the
 Gauss-Legendre rule the moment integrates with, and the sample
 validation shared by every tabulated input.  None of it loads scipy.
 
-At a frequency where it rounds no worse than the other route
-(``_knot_sum_rows``), the transform is the knot sum: for each derivative
-order k, the jumps of p^(k) at the knots x_j times e^{i omega x_j}.  Other
-frequencies sum each piece's power series, or its own end terms.
+Where every piece is past its series switch, or none is and the knot sum
+rounds no worse than the series (``_knot_sum_rows``), the transform is the
+knot sum: for each derivative order k, the jumps of p^(k) at the knots x_j
+times e^{i omega x_j}.  Other frequencies sum each piece's power series, or
+its own end terms.
 ``spline_fourier`` takes the phase of every (frequency, knot) pair from a
 cos and a sin.  The moment only asks for Gauss-Legendre panel nodes
 omega = c_p + s_i, whose offsets s_i are the same in every panel, so there
@@ -139,8 +140,8 @@ def cubic_spline(x: np.ndarray, y: np.ndarray, end: str) -> PiecewisePolynomial:
 
     ``end`` is "clamped", a zero first derivative at both ends, or
     "not-a-knot", a continuous third derivative at the second and the
-    second-to-last knots; ``x`` is strictly increasing, with at least 4
-    knots.  The knot slopes s solve scipy's tridiagonal system, row by row
+    second-to-last knots; ``x`` is finite and strictly increasing, with at
+    least 4 knots, and ``y`` is finite and as long.  The knot slopes s solve scipy's tridiagonal system, row by row
     h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
     = 3 (h_i m_{i-1} + h_{i-1} m_i), with h_i the widths and m_i the secants
     of the pieces, and its two end rows.  Eliminating the end slopes from
@@ -151,9 +152,16 @@ def cubic_spline(x: np.ndarray, y: np.ndarray, end: str) -> PiecewisePolynomial:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValidationError(
+            f"knots and values must be 1-D and of one length, got shapes {x.shape} and {y.shape}")
     if len(x) < 4:
         raise ValidationError(f"a cubic spline needs at least 4 knots, got {len(x)}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("knots and values must be finite")
     h = np.diff(x)
+    if not np.all(h > 0.0):
+        raise ValidationError("knots must be strictly increasing")
     secant = np.diff(y) / h
     lower = np.concatenate([[0.0], h[1:], [0.0]])
     diag = np.concatenate([[1.0], 2.0 * (h[:-1] + h[1:]), [1.0]])
@@ -363,7 +371,7 @@ def _pieces(pp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, np.diff(x), a
 
 
-# (-1)^k of the k-th derivative's closed-form term.
+# (-1)^k of the k-th derivative's closed-form term, applied by ``_by_inverse_powers``.
 _SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 
 
@@ -380,8 +388,12 @@ def _end_derivatives(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class _Spline(NamedTuple):
     """A piecewise polynomial prepared for ``_transform``.
 
-    Series powers are in units of the widest piece, so that high powers of
-    h and omega stay in range.  Knots are taken relative to the middle of
+    The end derivatives and the knot jumps, with p = 0 outside [x_0, x_m],
+    are held without the sign (-1)^k of their closed-form terms, which
+    ``_by_inverse_powers`` applies.  With the jumps,
+    p_hat(w) = sum_k (-1)^k (i w)^-(k+1) sum_j jumps[j, k] e^{i w x_j}
+    exactly for w != 0.  Series powers are in units of the widest piece, so
+    that high powers of h and omega stay in range.  Knots are taken relative to the middle of
     their range, so that each phase argument w * knot[j] is one product of
     at most half the span: its rounding, which the phase carries, is small.
     """
@@ -391,16 +403,20 @@ class _Spline(NamedTuple):
     knot: np.ndarray           # (knots,): breakpoints less ``middle``
     rel_h: np.ndarray          # (pieces,)
     series: np.ndarray         # (pieces, terms): power series of each piece
-    closed_right: np.ndarray   # (pieces, 4): closed-form terms at right ends
-    closed_left: np.ndarray    # (pieces, 4): and at left ends
-    closed_knots: np.ndarray   # (knots, 4): both, summed per knot
-    knot_terms: np.ndarray     # (knots, 4): closed_knots, rounding-level interior entries zeroed
-    knot_scale: np.ndarray     # (4,): sum over knots of |closed_knots|
+    right: np.ndarray          # (pieces, 4): k-th derivatives at right ends
+    left: np.ndarray           # (pieces, 4): and at left ends
+    jumps: np.ndarray          # (knots, 4): p^(k)(x_j-) - p^(k)(x_j+), rounding-level interior entries zeroed
+    knot_scale: np.ndarray     # (4,): sum over knots of |jumps|, zeroed entries included
     series_scale: np.ndarray   # (terms,): sum over pieces of |series|
 
 
 def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
-    """Series coefficients and closed-form knot terms of the pieces of ``_pieces``."""
+    """Series coefficients, end derivatives and knot jumps of the pieces of ``_pieces``.
+
+    Interior jumps within rounding of the derivative values they difference
+    are set to zero: a spline is continuous to working precision in the
+    derivatives it claims.
+    """
     unit = float(h.max())
     rel_h = h / unit
     j = np.arange(_SERIES_TERMS)
@@ -413,21 +429,20 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
         1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
     series = (c * h * rel_h ** j[:, None]).T
     left, right = _end_derivatives(a, h)
-    closed_right = _SIGN * right.T
-    closed_left = _SIGN * left.T
-    # Closed forms summed per knot: the right end of piece i-1 and the
-    # left end of piece i share the phase of knot i.
-    closed_knots = np.zeros((len(x), 4))
-    closed_knots[1:] += closed_right
-    closed_knots[:-1] -= closed_left
+    # The right end of piece i-1 and the left end of piece i share knot i.
+    jumps = np.zeros((len(x), 4))
+    jumps[1:] += right.T
+    jumps[:-1] -= left.T
+    knot_scale = np.abs(jumps).sum(axis=0)
+    # Rounding of a derivative value is relative to the terms it sums.
+    left_terms, right_terms = _end_derivatives(np.abs(a), h)
+    rounding = 16.0 * _EPS * np.maximum(right_terms[:, :-1], left_terms[:, 1:]).T
+    inner = jumps[1:-1]
+    inner[np.abs(inner) <= rounding] = 0.0
     middle = 0.5 * (float(x[0]) + float(x[-1]))
-    spline = _Spline(middle=middle, unit=unit, knot=x - middle, rel_h=rel_h,
-                     series=series, closed_right=closed_right, closed_left=closed_left,
-                     closed_knots=closed_knots, knot_terms=closed_knots,
-                     # The zeroed terms' magnitudes plus what the zeroing dropped.
-                     knot_scale=np.abs(closed_knots).sum(axis=0),
-                     series_scale=np.abs(series).sum(axis=0))
-    return spline._replace(knot_terms=_SIGN * _knot_jumps(spline, h, a).T)
+    return _Spline(middle=middle, unit=unit, knot=x - middle, rel_h=rel_h, series=series,
+                   right=right.T, left=left.T, jumps=jumps, knot_scale=knot_scale,
+                   series_scale=np.abs(series).sum(axis=0))
 
 
 def _rows(mask: np.ndarray):
@@ -441,37 +456,25 @@ def _rows(mask: np.ndarray):
 
 
 def _knot_sum_rows(spline: _Spline, w: np.ndarray) -> np.ndarray:
-    """The rows that take the knot sum ``spline.knot_terms`` for the whole transform.
+    """The rows that take the knot sum ``spline.jumps`` for the whole transform.
 
     Row r does where w[r] != 0 and either every piece has |w h| >= 1/2, or
-    the knot terms are no larger than the series terms of the other route:
-    C(w) = sum_k |w|^-(k+1) knot_scale[k] <= S(w) = sum_m |w unit|^m s_m(w).
+    no piece has and the knot terms are no larger than the series terms of
+    the other route:
+    C(w) = sum_k |w|^-(k+1) knot_scale[k] <= S(w) = sum_m |w unit|^m series_scale[m].
     Each side is the magnitude of the terms its route adds, which sets its
     rounding; C also covers the rounding-level terms the knot sum leaves
-    out.  Where no piece has |w h| >= 1/2, s_m is ``series_scale``, the
-    series of every piece: C falls with |w| and S rises, so on ascending
-    nodes these rows are a suffix.  Where some do (mixed rows, on uneven
-    knots), the other route sums the series of the pieces below their
-    switch and the closed-form end terms of the others: s_m sums those
-    series alone, a lower bound on that route's terms, so C <= S still
-    means the knot sum rounds no worse.  Past the widest piece's switch
-    the rows need not be adjacent.
+    out.  C falls with |w| and S rises, so on ascending nodes these rows
+    are a suffix.  Rows where some pieces are past their switch and others
+    are not (mixed rows, on uneven knots) take the per-piece route.
     """
     wu = np.abs(w) * spline.unit
     closed = wu * spline.rel_h.min() >= _SERIES_SWITCH
-    mixed = ~closed & (wu >= _SERIES_SWITCH)
     # At w = 0, C is infinite (or 0 * inf): never the knot sum.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         knot = np.abs(w)[:, None] ** -np.arange(1.0, 5.0) @ spline.knot_scale
         series = np.vander(wu, _SERIES_TERMS, increasing=True) @ spline.series_scale
-    if mixed.any():
-        # Cumulated narrowest piece first: a mixed row has 1 to pieces - 1 below.
-        order = np.argsort(spline.rel_h)
-        below = np.cumsum(np.abs(spline.series[order]), axis=0)
-        count = np.searchsorted(spline.rel_h[order], _SERIES_SWITCH / wu[mixed])
-        series[mixed] = np.sum(np.vander(wu[mixed], _SERIES_TERMS, increasing=True)
-                               * below[count - 1], axis=1)
-    return closed | (knot <= series)
+    return closed | ((wu < _SERIES_SWITCH) & (knot <= series))
 
 
 def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray):
@@ -495,7 +498,7 @@ def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray)
         value[rows] = _series_sum(cos[rows, :-1], sin[rows, :-1], spline.series, wu[rows])
     if knot_rows.any():
         rows = _rows(knot_rows)
-        value[rows] = _closed_sum(cos[rows], sin[rows], spline.knot_terms, w[rows])
+        value[rows] = _closed_sum(cos[rows], sin[rows], spline.jumps, w[rows])
     if mixed_rows.any():
         rows = _rows(mixed_rows)
         small = np.abs(np.outer(wu[rows], spline.rel_h)) < _SERIES_SWITCH
@@ -503,8 +506,8 @@ def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray)
         c, s, wm = cos[rows], sin[rows], w[rows]
         value[rows] = (
             _series_sum(c[:, :-1] * small, s[:, :-1] * small, spline.series, wu[rows])
-            + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, spline.closed_right, wm)
-            - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, spline.closed_left, wm))
+            + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, spline.right, wm)
+            - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, spline.left, wm))
     return value * np.exp(1j * w * spline.middle)
 
 
@@ -530,8 +533,8 @@ def spline_fourier(pp, omega):
 
     - the knot sum of repeated integration by parts, for omega != 0,
       sum_k (-1)^k (i omega)^-(k+1) sum_j [jump of p^(k) at x_j] e^{i omega x_j},
-      wherever its terms are no larger than the series' or every piece has
-      |omega h| >= 1/2 (``_knot_sum_rows``);
+      where every piece has |omega h| >= 1/2, or where none has and its
+      terms are no larger than the series' (``_knot_sum_rows``);
     - otherwise, piece by piece, the power series
       e^{i omega x_i} h sum_j (i omega h)^j c_j of [x_i, x_i + h] where
       |omega h| < 1/2, which does not cancel as omega h -> 0, and that
@@ -578,7 +581,7 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     Blocks hold at most ``_BLOCK_ELEMENTS`` weighted phases unless one
     panel alone is more.
     """
-    terms = spline.knot_terms
+    terms = spline.jumps
     orders = np.flatnonzero(np.any(terms[1:-1] != 0.0, axis=0))
     inner = terms[1:-1, orders].T                                # (orders, interior)
     offset_phase = _phases(offsets, spline.knot[1:-1])
@@ -638,35 +641,17 @@ def _series_sum(cos, sin, series, wu):
 
 
 def _closed_sum(cos, sin, ends, w):
-    """sum_k (i w)^-(k+1) sum_points phase * ends[:, k], row by row."""
+    """sum_k (-1)^k (i w)^-(k+1) sum_points phase * ends[:, k], row by row."""
     return _by_inverse_powers((cos @ ends) + 1j * (sin @ ends), w)
 
 
 def _by_inverse_powers(terms, w):
-    """sum_k (i w)^-(k+1) terms[:, k], row by row."""
-    return np.sum(terms * (1j * w[:, None]) ** -np.arange(1.0, 5.0), axis=1)
+    """sum_k (-1)^k (i w)^-(k+1) terms[:, k], row by row: the closed-form terms'
+    sign is applied here alone."""
+    return np.sum(terms * (_SIGN * (1j * w[:, None]) ** -np.arange(1.0, 5.0)), axis=1)
 
 
 # --- spectral moment ----------------------------------------------------------
-
-
-def _knot_jumps(spline: _Spline, h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """jumps[k, j] = p^(k)(x_j-) - p^(k)(x_j+), with p = 0 outside [x_0, x_m].
-
-    With these, p_hat(w) = sum_k (-1)^k (i w)^-(k+1) sum_j jumps[k, j]
-    e^{i w x_j} exactly for w != 0.  They are the closed-form knot terms of
-    ``spline`` without their sign (-1)^k, which is exact.  Interior jumps
-    within rounding of the derivative values they difference are set to
-    zero: a spline is continuous to working precision in the derivatives
-    it claims.
-    """
-    jumps = _SIGN[:, None] * spline.closed_knots.T
-    # Rounding of a derivative value is relative to the terms it sums.
-    left_terms, right_terms = _end_derivatives(np.abs(a), h)
-    rounding = 16.0 * _EPS * np.maximum(right_terms[:, :-1], left_terms[:, 1:])
-    inner = jumps[:, 1:-1]
-    inner[np.abs(inner) <= rounding] = 0.0
-    return jumps
 
 
 def _exact_tail(jumps: np.ndarray, span: float, panels: int) -> float:
@@ -677,8 +662,9 @@ def _exact_tail(jumps: np.ndarray, span: float, panels: int) -> float:
     exact value: the rounded product span * cutoff can fall below
     2 _PANEL_PHASE, which ``_exp1`` refuses.
 
-    Expanding |p_hat|^2 w with ``_knot_jumps`` gives, for each pair of
-    knots (j, l) and orders (k, k'), the term (-1)^(k+k') i^(k'-k)
+    ``jumps`` is ``_Spline.jumps`` transposed, (4, knots).  Expanding
+    |p_hat|^2 w with them gives, for each pair of knots (j, l) and orders
+    (k, k'), the term (-1)^(k+k') i^(k'-k)
     jumps[k, j] jumps[k', l] w^-(k+k'+1) e^{i w (x_j - x_l)}.  Integrated
     exactly here: every same-knot term (j = l, non-oscillating) except the
     divergent w^-1 one, which is the growth ``spectral_moment`` tests, and
@@ -793,8 +779,8 @@ def spectral_moment(pp, rel_tol: float) -> float:
 
     ``pp`` (degree <= 3, continuous) is taken as zero outside its
     breakpoint range [a, b].  Its transform is exact (``spline_fourier``);
-    at high frequency it is the finite sum of knot terms of
-    ``_knot_jumps``, so |p_hat|^2 w -> (p(a)^2 + p(b)^2) / w: M grows by
+    at high frequency it is the finite sum of knot terms of the jumps
+    ``_Spline.jumps``, so |p_hat|^2 w -> (p(a)^2 + p(b)^2) / w: M grows by
     p(a)^2 + p(b)^2 per factor e of the cutoff and diverges unless both
     endpoint values vanish.  DivergentIntegralError is raised when that
     growth exceeds ``rel_tol`` times the finite part.
@@ -817,7 +803,7 @@ def spectral_moment(pp, rel_tol: float) -> float:
     if not np.any(a):
         return 0.0
     spline = _prepare(x, h, a)
-    jumps = _SIGN[:, None] * spline.knot_terms.T   # _knot_jumps, as prepared
+    jumps = spline.jumps.T
     growth = float(np.sum(jumps[0] ** 2))
     span = float(x[-1] - x[0])
     width = 2.0 * _PANEL_PHASE / span

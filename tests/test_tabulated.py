@@ -106,7 +106,7 @@ def _rounding_scale(pp, nodes):
     j = np.arange(spline.series.shape[1])
     series = (w * spline.unit) ** j @ np.abs(spline.series).T
     k = np.arange(1.0, 5.0)
-    ends = np.abs(spline.closed_right) + np.abs(spline.closed_left)
+    ends = np.abs(spline.right) + np.abs(spline.left)
     with np.errstate(divide="ignore"):
         closed = w ** -k @ ends.T
     terms = np.where(small, series, closed).sum(axis=1)
@@ -263,13 +263,16 @@ def test_knot_sum_rows_match_the_old_rule_and_are_a_suffix_below_the_widest_swit
     # agrees with the route that takes it only where every piece is past
     # the switch (_check_against_the_old_rule); on 12 pieces, with
     # quadrature too.  Below the widest piece's switch the knot-sum rows
-    # are a suffix; above it, mixed rows whose knot sum rounds worse than
-    # the mixed route may follow them, and past the narrowest piece's
-    # switch every row is one.
+    # are a suffix; the mixed rows above it never take the knot sum, and
+    # past the narrowest piece's switch every row does.
     pp = _drawn_piecewise(seed, pieces, uniform, variant)
     nodes, got, knot_rows = _check_against_the_old_rule(pp)
     below = knot_rows[np.abs(nodes) * np.diff(pp.x).max() < SWITCH]
     assert not below.any() or below[int(np.argmax(below)):].all()
+    mixed = _mixed_rows(pp, nodes)
+    # Random widths on 8 or more pieces leave nodes between the switches
+    # (each of about 3000 such draws tried did; on 2 to 6 pieces some do not).
+    assert (uniform or pieces < 8 or mixed.any()) and not knot_rows[mixed].any()
     assert knot_rows[-1]
     if pieces == 12:
         first = int(np.argmax(knot_rows))
@@ -278,16 +281,30 @@ def test_knot_sum_rows_match_the_old_rule_and_are_a_suffix_below_the_widest_swit
             assert abs(got[i] - _quad_fourier(pp, nodes[i])) <= 1e-12 * l1, nodes[i]
 
 
-def test_mixed_rows_take_the_knot_sum_only_where_it_rounds_no_worse():
-    # With widths down to 1/20 of the widest, the second derivative of this
-    # spline has mixed rows over 40 panels.  A rule that weighed the knot
-    # sum against the series of every piece there, pieces past their switch
-    # included, took it from omega (x - middle) ~ 400, where its terms at
-    # the narrow pieces' knots round worse than those pieces' series: it
-    # then differed from the old rule's route by 1.7 times the tolerance.
-    # Weighed against the series of the pieces below their switch alone,
-    # it keeps the mixed route on every mixed row.
-    pp = _drawn_piecewise(1493484917, 335, False, 2, narrowest=0.05)
+def _uneven_gaussian(pieces, narrowest):
+    """A Gaussian on ``pieces`` random pieces of [-1, 2], widths within 1/``narrowest``."""
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(narrowest, 1.0, pieces))])
+    x = 3.0 * x / x[-1] - 1.0
+    return CubicSpline(x, np.exp(-8.0 * (x - 0.5) ** 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _drawn_piecewise(1493484917, 335, False, 2, narrowest=0.05),
+    lambda: _uneven_gaussian(800, 0.25),
+    lambda: _uneven_gaussian(300, 0.05)], ids=["random-335", "gaussian-800", "gaussian-300"])
+def test_mixed_rows_take_the_knot_sum_only_where_it_rounds_no_worse(make):
+    # Mixed rows, where some pieces are past their switch and others are
+    # not, keep the per-piece route.  With widths down to 1/20 of the
+    # widest, the second derivative of the random spline has mixed rows
+    # over 40 panels; a rule that weighed the knot sum against the series
+    # of every piece there took it from omega (x - middle) ~ 400, where its
+    # terms at the narrow pieces' knots round worse than those pieces'
+    # series, and differed from the old rule's route by 1.7 times the
+    # tolerance.  On the Gaussians, whose knot terms are far smaller than
+    # their series, a rule weighing the knot sum against the series of the
+    # pieces below their switch took it on every mixed row.
+    pp = make()
     nodes, _, knot_rows = _check_against_the_old_rule(pp)
     mixed = _mixed_rows(pp, nodes)
     assert mixed.any() and not knot_rows[mixed].any()
@@ -297,21 +314,6 @@ def _mixed_rows(pp, nodes):
     """The nodes between the widest and the narrowest piece's switch."""
     spline = tabulated._prepare(*tabulated._pieces(pp))
     return (np.abs(nodes) * np.diff(pp.x).max() >= SWITCH) & ~_old_rule(spline, nodes)
-
-
-@pytest.mark.parametrize("pieces, narrowest", [(800, 0.25), (300, 0.05)])
-def test_mixed_rows_of_a_smooth_spline_take_the_knot_sum(pieces, narrowest):
-    # A Gaussian on uneven knots: its knot terms, third-derivative jumps
-    # and end values near zero, are far smaller than the series of its
-    # pieces below their switch, so every mixed row takes the knot sum, as
-    # uniform knots' rows do, and agrees with the mixed route.
-    rng = np.random.default_rng(5)
-    x = np.concatenate([[0.0], np.cumsum(rng.uniform(narrowest, 1.0, pieces))])
-    x = 3.0 * x / x[-1] - 1.0
-    pp = CubicSpline(x, np.exp(-8.0 * (x - 0.5) ** 2))
-    nodes, _, knot_rows = _check_against_the_old_rule(pp)
-    mixed = _mixed_rows(pp, nodes)
-    assert mixed.sum() >= 100 and knot_rows[mixed].all()
 
 
 def _hann_spline():
@@ -330,12 +332,19 @@ def test_spectral_moment_is_the_same_under_the_old_row_rule(pp, monkeypatch):
     assert abs(got - spectral_moment(pp, 1e-10)) <= 1e-14 * got
 
 
-def _derivative_jumps(x, h, a):
-    """Knot jumps from the end derivatives of each piece, as first written."""
+def _raw_jumps(x, h, a):
+    """Knot jumps from the end derivatives of each piece, none zeroed."""
     left, right = tabulated._end_derivatives(a, h)
     jumps = np.zeros((4, len(x)))
     jumps[:, 1:] += right
     jumps[:, :-1] -= left
+    return jumps
+
+
+def _derivative_jumps(x, h, a):
+    """Knot jumps from the end derivatives of each piece, as first written."""
+    left, _ = tabulated._end_derivatives(a, h)
+    jumps = _raw_jumps(x, h, a)
     _, right_terms = tabulated._end_derivatives(np.abs(a), h)
     rounding = 16.0 * np.finfo(float).eps * np.maximum(right_terms[:, :-1], np.abs(left[:, 1:]))
     inner = jumps[:, 1:-1]
@@ -347,16 +356,15 @@ def _derivative_jumps(x, h, a):
                                 _random_spline(np.random.default_rng(0), 12)],
                          ids=["gaussian-801", "sin2-400", "random-12"])
 def test_knot_jumps_are_the_unsigned_closed_form_knot_terms(pp):
-    # The jumps come from the prepared spline's closed-form knot terms; they
-    # equal the derivative differences, and zeroing the rounding-level ones
-    # leaves the terms the transform sums untouched.
+    # The prepared spline's one jump table, unsigned, is the derivative
+    # differences with the rounding-level interior ones zeroed; the knot
+    # terms' scale still counts the zeroed entries.
     x, h, a = tabulated._pieces(pp)
     spline = tabulated._prepare(x, h, a)
-    closed_knots = spline.closed_knots.copy()
-    jumps = tabulated._knot_jumps(spline, h, a)
+    jumps, raw = spline.jumps.T, _raw_jumps(x, h, a)
     assert np.array_equal(jumps, _derivative_jumps(x, h, a))
-    assert spline.closed_knots.tobytes() == closed_knots.tobytes()
-    assert np.any((jumps == 0.0) & (closed_knots.T != 0.0))
+    assert np.any((jumps == 0.0) & (raw != 0.0))
+    assert spline.knot_scale == pytest.approx(np.abs(raw).sum(axis=1), rel=1e-14, abs=0.0)
 
 
 def _loop_interior_bound(jumps, x):
@@ -396,7 +404,7 @@ def test_interior_bound_matches_the_term_by_term_loop(pp):
     # each term takes both sides of its min; only the discontinuous case has
     # interior jumps of the value itself, the q = 0 interior term.
     x, h, a = tabulated._pieces(pp)
-    jumps = tabulated._knot_jumps(tabulated._prepare(x, h, a), h, a)
+    jumps = tabulated._prepare(x, h, a).jumps.T
     bound, reference = tabulated._interior_bound(jumps, x), _loop_interior_bound(jumps, x)
     for cutoff in np.geomspace(1e-3, 1e9, 61) / (x[-1] - x[0]):
         assert bound(cutoff) == pytest.approx(reference(cutoff), rel=1e-14, abs=0.0)
@@ -697,6 +705,19 @@ def test_cubic_spline_rejects_too_few_knots_and_unknown_ends():
         tabulated.cubic_spline(x[:3], x[:3], "clamped")
     with pytest.raises(ValidationError, match="'clamped' or 'not-a-knot'"):
         tabulated.cubic_spline(x, x, "natural")
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        tabulated.cubic_spline([0.0, 2.0, 1.0, 3.0, 4.0], np.zeros(5), "clamped")
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        tabulated.cubic_spline([0.0, 1.0, 1.0, 3.0], np.zeros(4), "not-a-knot")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            tabulated.cubic_spline(np.array([0.0, 1.0, bad, 3.0]), x, "clamped")
+        with pytest.raises(ValidationError, match="finite"):
+            tabulated.cubic_spline(x, np.array([0.0, bad, 1.0, 2.0]), "clamped")
+    with pytest.raises(ValidationError, match="one length"):
+        tabulated.cubic_spline(np.linspace(0.0, 1.0, 5), x, "clamped")
+    with pytest.raises(ValidationError, match="one length"):
+        tabulated.cubic_spline(x[:, None], x[:, None], "clamped")
 
 
 def test_cyclic_reduction_solves_diagonally_dominant_systems():
