@@ -85,12 +85,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridState:
-    """Discretized wavefunction snapshot."""
+    """Discretized wavefunction snapshot.
+
+    Its amplitudes are not written after construction, so ``norm`` is
+    taken once per state.
+    """
 
     spec: GridSpec
     amplitudes: np.ndarray
 
-    @property
+    @functools.cached_property
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.dx)
 
@@ -151,6 +155,21 @@ def _kinetic(n: int, dx: float, m: float, t: float) -> np.ndarray:
     return kinetic
 
 
+def _half_potential(F: float, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(1j * F * x * t / 2.0), the half-step potential factor, from one cos and one sin.
+
+    That exp's argument has real part +-0 and imaginary part
+    theta = F * x * t / 2.0, rounded in that order, so it is
+    cos theta + i sin theta, bit for bit; only where theta is zero may the
+    sign of the zero imaginary part differ.
+    """
+    theta = F * x * t / 2.0
+    factor = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=factor.real)
+    np.sin(theta, out=factor.imag)
+    return factor
+
+
 def propagate_linear(state: GridState, F: float, m: float, t: float,
                      n_steps: int) -> GridState:
     """Evolve under H = P^2/2m - F X as n_steps Strang steps would.
@@ -179,7 +198,7 @@ def propagate_linear(state: GridState, F: float, m: float, t: float,
     if F == 0.0:
         psi = np.fft.ifft(kinetic * np.fft.fft(state.amplitudes))
     else:
-        half_potential = np.exp(1j * F * spec.x * t / 2.0)
+        half_potential = _half_potential(F, spec.x, t)
         psi = np.fft.ifft(kinetic * np.fft.fft(state.amplitudes * half_potential))
         psi *= half_potential
         if n_steps > 1:
@@ -200,7 +219,8 @@ def echo_overlap_numeric(state0: GridState, F_L: float, F_R: float,
                          m: float, t: float, n_steps: int) -> complex:
     """<psi_R(t) | psi_L(t)> by grid inner product of the two evolutions.
 
-    Both forces are checked before either branch is evolved.
+    Both forces are checked before either branch is evolved.  Each branch's
+    drift check reads the norm of ``state0``, taken once (``GridState.norm``).
     """
     for F in (F_L, F_R):
         require_finite(F=F)

@@ -19,9 +19,15 @@ its own end terms.
 cos and a sin.  The moment only asks for Gauss-Legendre panel nodes
 omega = c_p + s_i, whose offsets s_i are the same in every panel, so there
 sum_j e^{i omega x_j} K_j = sum_j e^{i s_i x_j} (e^{i c_p x_j} K_j) is a
-complex matrix product over the knots (``_panel_fourier``), made in blocks
-small enough to stay on the calling thread; its other rows, few on uniform
+matrix product over the knots (``_panel_fourier``).  The offsets come in
+pairs s, -s, so its offset table holds half of them, and the sums at -s
+are real combinations of the same products.  It is made in blocks small
+enough to stay on the calling thread; its other rows, few on uniform
 knots, take the direct route.  Both routes apply the same row rule.
+Every phase table, on either route, is built per chunk of knots or
+frequencies and holds at most ``_BLOCK_ELEMENTS`` complex entries, so the
+memory a transform or a moment takes beyond the prepared spline does not
+grow with the sample count.
 
 The Gauss-Legendre rule is built in O(n): Newton's method in theta,
 x = cos theta, with P_n(cos theta) evaluated in O(1) per node from
@@ -64,10 +70,13 @@ _SERIES_TERMS = 16
 _PANEL_NODES = 24
 _PANEL_PHASE = 18.0
 
-# Elements of the (frequency x knot) phase matrix evaluated at once.
-_BLOCK_ELEMENTS = 1 << 18
+# Complex entries of any one phase table: a block of the (frequency x knot)
+# phases of ``_direct_transform``, or one of ``_panel_fourier``'s tables of
+# a chunk of knots (twice as many reals where the table is real).  Memory
+# for the phases then does not grow with the knot count.
+_BLOCK_ELEMENTS = 1 << 15
 
-# Complex multiply-adds of one block of a knot-sum matrix product
+# Multiply-adds of one block of a knot-sum matrix product
 # (``_small_products``).  A threaded BLAS runs a product this small on the
 # calling thread.  Split across threads it would gain little, its second
 # thread would spin on for milliseconds after it, and waiting for that
@@ -416,18 +425,13 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     Interior jumps within rounding of the derivative values they difference
     are set to zero: a spline is continuous to working precision in the
     derivatives it claims.
+
+    Every temporary is a vector over the pieces, or four of them, and the
+    jumps are settled before the series is built: the (terms, pieces)
+    series, the largest table here, is made by one (terms x 4) @ (4 x pieces)
+    product and scaled row by row in place, with the powers of h and
+    ``rel_h`` taken as running products.
     """
-    unit = float(h.max())
-    rel_h = h / unit
-    j = np.arange(_SERIES_TERMS)
-    inv_fact = np.array([1.0 / math.factorial(i) for i in j])
-    # int_0^h q(s) e^{i w s} ds = h sum_j (i w h)^j c_j with
-    # c_j = (1/j!) sum_n a_n h^n / (n + j + 1); with the left-knot phase
-    # attached, (i w unit)^j factors out of a sum over pieces.
-    c = inv_fact[:, None] * np.einsum(
-        "nm,jn->jm", a * h ** np.arange(4)[:, None],
-        1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
-    series = (c * h * rel_h ** j[:, None]).T
     left, right = _end_derivatives(a, h)
     # The right end of piece i-1 and the left end of piece i share knot i.
     jumps = np.zeros((len(x), 4))
@@ -437,12 +441,37 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     # Rounding of a derivative value is relative to the terms it sums.
     left_terms, right_terms = _end_derivatives(np.abs(a), h)
     rounding = 16.0 * _EPS * np.maximum(right_terms[:, :-1], left_terms[:, 1:]).T
+    del left_terms, right_terms
     inner = jumps[1:-1]
     inner[np.abs(inner) <= rounding] = 0.0
+    del rounding
+    unit = float(h.max())
+    rel_h = h / unit
+    j = np.arange(_SERIES_TERMS)
+    # int_0^h q(s) e^{i w s} ds = h sum_j (i w h)^j c_j with
+    # c_j = (1/j!) sum_n a_n h^n / (n + j + 1); with the left-knot phase
+    # attached, (i w unit)^j factors out of a sum over pieces.
+    scaled = a.copy()
+    power = h.copy()
+    for row in scaled[1:]:
+        row *= power
+        power *= h
+    coefficients = (1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0)) @ scaled
+    del scaled
+    series_scale = np.empty(_SERIES_TERMS)
+    power[:] = 1.0
+    for row in range(_SERIES_TERMS):
+        series_row = coefficients[row]
+        series_row *= 1.0 / math.factorial(row)
+        series_row *= h
+        series_row *= power
+        power *= rel_h
+        series_scale[row] = np.abs(series_row).sum()
+    series = coefficients.T
     middle = 0.5 * (float(x[0]) + float(x[-1]))
     return _Spline(middle=middle, unit=unit, knot=x - middle, rel_h=rel_h, series=series,
                    right=right.T, left=left.T, jumps=jumps, knot_scale=knot_scale,
-                   series_scale=np.abs(series).sum(axis=0))
+                   series_scale=series_scale)
 
 
 def _rows(mask: np.ndarray):
@@ -567,41 +596,83 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     """The transform at the nodes c + offsets of panels centred at c.
 
     Returns a function of the panel centres that gives (nodes, transform),
-    panel by panel.  The knot sum comes from a complex matrix product per
-    block of panels: with w = c + s, e^{i w x} = e^{i c x} e^{i s x}, so for
-    every order k, sum_j e^{i w x_j} K[j, k] = sum_j e^{i s x_j} (e^{i c x_j} K[j, k])
-    is a (panels x orders, knots) table times the (knots, offsets) one,
-    built once here.  Only the interior knots and the orders with a nonzero
-    interior term enter the product; the two end knots are added directly.
-    The product is made in pieces small enough to stay on the calling
-    thread (``_small_products``).
-    The rows that ``_knot_sum_rows`` leaves out, at most about the first
-    panel's on uniform knots, are replaced by ``_transform`` on a cos and a
-    sin per phase.
-    Blocks hold at most ``_BLOCK_ELEMENTS`` weighted phases unless one
-    panel alone is more.
+    panel by panel.  With w = c + s, e^{i w x} = e^{i c x} e^{i s x}, so for
+    every order k the knot sum is
+    sum_j e^{i w x_j} K[j, k] = sum_j e^{i s x_j} W[j, k], W = e^{i c x_j} K[j, k],
+    a matrix product over the knots of a (panels x orders) weighted table
+    and a (knots, offsets) one.  Only the interior knots and the orders
+    with a nonzero interior term enter the product; the two end knots are
+    added directly.
+
+    ``offsets`` must be of even length and antisymmetric,
+    s_{n-1-i} = -s_i exactly, as ``gauss_legendre`` mirrors its nodes.
+    The offset table then holds the non-negative half, as cos and sin
+    columns, and with W = A + iB, e^{i s x} = C + iS, a real product gives
+    AC, AS, BC and BS at once:
+    sum W e^{i s x} = (AC - BS) + i (AS + BC) and
+    sum W e^{-i s x} = (AC + BS) + i (BC - AS).  The product is made in
+    pieces small enough to stay on the calling thread (``_small_products``).
+
+    Every table is built per chunk of knots and holds at most
+    ``_BLOCK_ELEMENTS`` complex entries, or twice as many reals, whatever
+    the knot count: the offset table of a chunk, and per block of panels
+    their centre phases and weighted rows.  The sums accumulate over the
+    chunks.  The offset table is built once where the knots are one chunk,
+    and otherwise once per call.  The rows that ``_knot_sum_rows`` leaves
+    out, at most about the first panel's on uniform knots, are replaced by
+    ``_transform`` on a cos and a sin per phase.
     """
+    count = len(offsets) // 2
+    half = offsets[count:]
     terms = spline.jumps
     orders = np.flatnonzero(np.any(terms[1:-1] != 0.0, axis=0))
+    interior = spline.knot[1:-1]
     inner = terms[1:-1, orders].T                                # (orders, interior)
-    offset_phase = _phases(offsets, spline.knot[1:-1])
-    step = max(1, _BLOCK_ELEMENTS // (len(spline.knot) * max(1, len(orders))))
+    most = _BLOCK_ELEMENTS // max(count, len(orders))
+    chunks = max(1, -(-len(interior) // most))
+    edges = [len(interior) * chunk // chunks for chunk in range(chunks + 1)]
 
-    def knot_sum(centers: np.ndarray, w: np.ndarray) -> np.ndarray:
-        weighted = _phases(centers, spline.knot[1:-1])[:, None, :] * inner
-        sums = _small_products(weighted.reshape(len(centers) * len(orders), inner.shape[1]),
-                               offset_phase.T)
-        total = _phases(w, spline.knot[[0, -1]]) @ terms[[0, -1]]        # (nodes, 4)
-        total[:, orders] += sums.reshape(len(centers), len(orders), len(offsets)).transpose(
-            0, 2, 1).reshape(len(w), len(orders))
-        return _by_inverse_powers(total, w) * np.exp(1j * w * spline.middle)
+    def offset_table(first: int, last: int) -> np.ndarray:
+        """(knots, 2 count): cos and sin of s x_j for the knots first..last-1."""
+        arg = np.outer(interior[first:last], half)
+        table = np.empty((last - first, 2 * count))
+        np.cos(arg, out=table[:, :count])
+        np.sin(arg, out=table[:, count:])
+        return table
+
+    single = offset_table(0, len(interior)) if chunks == 1 and len(orders) else None
+
+    def interior_sums(centers: np.ndarray) -> np.ndarray:
+        """(panels, offsets, orders): the interior knot sums at every node of the panels."""
+        # [A; B] @ [C, S] per (panel, order): AC, AS in products[0], BC, BS in products[1].
+        products = np.zeros((2, len(centers), len(orders), 2 * count))
+        for first, last in zip(edges[:-1], edges[1:]):
+            table = offset_table(first, last) if single is None else single
+            step = max(1, _BLOCK_ELEMENTS // (len(orders) * (last - first)))
+            for start in range(0, len(centers), step):
+                block = centers[start:start + step]
+                arg = np.outer(block, interior[first:last])
+                phase = np.empty((2,) + arg.shape)
+                np.cos(arg, out=phase[0])
+                np.sin(arg, out=phase[1])
+                weighted = phase[:, :, None, :] * inner[:, first:last]
+                products[:, start:start + step] += _small_products(
+                    weighted.reshape(-1, last - first), table).reshape(
+                        2, len(block), len(orders), 2 * count)
+        (cos_cos, cos_sin), (sin_cos, sin_sin) = (np.split(part, 2, axis=-1) for part in products)
+        sums = np.empty((len(centers), len(orders), 2 * count), dtype=complex)
+        sums.real[..., count:] = cos_cos - sin_sin
+        sums.imag[..., count:] = cos_sin + sin_cos
+        sums.real[..., :count] = (cos_cos + sin_sin)[..., ::-1]
+        sums.imag[..., :count] = (sin_cos - cos_sin)[..., ::-1]
+        return sums.transpose(0, 2, 1)
 
     def at(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nodes = (centers[:, None] + offsets).ravel()
-        out = np.empty(nodes.shape, dtype=complex)
-        for first in range(0, len(centers), step):
-            rows = slice(first * len(offsets), (first + step) * len(offsets))
-            out[rows] = knot_sum(centers[first:first + step], nodes[rows])
+        total = _phases(nodes, spline.knot[[0, -1]]) @ terms[[0, -1]]        # (nodes, 4)
+        if len(orders) and len(centers):
+            total[:, orders] += interior_sums(centers).reshape(len(nodes), len(orders))
+        out = _by_inverse_powers(total, nodes) * np.exp(1j * nodes * spline.middle)
         rest = ~_knot_sum_rows(spline, nodes)
         if rest.any():
             rows = _rows(rest)
@@ -740,10 +811,12 @@ def _interior_bound(jumps: np.ndarray, x: np.ndarray):
     ends, inner = mag[:, [0, -1]], mag[:, 1:-1]
     if inner.shape[1] == 0:
         return lambda cutoff: 0.0
-    distance = np.abs(x[[0, -1]][:, None] - x[None, 1:-1])       # (2, interior)
+    inverse = x[[0, -1]][:, None] - x[None, 1:-1]                # (2, interior)
+    np.abs(inverse, out=inverse)
+    np.divide(1.0, inverse, out=inverse)
     closest = float(np.min(np.diff(x)))
     # Endpoint-interior pairs, each counted in both orders below.
-    spread = np.einsum("ke,le->kl", ends, inner @ (1.0 / distance).T)
+    spread = np.einsum("ke,le->kl", ends, inner @ inverse.T)
     plain = np.outer(ends.sum(axis=1), inner.sum(axis=1))
     # Interior-interior pairs of different knots.
     sums = inner.sum(axis=1)
@@ -790,10 +863,10 @@ def spectral_moment(pp, rel_tol: float) -> float:
     [W, inf); the rest pair different knots, one of them interior, and are
     bounded (``_interior_bound``).  The spline is prepared once.  The
     body's transform is the knot sum, contracted over the knots by a
-    complex matrix product per block of panels (``_panel_fourier``), at
-    the nodes ``_knot_sum_rows`` gives it: on uniform knots, every node
-    past the first few.  W is the fewest panels that bring the
-    bound below ``rel_tol`` times a lower bound on M.  A first pass, with
+    matrix product per chunk of knots and block of panels
+    (``_panel_fourier``), at the nodes ``_knot_sum_rows`` gives it: on
+    uniform knots, every node past the first few.  W is the fewest panels
+    that bring the bound below ``rel_tol`` times a lower bound on M.  A first pass, with
     the bound at half the first panel's share of M, brackets M: that
     settles a clear divergence early and sharpens the lower bound.
     """
@@ -803,6 +876,7 @@ def spectral_moment(pp, rel_tol: float) -> float:
     if not np.any(a):
         return 0.0
     spline = _prepare(x, h, a)
+    del h, a                                  # the spline holds what is read from here on
     jumps = spline.jumps.T
     growth = float(np.sum(jumps[0] ** 2))
     span = float(x[-1] - x[0])

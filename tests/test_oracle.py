@@ -1,10 +1,13 @@
 """Grid-propagation oracle: unitarity, Ehrenfest, convergence, echo checks."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertime import oracle
 from supertime.constants import PhysicalConstants
@@ -211,6 +214,33 @@ def test_nan_norm_fails_the_drift_check():
     for F in (F_L, 0.0):
         with pytest.raises(GridError, match="^norm drifted by nan$"):
             propagate_linear(grid, F, m, t, 10)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(F=st.floats(-1e4, 1e4), t=st.floats(0.0, 1e4),
+       x_min=st.floats(-1e3, -1e-3), x_max=st.floats(1e-3, 1e3))
+def test_half_potential_is_bitwise_the_complex_exp(F, t, x_min, x_max):
+    # The exp of a purely imaginary argument, taken as one cos and one sin:
+    # the same bits, except the sign of a zero imaginary part (t = 0, x = 0).
+    x = GridSpec(x_min=x_min, x_max=x_max, n_points=4096).x
+    want = np.exp(1j * F * x * t / 2.0)
+    got = oracle._half_potential(F, x, t)
+    assert np.array_equal(got.real.view(np.int64), want.real.view(np.int64))
+    nonzero = want.imag != 0.0
+    assert np.array_equal(got.imag[nonzero].view(np.int64), want.imag[nonzero].view(np.int64))
+    assert np.all(got.imag[~nonzero] == 0.0)
+
+
+def test_echo_overlap_takes_the_initial_norm_once(monkeypatch):
+    calls = []
+    norm = GridState.__dict__["norm"].func
+    counted = functools.cached_property(lambda self: calls.append(self) or norm(self))
+    counted.__set_name__(GridState, "norm")
+    monkeypatch.setattr(GridState, "norm", counted)
+    state, spec, F_L, F_R, m, t = _reference_case()
+    grid = init_gaussian(spec, state)
+    echo_overlap_numeric(grid, F_L, F_R, m, t, 200)
+    assert calls == [grid]
 
 
 # F_L and F_R of the reference case, and each against a force-free branch.

@@ -121,18 +121,35 @@ def _check_panel_phases(pp, centers, width):
     grows as sqrt(n) (1.1 eps sqrt(n) seen on 3200 pieces near the switch).
     """
     nodes, got = _factored_transform(pp, centers, width)
-    assert np.array_equal(nodes, (centers[:, None] + 0.5 * width * gauss_legendre(24)[0]).ravel())
+    offsets = 0.5 * width * gauss_legendre(24)[0]
+    assert np.array_equal(nodes, (centers[:, None] + offsets).ravel())
+    # The offset table holds the non-negative half: e^{-isx} is the conjugate, bit for bit.
+    knot = pp.x - 0.5 * (pp.x[0] + pp.x[-1])
+    positive = tabulated._phases(offsets[12:], knot)
+    assert np.array_equal(tabulated._phases(-offsets[12:], knot).view(np.int64),
+                          np.conj(positive).view(np.int64))
     scale, small = _rounding_scale(pp, nodes)
     tol = max(1e-14, 4.0 * np.finfo(float).eps * math.sqrt(len(pp.x) - 1))
     assert np.all(np.abs(got - spline_fourier(pp, nodes)) <= tol * scale)
     return small
 
 
-def test_factored_panel_phases_match_spline_fourier_on_uniform_knots():
-    # 3201 knots: 24 x 3201 phases per panel, so each run of 8 panels takes
-    # three blocks (3 + 3 + 2).  The second run straddles the switch, so its
-    # rows take the series on every piece or the closed form on every piece.
-    t = np.linspace(-8.0, 8.0, 3201)
+# The most interior knots of one chunk of the offset table: half the panel rule's offsets.
+_CHUNK = tabulated._BLOCK_ELEMENTS // (tabulated._PANEL_NODES // 2)
+
+
+# Interior knots (samples - 2) just below, at and just above one and two
+# chunks, whose sums the product accumulates over one, two or three chunks.
+@pytest.mark.parametrize("samples", [3201] + [chunks * _CHUNK + 2 + step
+                                              for chunks in (1, 2) for step in (-1, 0, 1)])
+def test_factored_panel_phases_match_spline_fourier_on_uniform_knots(samples):
+    # A Gaussian's spline has interior jumps in two orders, so a block holds
+    # the weighted rows of _BLOCK_ELEMENTS // (2 x knots of the chunk)
+    # panels: a run of 8 panels takes two blocks per chunk where the chunks
+    # are full (2731, 2732, 5461 and 5462 samples), and one elsewhere.  The
+    # second run straddles the switch, so its rows take the series on every
+    # piece or the closed form on every piece.
+    t = np.linspace(-8.0, 8.0, samples)
     pp = CubicSpline(t, np.exp(-0.5 * t**2))
     width = 2.0 * 18.0 / (t[-1] - t[0])
     switch_panel = int(SWITCH / np.diff(t).max() / width)
