@@ -87,12 +87,17 @@ class GridSpec:
 class GridState:
     """Discretized wavefunction snapshot.
 
-    Its amplitudes are not written after construction, so ``norm`` is
-    taken once per state.
+    ``amplitudes`` is held as a read-only view of the array given, so
+    ``norm`` is taken once per state.
     """
 
     spec: GridSpec
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amplitudes = np.asarray(self.amplitudes).view()
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @functools.cached_property
     def norm(self) -> float:

@@ -24,10 +24,10 @@ pairs s, -s, so its offset table holds half of them, and the sums at -s
 are real combinations of the same products.  It is made in blocks small
 enough to stay on the calling thread; its other rows, few on uniform
 knots, take the direct route.  Both routes apply the same row rule.
-Every phase table, on either route, is built per chunk of knots or
-frequencies and holds at most ``_BLOCK_ELEMENTS`` complex entries, so the
-memory a transform or a moment takes beyond the prepared spline does not
-grow with the sample count.
+On either route a block of frequencies, or of panels, holds at most
+``_BLOCK_ELEMENTS`` complex phases, unless one frequency's or one panel's
+row over the knots alone is more.  Beyond the prepared spline, the
+moment's one table over all knots is that of the 12 non-negative offsets.
 
 The Gauss-Legendre rule is built in O(n): Newton's method in theta,
 x = cos theta, with P_n(cos theta) evaluated in O(1) per node from
@@ -70,10 +70,10 @@ _SERIES_TERMS = 16
 _PANEL_NODES = 24
 _PANEL_PHASE = 18.0
 
-# Complex entries of any one phase table: a block of the (frequency x knot)
-# phases of ``_direct_transform``, or one of ``_panel_fourier``'s tables of
-# a chunk of knots (twice as many reals where the table is real).  Memory
-# for the phases then does not grow with the knot count.
+# Complex entries of one block of phases: (frequency x knot) phases in
+# ``_direct_transform``, a block of panels' centre phases and weighted rows
+# in ``_panel_fourier`` (twice as many reals there).  A block holds at least
+# one frequency's or one panel's row.
 _BLOCK_ELEMENTS = 1 << 15
 
 # Multiply-adds of one block of a knot-sum matrix product
@@ -428,9 +428,9 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
 
     Every temporary is a vector over the pieces, or four of them, and the
     jumps are settled before the series is built: the (terms, pieces)
-    series, the largest table here, is made by one (terms x 4) @ (4 x pieces)
-    product and scaled row by row in place, with the powers of h and
-    ``rel_h`` taken as running products.
+    series, the largest table here, is made by one contraction over the
+    four coefficients and scaled row by row in place, with the powers of h
+    and ``rel_h`` taken as running products.
     """
     left, right = _end_derivatives(a, h)
     # The right end of piece i-1 and the left end of piece i share knot i.
@@ -456,7 +456,9 @@ def _prepare(x: np.ndarray, h: np.ndarray, a: np.ndarray) -> _Spline:
     for row in scaled[1:]:
         row *= power
         power *= h
-    coefficients = (1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0)) @ scaled
+    # An einsum without ``optimize`` calls no BLAS, so no BLAS thread wakes
+    # however many pieces there are.
+    coefficients = np.einsum("nm,jn->jm", scaled, 1.0 / (np.arange(4)[None, :] + j[:, None] + 1.0))
     del scaled
     series_scale = np.empty(_SERIES_TERMS)
     power[:] = 1.0
@@ -613,52 +615,40 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     sum W e^{-i s x} = (AC + BS) + i (BC - AS).  The product is made in
     pieces small enough to stay on the calling thread (``_small_products``).
 
-    Every table is built per chunk of knots and holds at most
-    ``_BLOCK_ELEMENTS`` complex entries, or twice as many reals, whatever
-    the knot count: the offset table of a chunk, and per block of panels
-    their centre phases and weighted rows.  The sums accumulate over the
-    chunks.  The offset table is built once where the knots are one chunk,
-    and otherwise once per call.  The rows that ``_knot_sum_rows`` leaves
-    out, at most about the first panel's on uniform knots, are replaced by
+    The offset table spans the interior knots and is built once.  Blocks of
+    panels hold their centre phases and weighted rows in at most
+    ``_BLOCK_ELEMENTS`` complex entries, or twice as many reals, unless one
+    panel alone is more.  The rows that ``_knot_sum_rows`` leaves out, at
+    most about the first panel's on uniform knots, are replaced by
     ``_transform`` on a cos and a sin per phase.
     """
     count = len(offsets) // 2
-    half = offsets[count:]
     terms = spline.jumps
     orders = np.flatnonzero(np.any(terms[1:-1] != 0.0, axis=0))
     interior = spline.knot[1:-1]
     inner = terms[1:-1, orders].T                                # (orders, interior)
-    most = _BLOCK_ELEMENTS // max(count, len(orders))
-    chunks = max(1, -(-len(interior) // most))
-    edges = [len(interior) * chunk // chunks for chunk in range(chunks + 1)]
-
-    def offset_table(first: int, last: int) -> np.ndarray:
-        """(knots, 2 count): cos and sin of s x_j for the knots first..last-1."""
-        arg = np.outer(interior[first:last], half)
-        table = np.empty((last - first, 2 * count))
-        np.cos(arg, out=table[:, :count])
-        np.sin(arg, out=table[:, count:])
-        return table
-
-    single = offset_table(0, len(interior)) if chunks == 1 and len(orders) else None
+    # (interior, 2 count): the cos and the sin of s x_j for the non-negative
+    # offsets, the sin taken first from the arguments the cos then replaces.
+    table = np.empty((len(interior), 2 * count))
+    np.multiply.outer(interior, offsets[count:], out=table[:, :count])
+    np.sin(table[:, :count], out=table[:, count:])
+    np.cos(table[:, :count], out=table[:, :count])
+    step = max(1, _BLOCK_ELEMENTS // (max(1, len(orders)) * max(1, len(interior))))
 
     def interior_sums(centers: np.ndarray) -> np.ndarray:
         """(panels, offsets, orders): the interior knot sums at every node of the panels."""
         # [A; B] @ [C, S] per (panel, order): AC, AS in products[0], BC, BS in products[1].
-        products = np.zeros((2, len(centers), len(orders), 2 * count))
-        for first, last in zip(edges[:-1], edges[1:]):
-            table = offset_table(first, last) if single is None else single
-            step = max(1, _BLOCK_ELEMENTS // (len(orders) * (last - first)))
-            for start in range(0, len(centers), step):
-                block = centers[start:start + step]
-                arg = np.outer(block, interior[first:last])
-                phase = np.empty((2,) + arg.shape)
-                np.cos(arg, out=phase[0])
-                np.sin(arg, out=phase[1])
-                weighted = phase[:, :, None, :] * inner[:, first:last]
-                products[:, start:start + step] += _small_products(
-                    weighted.reshape(-1, last - first), table).reshape(
-                        2, len(block), len(orders), 2 * count)
+        products = np.empty((2, len(centers), len(orders), 2 * count))
+        for start in range(0, len(centers), step):
+            block = centers[start:start + step]
+            arg = np.outer(block, interior)
+            phase = np.empty((2,) + arg.shape)
+            np.cos(arg, out=phase[0])
+            np.sin(arg, out=phase[1])
+            weighted = phase[:, :, None, :] * inner
+            products[:, start:start + step] = _small_products(
+                weighted.reshape(-1, len(interior)), table).reshape(
+                    2, len(block), len(orders), 2 * count)
         (cos_cos, cos_sin), (sin_cos, sin_sin) = (np.split(part, 2, axis=-1) for part in products)
         sums = np.empty((len(centers), len(orders), 2 * count), dtype=complex)
         sums.real[..., count:] = cos_cos - sin_sin
@@ -863,10 +853,10 @@ def spectral_moment(pp, rel_tol: float) -> float:
     [W, inf); the rest pair different knots, one of them interior, and are
     bounded (``_interior_bound``).  The spline is prepared once.  The
     body's transform is the knot sum, contracted over the knots by a
-    matrix product per chunk of knots and block of panels
-    (``_panel_fourier``), at the nodes ``_knot_sum_rows`` gives it: on
-    uniform knots, every node past the first few.  W is the fewest panels
-    that bring the bound below ``rel_tol`` times a lower bound on M.  A first pass, with
+    real matrix product per block of panels (``_panel_fourier``), at
+    the nodes ``_knot_sum_rows`` gives it: on uniform knots, every node
+    past the first few.  W is the fewest panels that bring the
+    bound below ``rel_tol`` times a lower bound on M.  A first pass, with
     the bound at half the first panel's share of M, brackets M: that
     settles a clear divergence early and sharpens the lower bound.
     """

@@ -243,6 +243,21 @@ def test_echo_overlap_takes_the_initial_norm_once(monkeypatch):
     assert calls == [grid]
 
 
+def test_grid_state_amplitudes_are_read_only():
+    # The norm is cached, so a state's amplitudes cannot be written after it.
+    state, spec, F_L, _, m, t = _reference_case()
+    given = init_gaussian(spec, state).amplitudes.copy()
+    grid = GridState(spec=spec, amplitudes=given)
+    norm = grid.norm
+    for out in (grid, propagate_linear(grid, F_L, m, t, 10)):
+        with pytest.raises(ValueError, match="read-only"):
+            out.amplitudes[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            out.amplitudes *= 2.0
+    assert grid.norm == norm
+    assert given.flags.writeable
+
+
 # F_L and F_R of the reference case, and each against a force-free branch.
 @pytest.mark.parametrize("forces", [(0.9, 0.25), (0.9, 0.0), (0.0, 0.25)], ids=str)
 def test_echo_overlap_is_the_inner_product_of_two_propagations(forces):

@@ -134,21 +134,18 @@ def _check_panel_phases(pp, centers, width):
     return small
 
 
-# The most interior knots of one chunk of the offset table: half the panel rule's offsets.
-_CHUNK = tabulated._BLOCK_ELEMENTS // (tabulated._PANEL_NODES // 2)
+# A Gaussian's spline has interior jumps in two orders, so a block holds the
+# weighted rows of _BLOCK_ELEMENTS // (2 x interior knots) panels: five at
+# 3201 samples, so a run of 8 panels takes two blocks (5 + 3).  At 8191 and
+# 8192 interior knots (8193 and 8194 samples) a block holds two panels, and
+# at 8193 two panels' rows are more than the cap, so a block holds one.
+_ONE_PANEL = tabulated._BLOCK_ELEMENTS // 4 + 2 + 1
 
 
-# Interior knots (samples - 2) just below, at and just above one and two
-# chunks, whose sums the product accumulates over one, two or three chunks.
-@pytest.mark.parametrize("samples", [3201] + [chunks * _CHUNK + 2 + step
-                                              for chunks in (1, 2) for step in (-1, 0, 1)])
+@pytest.mark.parametrize("samples", [3201, _ONE_PANEL - 2, _ONE_PANEL - 1, _ONE_PANEL])
 def test_factored_panel_phases_match_spline_fourier_on_uniform_knots(samples):
-    # A Gaussian's spline has interior jumps in two orders, so a block holds
-    # the weighted rows of _BLOCK_ELEMENTS // (2 x knots of the chunk)
-    # panels: a run of 8 panels takes two blocks per chunk where the chunks
-    # are full (2731, 2732, 5461 and 5462 samples), and one elsewhere.  The
-    # second run straddles the switch, so its rows take the series on every
-    # piece or the closed form on every piece.
+    # The second run of 8 panels straddles the switch, so its rows take the
+    # series on every piece or the closed form on every piece.
     t = np.linspace(-8.0, 8.0, samples)
     pp = CubicSpline(t, np.exp(-0.5 * t**2))
     width = 2.0 * 18.0 / (t[-1] - t[0])
