@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bounds, echo
 from .bounds import Kind, SuperpositionSpec
 from .constants import CODATA, PhysicalConstants
@@ -123,19 +125,12 @@ def optimize_eta(alice: SuperpositionSpec,
     (1/2) * ratio * (d/c) * f(eta_star).  The analytic answer eta_star = 2/3,
     f = 4/27 serves as the test oracle.
     """
-    from scipy.optimize import brentq, minimize_scalar
-
-    result = minimize_scalar(
-        lambda eta: -(eta**2 - eta**3),
-        bounds=(0.0, 1.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    # Derivative-free maximizers bottom out near sqrt(eps) in eta; a root
-    # polish of the gradient 2 eta - 3 eta^2 restores full precision.
-    eta0 = float(result.x)
-    eta_star = float(brentq(lambda eta: 2.0 * eta - 3.0 * eta**2,
-                            eta0 - 1e-3, eta0 + 1e-3, xtol=1e-14))
+    # The stationary points are the roots of f'(eta) = 2 eta - 3 eta^2, both
+    # real, the eigenvalues of its companion matrix; the ends of [0, 1] are
+    # candidates too.
+    eta = np.append(np.roots([-3.0, 2.0, 0.0]), [0.0, 1.0])
+    eta = eta[(eta >= 0.0) & (eta <= 1.0)]
+    eta_star = float(eta[np.argmax(eta**2 - eta**3)])
     f_star = eta_star**2 - eta_star**3
     bound = 0.5 * alice.planck_ratio(constants) * alice.separation_d / constants.c * f_star
     return eta_star, bound

@@ -186,8 +186,6 @@ _THETA32_SLOPE = 2.0**-19
 _LOG1P32_ERROR = 2.0**-19
 # Floor on V cos in the log-likelihood ratio, keeping the log finite at exact fringe zeros.
 _FRINGE_FLOOR = -1.0 + 1e-15
-# The float32 floor, the float32 next above -1.
-_FRINGE_FLOOR32 = np.nextafter(np.float32(-1.0), np.float32(0.0))
 
 
 def _cos32(theta: np.ndarray, out: np.ndarray) -> float:
@@ -385,7 +383,6 @@ class _LevelScreen:
             _fringe_phase32(self.level32, self.frequency32, self.phase32, k, u, block)
             np.cos(block, out=block)
             np.multiply(block, self.visibility32, out=block)
-            np.maximum(block, _FRINGE_FLOOR32, out=block)
             np.log1p(block, out=block)
             llr = block.sum(axis=1, dtype=np.float64) + n_log_norm
             # |llr - exact llr| <= margin: each V cos moves by at most delta
@@ -403,7 +400,8 @@ class _LevelScreen:
             margin = (n * (delta / least - (_LOG1P32_ERROR + 2.0**-49 * n) * np.log(least)
                            + 2.0**-148)
                       + 2.0**-52 * abs(n_log_norm))
-            # Where the least 1 + V cos exceeds 2^-24, neither floor acts.
+            # Where the least 1 + V cos exceeds 2^-24, every float32 V cos is
+            # above -1 and the float64 floor does not act.
             settled = self.normal & (least > 2.0**-24) & (np.abs(llr) > margin)
         out[:] = llr > 0.0
         for j in np.flatnonzero(~settled):
@@ -460,9 +458,9 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     decisions are screened in float32 and settled in float64 only where the
     screen cannot be sure.  A trial's levels are screened together: its
     draws k and u are cast to float32 once, and theta = f (k + l u) - phi,
-    cos, x V, the floor (the float32 next above -1), log1p and each row's
-    sum, into float64, give every level's screened ratio llr~.  For a level
-    of noise std l, frequency f = beta d and visibility V, theta is within
+    cos, x V, log1p and each row's sum, into float64, give every level's
+    screened ratio llr~.  For a level of noise std l, frequency f = beta d
+    and visibility V, theta is within
     e = 2^-19 (|f| max|k| + |f l| max|u| + |phi|) + 2^-148 (|f| + |f l| + 1)
     of the float64 one (``_THETA32_SLOPE``), and the float32 cos within
     2^-21 of the cos of its argument (``_COS32_FLOOR``).  So each float32
@@ -475,10 +473,11 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     2^-49 n of it.  The float64 ratio is then within
     B = n (delta / L - (2^-19 + 2^-49 n) log L + 2^-148) + 2^-52 |n log N|
     of llr~, so llr~ > B decides coherent and llr~ < -B mixed, provided
-    L > 2^-24, so that neither floor acts, and l, f and V are normal
-    float32 numbers, as the bound on e takes them to be.  Any other level,
-    V = 1 at zero noise and a NaN llr~ from a theta beyond the float32 range
-    included, is decided by the float64 ratio itself.
+    L > 2^-24, so that every float32 V cos is above -1 and the float64
+    floor does not act, and l, f and V are normal float32 numbers, as the
+    bound on e takes them to be.  Any other level, V = 1 at zero noise and
+    a -inf or NaN llr~ from a V cos at -1 or a theta beyond the float32
+    range included, is decided by the float64 ratio itself.
 
     Each trial has its own ``SeedSequence`` child, so trials are
     independent.  They run in W interleaved shares, one per CPU in the

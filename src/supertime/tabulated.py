@@ -876,6 +876,8 @@ def spectral_moment(pp, rel_tol: float) -> float:
     transform = _panel_fourier(spline, 0.5 * width * ref_nodes)
 
     def body(first: int, last: int) -> float:
+        if first >= last:
+            return 0.0
         nodes, values = transform(width * (np.arange(first, last) + 0.5))
         weights = np.tile(0.5 * width * ref_weights, last - first)
         return float(np.sum(weights * np.abs(values) ** 2 * nodes))

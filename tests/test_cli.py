@@ -1031,25 +1031,26 @@ def test_tabulated_magnitude_sweep_computes_the_moment_once(tmp_path, monkeypatc
 
 _IMPORTS_NO_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None              # every scipy import now raises ImportError
 import supertime, supertime.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-loaded = [scipy_modules()]
+from supertime.bounds import Kind, SuperpositionSpec
+runs = 0
 for argv in json.loads(sys.argv[1]):
     assert supertime.cli.main(argv) == 0
-    loaded.append(scipy_modules())
-print(loaded)
+    runs += 1
+eta_star, _ = supertime.optimize_eta(SuperpositionSpec(Kind.MASS, 1.0e-6, 1.0e-3))
+print(json.dumps([runs, eta_star]))
 """
 
 
 def test_cli_subcommands_load_no_scipy(tmp_path):
     # bound, causality, echo, radiation on a sin^2 path and vacuum on a
     # Gaussian window are closed forms, the echo oracle and the interference
-    # power curve are numpy only, and tabulated trajectories and windows
-    # build their splines and spectral moments in numpy; scipy costs most of
-    # the start-up and is imported only by the functions that call it.  No
-    # scipy module at all may load, so the oracle's FFTs stay numpy's (not
-    # scipy.fft).
+    # power curve are numpy only, tabulated trajectories and windows build
+    # their splines and spectral moments in numpy, and optimize_eta takes
+    # its stationary point from np.roots.  scipy is blocked in the
+    # subprocess, so every run must succeed with no scipy module at all, and
+    # the oracle's FFTs stay numpy's (not scipy.fft).
     mass = str(_write(tmp_path, "mass.json", MASS_CONFIG))
     charge = str(_write(tmp_path, "charge.json", _mutated(
         CHARGE_CONFIG, lambda c: c["interference"].update(n=200, trials=5))))
@@ -1078,7 +1079,8 @@ def test_cli_subcommands_load_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", _IMPORTS_NO_SCIPY, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == str([[]] * (len(runs) + 1))
+    completed, eta_star = json.loads(done.stdout)
+    assert completed == len(runs) and abs(eta_star - 2.0 / 3.0) <= 1e-9
 
 
 def test_cli_import_loads_no_thread_pool():
