@@ -400,13 +400,14 @@ SUBCOMMANDS = {
 }
 
 
-def _write_all_or_nothing(files: "list[tuple[Path, bytes]]") -> None:
+def _write_all_or_nothing(files: "list[tuple[Path, bytes | memoryview]]") -> None:
     """Write each ``(path, data)`` pair, or none of them.
 
-    Each ``data`` goes to a temporary file next to its ``path`` first; the
-    temporaries are renamed into place, in order, only once all are
-    written.  On any failure the temporaries and whatever was already
-    renamed into place are removed before the exception propagates.
+    Each ``data``, any bytes-like object, goes to a temporary file next to
+    its ``path`` first; the temporaries are renamed into place, in order,
+    only once all are written.  On any failure the temporaries and
+    whatever was already renamed into place are removed before the
+    exception propagates.
     """
     token = uuid.uuid4().hex[:8]
     staged = [(path, path.with_name(f".{path.name}.{token}.tmp"), data)
@@ -525,9 +526,10 @@ def _text_fields(values: np.ndarray) -> np.ndarray:
     return values.view(np.uint8).reshape(values.size, values.dtype.itemsize)
 
 
-def _csv_table(header: "list[str]", columns: list) -> "tuple[bytes, int, int]":
-    """CSV bytes of ``header`` and ``columns``, its number of rows, and the
-    number of its float fields that took the exact route.
+def _csv_table(header: "list[str]", columns: list) -> "tuple[bytes | memoryview, int, int, int]":
+    """CSV bytes of ``header`` and ``columns`` as a bytes-like object, its
+    number of rows, the number of its float fields that took the exact
+    route, and the number of NUL pad bytes dropped from it.
 
     Single values repeat on every row.  Floats are written as ``%.12e``,
     booleans as ``true``/``false``, anything else as its ``str``; no field
@@ -537,9 +539,10 @@ def _csv_table(header: "list[str]", columns: list) -> "tuple[bytes, int, int]":
     Each column becomes a block of NUL-padded byte rows, as wide as its
     longest field.  The blocks, broadcast where a value repeats, and the
     separators are written into their slices of one preallocated
-    (rows, row width) table, and any pads are dropped in one pass.  A table
-    whose columns each share one sign and one exponent width has none, so
-    that pass only copies it.
+    (rows, row width) table.  One count of its zero bytes finds the pads.
+    A table whose columns each share one sign and one exponent width has
+    none, and is returned as it was built, with no copy; any other is
+    copied once with its pads dropped.
 
     A float column is formatted by array operations with the bytes of
     Python's ``%``: e = floor(log10|x|) and y = |x| 10**(12 - e), from a
@@ -584,7 +587,9 @@ def _csv_table(header: "list[str]", columns: list) -> "tuple[bytes, int, int]":
     table.view(f"V{row.size}")[:, 0] = row.view(f"V{row.size}")[0]
     for start, end, block in whole:
         table[:, start:end].view(f"V{end - start}")[:, 0] = block.view(f"V{end - start}")[:, 0]
-    return text.tobytes().replace(b"\0", b""), n_rows, exact_fields
+    padding = text.size - int(np.count_nonzero(text))
+    data = text.tobytes().replace(b"\0", b"") if padding else memoryview(text)
+    return data, n_rows, exact_fields, padding
 
 
 def run(subcommand: str, config: RunConfig, output: Path,
@@ -602,7 +607,7 @@ def run(subcommand: str, config: RunConfig, output: Path,
     start = time.perf_counter()
     columns, report = _evaluate(subcommand, config, use_oracle)
     evaluated = time.perf_counter()
-    table, n_rows, exact_fields = _csv_table(header, columns)
+    table, n_rows, exact_fields, padding = _csv_table(header, columns)
     formatted = time.perf_counter()
     scales = planck_scales(config.constants)
     meta = {
@@ -625,6 +630,7 @@ def run(subcommand: str, config: RunConfig, output: Path,
         "extras": config.extras,
         "rows": n_rows,
         "format_exact_fields": exact_fields,
+        "format_padding_bytes": padding,
         "timings_s": {"parse": parse_s, "evaluate": evaluated - start,
                       "format": formatted - evaluated},
     }

@@ -87,17 +87,20 @@ class EchoResult:
 def _dipole_pair(prefactor: float, d: float, R: float) -> ForcePair:
     """Branch forces prefactor / (R -+ d/2)^2 and the dipole difference prefactor d / R^3.
 
-    Powers go through libm's pow, as Python's ``**`` on floats does: numpy's
-    SIMD ``**`` on arrays rounds some cubes and squares one ulp differently,
-    and a swept array must give exactly the values of its points one by one.
+    Powers are written as products, not ``**``: numpy's SIMD ``**`` on
+    arrays rounds some cubes and squares one ulp differently from a scalar
+    power, but each IEEE multiplication is correctly rounded, in numpy's
+    loops as in Python's floats, so a swept array gives exactly the values
+    of its points one by one.
     """
     require_positive(d=d, R=R)
     require(d < DIPOLE_GATE_RATIO * R, DipoleApproximationError,
             "dipole approximation requires d < R/10, got d={d}, R={R}", d=d, R=R)
+    near, far = R - d / 2.0, R + d / 2.0
     return ForcePair(
-        F_L=prefactor / np.float_power(R - d / 2.0, 2),
-        F_R=prefactor / np.float_power(R + d / 2.0, 2),
-        delta_F=prefactor * d / np.float_power(R, 3),
+        F_L=prefactor / (near * near),
+        F_R=prefactor / (far * far),
+        delta_F=prefactor * d / (R * R * R),
     )
 
 
@@ -130,14 +133,14 @@ def echo_displacements(delta_F: float, mB: float, F_sum: float, t: float,
 
     delta_x = dF t^2 / (2 mB), delta_p = -dF t, and the scalar phase
     dF (F_L + F_R) t^3 / (12 mB hbar).  Any argument may be an array, such
-    as the times of an echo table; powers use libm's pow, as in ``_dipole_pair``.
+    as the times of an echo table; powers are products, as in ``_dipole_pair``.
     """
     require_positive(mB=mB)
     require_nonnegative(t=t)
     return EchoResult(
-        delta_x=delta_F * np.float_power(t, 2) / (2.0 * mB),
+        delta_x=delta_F * (t * t) / (2.0 * mB),
         delta_p=-delta_F * t,
-        cubic_phase=delta_F * F_sum * np.float_power(t, 3) / (12.0 * mB * constants.hbar),
+        cubic_phase=delta_F * F_sum * (t * t * t) / (12.0 * mB * constants.hbar),
         time=t,
     )
 
@@ -154,8 +157,8 @@ def echo_overlap(state: GaussianState, echo: EchoResult,
     """
     hbar = constants.hbar
     sigma = state.sigma
-    exponent = (np.float_power(echo.delta_x, 2) / (8.0 * sigma**2)
-                + np.float_power(echo.delta_p, 2) * sigma**2 / (2.0 * hbar**2))
+    dx, dp = echo.delta_x, echo.delta_p
+    exponent = dx * dx / (8.0 * sigma**2) + dp * dp * sigma**2 / (2.0 * hbar**2)
     return np.exp(-exponent)
 
 

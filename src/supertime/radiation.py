@@ -232,16 +232,15 @@ def mode_integral(profile: TrajectoryProfile, q: float,
     J = pi^2 (pi Si(pi) - 2) / 4, so E is the closed form
     SIN2_EXPONENT_CONSTANT (q/q_P)^2 (d / c t0)^2; on a tabulated path it is
     the spline's spectral moment.  ``q`` and the profile's ``d`` and ``t0``
-    may be arrays of sweep values; powers use libm's pow, as in
+    may be arrays of sweep values; powers are products, as in
     ``echo._dipole_pair``, so a swept point equals that point alone.
     """
     _check_nonrelativistic(profile, constants)
     q_ratio = _charge_ratio(q, constants)
     beta = profile.d / (constants.c * profile.t0)
     if profile.shape is Shape.SIN_SQUARED:
-        return SIN2_EXPONENT_CONSTANT * np.float_power(q_ratio, 2) * np.float_power(beta, 2)
-    prefactor = ((4.0 * math.pi * np.float_power(q_ratio, 2)) / (6.0 * math.pi**2)
-                 * np.float_power(beta, 2))
+        return SIN2_EXPONENT_CONSTANT * (q_ratio * q_ratio) * (beta * beta)
+    prefactor = (4.0 * math.pi * (q_ratio * q_ratio)) / (6.0 * math.pi**2) * (beta * beta)
     return prefactor * profile._tabulated_spectral_integral
 
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +126,14 @@ def test_bound_subcommand_end_to_end(tmp_path):
     # Of the four float fields of its one row.
     assert isinstance(meta["format_exact_fields"], int)
     assert 0 <= meta["format_exact_fields"] <= 4
+    # Every field of its one row is positive with a two-digit exponent.
+    assert meta["format_padding_bytes"] == 0
 
 
 # The sidecar keys of every run; each subcommand adds only its own report.
 _COMMON_META_KEYS = {"subcommand", "seed", "oracle", "version", "constants", "planck_scales",
-                     "scenario", "sweep", "extras", "rows", "format_exact_fields", "timings_s"}
+                     "scenario", "sweep", "extras", "rows", "format_exact_fields",
+                     "format_padding_bytes", "timings_s"}
 _REPORT_KEYS = {"bound": set(), "causality": set(), "radiation": set(), "vacuum": set(),
                 "echo": {"dipole_check"}, "echo --oracle": {"dipole_check", "oracle_check"},
                 "interference": {"power_check"}}
@@ -522,9 +526,49 @@ def _per_row_csv_table(header, columns):
 def _assert_formats_as_per_row(header, columns):
     """``_csv_table``'s text and row count are the reference's; returns its
     count of exact-route fields."""
-    data, n_rows, exact_fields = cli._csv_table(header, columns)
-    assert (data.decode(), n_rows) == _per_row_csv_table(header, columns)
+    data, n_rows, exact_fields, _ = cli._csv_table(header, columns)
+    assert (bytes(data).decode(), n_rows) == _per_row_csv_table(header, columns)
     return exact_fields
+
+
+# Floats of each sign with two- and three-digit exponents on the array
+# route, and -0.0 and nan on the exact route.
+_MIXED_FLOATS = [1.5, 2.25e-7, -3.125e40, -6.0e-99, 2.5e-150, 7.75e200, -4.0e-120, -0.0, np.nan]
+
+
+@st.composite
+def _mixed_columns(draw):
+    """A header and columns of one length, or single values: each float
+    column draws from a random subset of ``_MIXED_FLOATS``, so some share
+    one sign and one exponent width and some do not."""
+    n_rows = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(st.sampled_from(_MIXED_FLOATS), min_size=1, max_size=3))
+        size = draw(st.sampled_from([1, n_rows]))
+        columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                              max_size=size))))
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=n_rows,
+                                                  max_size=n_rows))))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(deadline=None, max_examples=300)
+@given(table=_mixed_columns())
+def test_per_row_table_is_returned_without_a_copy_exactly_when_nothing_is_padded(table):
+    header, columns = table
+    data, n_rows, _, padding = cli._csv_table(header, columns)
+    text, _ = _per_row_csv_table(header, columns)
+    assert bytes(data).decode() == text
+    # The built table holds the CSV's bytes and the pads, one row of every
+    # block's width, its commas and CRLF, per CSV row.
+    widths = [(cli._float_fields(c)[0] if c.dtype.kind == "f" else cli._text_fields(c)).shape[1]
+              for c in columns]
+    built = len(",".join(header)) + 2 + n_rows * (sum(widths) + len(widths) + 1)
+    assert padding == built - len(text)
+    # The table itself, with no copy, exactly when it has no pad.
+    assert isinstance(data, memoryview) == (padding == 0)
 
 
 @settings(deadline=None, max_examples=300)
@@ -578,6 +622,43 @@ def test_a_20000_row_table_of_every_column_kind_is_the_per_row_bytes():
     assert _assert_formats_as_per_row(["repeated", "x"], [repeated, x]) > 20_000
 
 
+def test_no_copy_20000_row_bound_run_peaks_below_two_and_a_half_csv_sizes(tmp_path):
+    # Every field positive with a two-digit exponent: a table with no pad,
+    # written as it was built.  The float blocks and the table make a traced
+    # peak of about twice the CSV; any copy of the whole table would add at
+    # least one more CSV size.
+    config = _write(tmp_path, "bound.json", {**MASS_CONFIG, "sweep": {
+        "parameter": "magnitude", "min": 1e-6, "max": 1e-3, "points": 20_000, "scale": "log"}})
+    out = tmp_path / "bound.csv"
+    argv = ["bound", "--config", str(config), "--output", str(out)]
+    assert main(argv) == 0  # imports and first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    meta = json.loads((tmp_path / "bound.csv.meta.json").read_text())
+    assert meta["rows"] == 20_000 and meta["format_padding_bytes"] == 0
+    assert peak < 2.5 * out.stat().st_size
+
+
+def test_sidecar_padding_bytes_are_the_pads_dropped(tmp_path):
+    # With T_A = 0 the audit is satisfied from R of about 2 m on; each
+    # "true" of the five-byte flag column drops one pad, and no other field
+    # of the table is shorter than its column.
+    config = _write(tmp_path, "causality.json", {
+        **MASS_CONFIG, "causality": {"T_A": 0.0},
+        "sweep": {"parameter": "R", "min": 0.02, "max": 100.0, "points": 200, "scale": "log"}})
+    out = tmp_path / "causality.csv"
+    assert main(["causality", "--config", str(config), "--output", str(out)]) == 0
+    header, rows = _read_csv(out)
+    satisfied = [row[header.index("satisfied")] for row in rows]
+    assert len(rows) == 200 and set(satisfied) == {"true", "false"}
+    meta = json.loads((tmp_path / "causality.csv.meta.json").read_text())
+    assert meta["format_padding_bytes"] == satisfied.count("true")
+
+
 # Positive values with two-digit exponents and far from any rounding tie, so
 # every field takes the array route.
 _TWO_DIGIT = np.tile([1.5, 2.25e-7, 3.125e40, 6.0e-99, 7.75e99, 1.0e-10, 42.0], 100)
@@ -590,8 +671,11 @@ def test_per_row_positive_two_digit_columns_are_18_byte_blocks_with_no_pad():
     # A flag column that is true on every row has no fifth byte either.
     assert cli._text_fields(x > 0.0).shape == (x.size, 4)
     assert cli._text_fields(np.array([True, False])).shape == (2, 5)
-    _assert_formats_as_per_row(["kind", "x", "scalar", "y", "flag"],
-                               ["mass", x, 2.5e-7, x[::-1], x > 0.0])
+    header, columns = ["kind", "x", "scalar", "y", "flag"], ["mass", x, 2.5e-7, x[::-1], x > 0.0]
+    _assert_formats_as_per_row(header, columns)
+    # So the table has no pad, and is returned as it was built.
+    data, _, _, padding = cli._csv_table(header, columns)
+    assert isinstance(data, memoryview) and padding == 0
 
 
 # An exact-route field adds no sign byte: -0.0 widens the block by its own

@@ -156,8 +156,10 @@ def test_validation_errors():
 
 
 def test_swept_forces_equal_their_points_bitwise():
-    # Arrays of sweep values give exactly the floats of each point alone:
-    # numpy's own ** on arrays rounds about one cube in twenty differently.
+    # Arrays of sweep values give exactly the floats of each point alone,
+    # because the powers are products and each IEEE product is correctly
+    # rounded in numpy's loops as in Python's floats; numpy's own ** on
+    # arrays rounds about one cube in twenty differently.
     R = np.logspace(-1.5, 1.0, 2000)
     q = np.linspace(-3e-19, 3e-19, 2000)
     q = q[q != 0.0]
@@ -172,6 +174,26 @@ def test_swept_forces_equal_their_points_bitwise():
     times = entanglement_time(gravity.delta_F, 1e-9, 1e-30, convention="main_text")
     assert times.tolist() == [entanglement_time(dF, 1e-9, 1e-30, convention="main_text")
                               for dF in gravity.delta_F.tolist()]
+
+
+def test_swept_echo_equals_its_points_bitwise():
+    # The displacements' t^2 and t^3 and the overlap's dx^2 and dp^2 are
+    # products too, so a table over swept forces and times gives the floats
+    # of each point run alone on Python floats.
+    rng = np.random.default_rng(33)
+    n = 2000
+    delta_F = 10.0 ** rng.uniform(-2.0, 0.5, n) * rng.choice([-1.0, 1.0], n)
+    F_sum = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    t = 10.0 ** rng.uniform(-1.0, 0.7, n)
+    swept = echo_displacements(delta_F, 1.5, F_sum, t, NATURAL)
+    points = [echo_displacements(dF, 1.5, s, ti, NATURAL)
+              for dF, s, ti in zip(delta_F.tolist(), F_sum.tolist(), t.tolist())]
+    for name in ("delta_x", "delta_p", "cubic_phase"):
+        assert getattr(swept, name).tolist() == [getattr(p, name) for p in points]
+    state = GaussianState(sigma=0.7)
+    overlap = echo_overlap(state, swept, NATURAL)
+    assert overlap.tolist() == [float(echo_overlap(state, p, NATURAL)) for p in points]
+    assert np.count_nonzero((0.01 < overlap) & (overlap < 0.99)) > n // 4
 
 
 def test_swept_check_names_the_first_offending_point():

@@ -77,6 +77,8 @@ def test_sin2_exponent_is_the_closed_form_for_scalars_and_sweeps():
     closed = (SIN2_EXPONENT_CONSTANT * (q / planck_scales(CODATA).q_P) ** 2
               * (d / (CODATA.c * t0)) ** 2)
     assert np.max(np.abs(swept - closed) / closed) <= 5e-16
+    # The squares are products, correctly rounded in numpy's loops as in
+    # Python's floats, so each swept point is bitwise the point alone.
     points = [mode_integral(TrajectoryProfile(d=di, t0=ti), qi)
               for di, ti, qi in zip(d.tolist(), t0.tolist(), q.tolist())]
     assert np.array_equal(points, swept)
