@@ -26,7 +26,7 @@ import os
 import sys
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -39,7 +39,7 @@ from .constants import CODATA, PhysicalConstants, planck_scales
 from .echo import GaussianState
 from .errors import SupertimeError, ValidationError, require_nonnegative, require_positive
 
-_CONSTANT_KEYS = {"hbar", "c", "G", "epsilon0"}
+_CONSTANT_KEYS = tuple(field.name for field in fields(PhysicalConstants))
 _SWEEPABLE = {"magnitude", "separation_d", "bob_mass", "bob_charge", "R", "sigma", "t0"}
 # The most sweep points: numpy's largest float64 array (its size in bytes is
 # an intp), rounded down to a float64 as np.linspace counts them.

@@ -283,22 +283,6 @@ def _sample_true_momenta(packet: SuperposedWavepacket, hypothesis: Hypothesis,
         filled += take
 
 
-def _log_likelihood_ratio(samples: np.ndarray, packet: SuperposedWavepacket,
-                          noise_dP: float, work: np.ndarray) -> float:
-    """Coherent-vs-mixed log-likelihood ratio of ``samples``, computed in ``work``.
-
-    ``work`` has the shape of ``samples`` and may be ``samples`` itself.
-    """
-    _, visibility, beta = _noisy_fringe_params(packet, noise_dP)
-    np.multiply(beta * packet.d, samples, out=work)
-    np.subtract(work, packet.phase_phi, out=work)
-    np.cos(work, out=work)
-    np.multiply(visibility, work, out=work)
-    np.maximum(work, _FRINGE_FLOOR, out=work)
-    np.log1p(work, out=work)
-    return float(np.sum(work) + samples.size * packet._log_norm)
-
-
 def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
                  noise_dP: float) -> DiscriminationResult:
     """Exact log-likelihood ratio coherent vs mixed for noisy samples.
@@ -312,7 +296,10 @@ def discriminate(samples: np.ndarray, packet: SuperposedWavepacket,
     if samples.size == 0:
         raise ValidationError("samples must be non-empty")
     require_nonnegative(noise_dP=noise_dP)
-    llr = _log_likelihood_ratio(samples, packet, noise_dP, np.empty_like(samples))
+    _, visibility, beta = _noisy_fringe_params(packet, noise_dP)
+    vcos = visibility * np.cos(beta * packet.d * samples - packet.phase_phi)
+    llr = float(np.sum(np.log1p(np.maximum(vcos, _FRINGE_FLOOR)))
+                + samples.size * packet._log_norm)
     decision = Hypothesis.COHERENT if llr > 0.0 else Hypothesis.MIXED
     return DiscriminationResult(
         n_samples=samples.size,
@@ -340,8 +327,8 @@ class _LevelScreen:
     """Decides all of one trial's noise levels in one (levels x n) float32 block.
 
     Holds each level's fringe visibility and frequency in float64 and
-    float32, the block, float32 copies of the trial's draws and a float64
-    row for the decisions left to ``_log_likelihood_ratio``; ``rechecks``
+    float32, the block and float32 copies of the trial's draws.  A level
+    the screen cannot settle is decided by ``discriminate``; ``rechecks``
     counts those.
     """
 
@@ -350,7 +337,7 @@ class _LevelScreen:
         self.packet = packet
         self.noise_levels = noise_levels
         self.visibility = np.array([visibility for _, visibility, _ in fringes])
-        # The factor of _log_likelihood_ratio, so the float64 theta has its bits.
+        # discriminate's factor beta d, so the bound is on its float64 theta.
         self.frequency = np.array([beta * packet.d for _, _, beta in fringes])
         self.noise_frequency = self.frequency * noise_levels
         with np.errstate(over="ignore"):
@@ -366,7 +353,6 @@ class _LevelScreen:
         self.block = np.empty((len(noise_levels), n), dtype=np.float32)
         self.true_k32 = np.empty(n, dtype=np.float32)
         self.unit_noise32 = np.empty(n, dtype=np.float32)
-        self.row = np.empty(n)
         self.rechecks = 0
 
     def decide(self, true_k: np.ndarray, unit_noise: np.ndarray, out: np.ndarray) -> None:
@@ -405,11 +391,9 @@ class _LevelScreen:
             settled = self.normal & (least > 2.0**-24) & (np.abs(llr) > margin)
         out[:] = llr > 0.0
         for j in np.flatnonzero(~settled):
-            # The row built as the plain expression builds it, with the same bits.
-            row, level = self.row, self.noise_levels[j]
-            np.multiply(level, unit_noise, out=row)
-            np.add(true_k, row, out=row)
-            out[j] = _log_likelihood_ratio(row, packet, level, row) > 0.0
+            level = self.noise_levels[j]
+            result = discriminate(true_k + level * unit_noise, packet, level)
+            out[j] = result.decision is Hypothesis.COHERENT
             self.rechecks += 1
 
 
@@ -422,15 +406,15 @@ def _worker_count(trials: int) -> int:
 
 def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray,
                   seed: int, decisions: np.ndarray,
-                  rechecks: np.ndarray, share: int, shares: int) -> None:
+                  share: int, shares: int) -> tuple[int, int, int]:
     """Decide trials share, share + shares, ... into their rows of ``decisions``.
 
     Trial i draws from child i of ``SeedSequence(seed)``.
 
     The share allocates its own arrays once and reuses them for each of its
-    trials, so shares running in parallel share no buffer.  Its counts of
-    level decisions re-decided in float64, of acceptances re-decided in
-    float64 and of candidates drawn go to ``rechecks[share]``.
+    trials, so shares running in parallel share no buffer.  Returns its
+    counts of level decisions left to ``discriminate``, of acceptances
+    re-decided in float64 and of candidates drawn.
     """
     true_k, unit_noise = np.empty(n), np.empty(n)
     scratch = _RejectionScratch(n)
@@ -440,7 +424,7 @@ def _decide_share(packet: SuperposedWavepacket, n: int, noise_levels: np.ndarray
         _sample_true_momenta(packet, Hypothesis.COHERENT, rng, true_k, scratch)
         rng.standard_normal(out=unit_noise)
         screen.decide(true_k, unit_noise, decisions[trial])
-    rechecks[share] = screen.rechecks, scratch.rechecks, scratch.candidates
+    return screen.rechecks, scratch.rechecks, scratch.candidates
 
 
 def power_curve(packet: SuperposedWavepacket, n: int,
@@ -477,7 +461,8 @@ def power_curve(packet: SuperposedWavepacket, n: int,
     floor does not act, and l, f and V are normal float32 numbers, as the
     bound on e takes them to be.  Any other level, V = 1 at zero noise and
     a -inf or NaN llr~ from a V cos at -1 or a theta beyond the float32
-    range included, is decided by the float64 ratio itself.
+    range included, is decided by ``discriminate`` on that level's samples
+    k + l u.
 
     Each trial has its own ``SeedSequence`` child, so trials are
     independent.  They run in W interleaved shares, one per CPU in the
@@ -511,15 +496,13 @@ def _power_curve_with_rechecks(packet: SuperposedWavepacket, n: int,
     # which has the same state: nothing sized by trials precedes the decisions.
     decisions = np.zeros((trials, len(noise_levels)), dtype=bool)
     shares = _worker_count(trials)
-    rechecks = np.zeros((shares, 3), dtype=np.int64)
     # With one share the pool never starts a thread.
     with ThreadPoolExecutor(max(shares - 1, 1)) as pool:
         others = [pool.submit(_decide_share, packet, n, noise_levels, seed, decisions,
-                              rechecks, share, shares) for share in range(1, shares)]
-        _decide_share(packet, n, noise_levels, seed, decisions, rechecks, 0, shares)
-        for future in others:
-            future.result()
-    levels, acceptances, candidates = rechecks.sum(axis=0).tolist()
+                              share, shares) for share in range(1, shares)]
+        counts = [_decide_share(packet, n, noise_levels, seed, decisions, 0, shares)]
+        counts += [future.result() for future in others]
+    levels, acceptances, candidates = map(sum, zip(*counts))
     return decisions.mean(axis=0), {"levels": levels, "level_decisions": decisions.size,
                                     "acceptances": acceptances,
                                     "candidates": candidates}, shares

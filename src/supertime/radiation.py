@@ -65,10 +65,6 @@ LONG_WAVELENGTH_GATE = 1.0 / 3.0
 
 _MIN_TABULATED_SAMPLES = 16
 
-# Relative accuracy of the tabulated spectral integral (the interpolating
-# spline's own integral, not the curve the samples came from).
-_TABULATED_REL_TOL = 1e-10
-
 
 class Shape(enum.Enum):
     SIN_SQUARED = "sin_squared"
@@ -137,14 +133,14 @@ class TrajectoryProfile:
         int_0^inf |v(omega)|^2 omega domega of the clamped spline's derivative:
         a Gauss-Legendre panel body plus the analytic endpoint tail, whose
         leading term is (v'(0)^2 + v'(t0)^2) t0^4 / (2 d^2 U^2) at cutoff
-        u = U (see ``tabulated.spectral_moment``).  Accurate to
-        _TABULATED_REL_TOL for the spline; its agreement with the curve the
+        u = U (see ``tabulated.spectral_moment``).  Accurate to its default
+        rel_tol, 1e-10, for the spline; its agreement with the curve the
         samples came from is that of the spline (a few 1e-8 for 64 samples of
         the sin^2 shape, 1e-10 for 400).
         """
         if self.d == 0.0:
             return 0.0
-        moment = spectral_moment(self._spline.derivative(), _TABULATED_REL_TOL)
+        moment = spectral_moment(self._spline.derivative())
         return moment * (self.t0 / self.d) ** 2
 
     @functools.cached_property

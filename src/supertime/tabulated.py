@@ -395,7 +395,7 @@ def _end_derivatives(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class _Spline(NamedTuple):
-    """A piecewise polynomial prepared for ``_transform``.
+    """A piecewise polynomial prepared for ``_direct_transform`` and ``_panel_fourier``.
 
     The end derivatives and the knot jumps, with p = 0 outside [x_0, x_m],
     are held without the sign (-1)^k of their closed-form terms, which
@@ -508,48 +508,44 @@ def _knot_sum_rows(spline: _Spline, w: np.ndarray) -> np.ndarray:
     return closed | ((wu < _SERIES_SWITCH) & (knot <= series))
 
 
-def _transform(spline: _Spline, w: np.ndarray, cos: np.ndarray, sin: np.ndarray):
-    """The transform of ``spline`` at the frequencies ``w``.
-
-    Row r of ``cos`` and ``sin`` holds the cosine and sine of
-    w[r] * (x_j - middle) at every knot x_j.  Rows of ``_knot_sum_rows`` take
-    the knot sum; the others take the series on every piece where
-    |w unit| < 1/2, and otherwise the series or the closed form on each
-    piece by its own |w h|.
-    """
-    wu = w * spline.unit
-    value = np.empty(len(w), dtype=complex)
-    # Rows whose pieces all take one branch need no per-piece mask
-    # (every row, when the knots are uniform).
-    knot_rows = _knot_sum_rows(spline, w)
-    series_rows = ~knot_rows & (np.abs(wu) < _SERIES_SWITCH)
-    mixed_rows = ~(knot_rows | series_rows)
-    if series_rows.any():
-        rows = _rows(series_rows)
-        value[rows] = _series_sum(cos[rows, :-1], sin[rows, :-1], spline.series, wu[rows])
-    if knot_rows.any():
-        rows = _rows(knot_rows)
-        value[rows] = _closed_sum(cos[rows], sin[rows], spline.jumps, w[rows])
-    if mixed_rows.any():
-        rows = _rows(mixed_rows)
-        small = np.abs(np.outer(wu[rows], spline.rel_h)) < _SERIES_SWITCH
-        big = ~small
-        c, s, wm = cos[rows], sin[rows], w[rows]
-        value[rows] = (
-            _series_sum(c[:, :-1] * small, s[:, :-1] * small, spline.series, wu[rows])
-            + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, spline.right, wm)
-            - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, spline.left, wm))
-    return value * np.exp(1j * w * spline.middle)
-
-
 def _direct_transform(spline: _Spline, w: np.ndarray) -> np.ndarray:
-    """``_transform`` at the 1-D ``w`` from a cos and a sin per (frequency, knot), in blocks."""
+    """The transform of ``spline`` at the 1-D frequencies ``w``.
+
+    The phases are a cos and a sin of w * (x_j - middle) per (frequency,
+    knot), made in blocks of at most ``_BLOCK_ELEMENTS``.  Rows of
+    ``_knot_sum_rows`` take the knot sum; the others take the series on
+    every piece where |w unit| < 1/2, and otherwise the series or the
+    closed form on each piece by its own |w h|.
+    """
     out = np.empty(len(w), dtype=complex)
     step = max(1, _BLOCK_ELEMENTS // len(spline.knot))
     for start in range(0, len(w), step):
         block = w[start:start + step]
         arg = np.outer(block, spline.knot)
-        out[start:start + step] = _transform(spline, block, np.cos(arg), np.sin(arg))
+        cos, sin = np.cos(arg), np.sin(arg)
+        wu = block * spline.unit
+        value = np.empty(len(block), dtype=complex)
+        # Rows whose pieces all take one branch need no per-piece mask
+        # (every row, when the knots are uniform).
+        knot_rows = _knot_sum_rows(spline, block)
+        series_rows = ~knot_rows & (np.abs(wu) < _SERIES_SWITCH)
+        mixed_rows = ~(knot_rows | series_rows)
+        if series_rows.any():
+            rows = _rows(series_rows)
+            value[rows] = _series_sum(cos[rows, :-1], sin[rows, :-1], spline.series, wu[rows])
+        if knot_rows.any():
+            rows = _rows(knot_rows)
+            value[rows] = _closed_sum(cos[rows], sin[rows], spline.jumps, block[rows])
+        if mixed_rows.any():
+            rows = _rows(mixed_rows)
+            small = np.abs(np.outer(wu[rows], spline.rel_h)) < _SERIES_SWITCH
+            big = ~small
+            c, s, wm = cos[rows], sin[rows], block[rows]
+            value[rows] = (
+                _series_sum(c[:, :-1] * small, s[:, :-1] * small, spline.series, wu[rows])
+                + _closed_sum(c[:, 1:] * big, s[:, 1:] * big, spline.right, wm)
+                - _closed_sum(c[:, :-1] * big, s[:, :-1] * big, spline.left, wm))
+        out[start:start + step] = value * np.exp(1j * block * spline.middle)
     return out
 
 
@@ -620,7 +616,7 @@ def _panel_fourier(spline: _Spline, offsets: np.ndarray):
     ``_BLOCK_ELEMENTS`` complex entries, or twice as many reals, unless one
     panel alone is more.  The rows that ``_knot_sum_rows`` leaves out, at
     most about the first panel's on uniform knots, are replaced by
-    ``_transform`` on a cos and a sin per phase.
+    ``_direct_transform``, on a cos and a sin per phase.
     """
     count = len(offsets) // 2
     terms = spline.jumps
@@ -837,7 +833,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def spectral_moment(pp, rel_tol: float) -> float:
+def spectral_moment(pp, rel_tol: float = 1e-10) -> float:
     """M = int_0^inf |p_hat(w)|^2 w dw for a piecewise polynomial p.
 
     ``pp`` (degree <= 3, continuous) is taken as zero outside its
@@ -846,7 +842,8 @@ def spectral_moment(pp, rel_tol: float) -> float:
     ``_Spline.jumps``, so |p_hat|^2 w -> (p(a)^2 + p(b)^2) / w: M grows by
     p(a)^2 + p(b)^2 per factor e of the cutoff and diverges unless both
     endpoint values vanish.  DivergentIntegralError is raised when that
-    growth exceeds ``rel_tol`` times the finite part.
+    growth exceeds ``rel_tol`` times the finite part.  The default 1e-10 is
+    the tolerance of every tabulated path of ``radiation`` and ``vacuum``.
 
     The finite part is a Gauss-Legendre panel body on [0, W] plus the
     terms of the expansion that ``_exact_tail`` integrates exactly over

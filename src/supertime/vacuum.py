@@ -43,9 +43,6 @@ MIN_TIME_PREFACTOR = 1.0 / math.sqrt(3.0 * math.pi**3)
 
 _MIN_WINDOW_SAMPLES = 8
 
-# Relative accuracy of the tabulated-window variance (``spectral_moment``).
-_SPECTRAL_REL_TOL = 1e-10
-
 
 class WindowShape(enum.Enum):
     GAUSSIAN = "gaussian"
@@ -104,12 +101,13 @@ def averaged_variance(window: WindowFunction) -> float:
     u = omega T the integral is int_0^inf exp(-u^2) u du / (2 pi^2 T^2),
     and the tests check it by quadrature.  For a tabulated window the
     integral is ``tabulated.spectral_moment`` of the spline, accurate to
-    ``_SPECTRAL_REL_TOL``.  At high frequency |phi_tilde|^2 omega / (2 pi^2)
-    tends to (phi(a)^2 + phi(b)^2) / (2 pi^2 omega), with a and b the first
-    and last sample times, so the variance grows by (phi(a)^2 + phi(b)^2) /
-    (2 pi^2) per factor e of the cutoff.  DivergentIntegralError is raised
-    when that growth exceeds ``_SPECTRAL_REL_TOL`` times the finite part (a
-    sharp box always; a Gaussian cut at +-4T, but not one cut at +-5T).
+    its default rel_tol, 1e-10.  At high frequency |phi_tilde|^2 omega /
+    (2 pi^2) tends to (phi(a)^2 + phi(b)^2) / (2 pi^2 omega), with a and b
+    the first and last sample times, so the variance grows by
+    (phi(a)^2 + phi(b)^2) / (2 pi^2) per factor e of the cutoff.
+    DivergentIntegralError is raised when that growth exceeds rel_tol times
+    the finite part (a sharp box always; a Gaussian cut at +-4T, but not one
+    cut at +-5T).
     A Gaussian width T whose variance is not a finite positive float raises
     ValidationError naming ``width_T``.
     """
@@ -122,7 +120,7 @@ def averaged_variance(window: WindowFunction) -> float:
                 "width_T={width_T} is out of range: its variance 1/(4 pi^2 T^2) is not a "
                 "finite positive float", width_T=window.width_T)
         return variance
-    return spectral_moment(window._spline, _SPECTRAL_REL_TOL) / (2.0 * math.pi**2)
+    return spectral_moment(window._spline) / (2.0 * math.pi**2)
 
 
 def instantaneous_variance(cutoff_Lambda: float) -> float:

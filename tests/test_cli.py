@@ -265,6 +265,30 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bound.csv.meta.json", "cfg.json"]
+    # A directory where the CSV belongs makes its rename fail after the
+    # sidecar's: the sidecar already in place is removed again.
+    (tmp_path / "bound.csv.meta.json").rmdir()
+    out.mkdir()
+    assert main(["bound", "--config", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("supertime: error:"), err
+    assert out.is_dir() and not any(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bound.csv", "cfg.json"]
+
+
+def test_config_output_key_is_the_output_unless_the_flag_names_one(tmp_path):
+    expected = _csv_of(tmp_path, "bound", MASS_CONFIG)
+    keyed = tmp_path / "keyed.csv"
+    config = _write(tmp_path, "cfg.json", {**MASS_CONFIG, "output": str(keyed)})
+    assert main(["bound", "--config", str(config)]) == 0
+    assert keyed.read_bytes() == expected
+    assert keyed.with_suffix(".csv.meta.json").exists()
+    keyed.unlink()
+    keyed.with_suffix(".csv.meta.json").unlink()
+    flagged = tmp_path / "flagged.csv"
+    assert main(["bound", "--config", str(config), "--output", str(flagged)]) == 0
+    assert flagged.read_bytes() == expected
+    assert not keyed.exists() and not keyed.with_suffix(".csv.meta.json").exists()
 
 
 def test_echo_table_and_oracle_column(tmp_path):
@@ -759,6 +783,16 @@ def _superluminal_trajectory(directory):
     return str(path)
 
 
+def _trajectory_csv(content):
+    """A payload whose radiation.trajectory_csv is a file holding ``content``."""
+    def payload(directory):
+        path = directory / "trajectory.csv"
+        path.write_bytes(content)
+        return {**CHARGE_CONFIG, "radiation": {"trajectory_csv": str(path)}}
+
+    return payload
+
+
 BAD_CONFIGS = [
     ("bound", _mutated(MASS_CONFIG, lambda c: c["scenario"]["alice"].pop("magnitude")),
      "scenario.alice.magnitude"),
@@ -809,6 +843,16 @@ BAD_CONFIGS = [
      'constants: unknown key "e_charge"'),
     ("vacuum", _mutated(CHARGE_CONFIG, lambda c: c["vacuum"].update(window_csv="window.csv")),
      "remove vacuum.window_T"),
+    ("radiation", {**CHARGE_CONFIG, "radiation": {}},
+     "radiation section requires t0 or trajectory_csv"),
+    ("vacuum", {**CHARGE_CONFIG, "vacuum": {}}, "vacuum section requires window_T or window_csv"),
+    ("vacuum", {**MASS_CONFIG, "vacuum": {"window_T": 1e-15}},
+     "vacuum subcommand needs a charge scenario"),
+    ("radiation", _trajectory_csv(b"t_seconds,x_meters\n0,0\n1e-12,abc\n"),
+     ":3: non-numeric value"),
+    ("radiation", _trajectory_csv(b"t_seconds,x_meters\n"), "expected a header row plus data"),
+    ("radiation", _trajectory_csv(b"t_seconds,x_meters\n0,\xff\n"),
+     "codec can't decode byte 0xff"),
     ("causality", _mutated(MASS_CONFIG, lambda c: c["scenario"].update(bob_charge=math.inf)),
      "bob_charge: a mass scenario reads no charge"),
     # sigma = d / 1e308 is subnormal, and its momentum spread 1/(2 sigma) inf.
@@ -1168,16 +1212,17 @@ def test_cli_subcommands_load_no_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_thread_pool():
-    # power_curve imports concurrent.futures when it runs, not at import.
+    # power_curve imports concurrent.futures when it runs, not at import,
+    # and _read_two_column_csv imports hashlib when it reads a file.
     src = str(Path(supertime.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run(
         [sys.executable, "-c", "import sys, supertime, supertime.cli; "
-         "print('concurrent.futures' in sys.modules)"],
+         "print('concurrent.futures' in sys.modules, 'hashlib' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_python_dash_m_supertime(tmp_path):

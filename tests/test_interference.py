@@ -407,7 +407,7 @@ def test_screened_level_decision_is_the_float64_one_at_near_ties():
         screen = interference._LevelScreen(packet, len(samples), np.array([level]))
         decision = np.zeros(1, dtype=bool)
         screen.decide(samples, np.zeros_like(samples), decision)
-        exact = interference._log_likelihood_ratio(samples, packet, level, samples.copy())
+        exact = discriminate(samples, packet, level).log_likelihood_ratio
         assert decision[0] == (exact > 0.0)
         rechecked.append(screen.rechecks)
 

@@ -216,6 +216,16 @@ def test_tabulated_profile_validation():
         TrajectoryProfile(d=d, t0=t0, samples=np.column_stack([t, good_x]))
 
 
+def test_tabulated_profile_needs_samples_that_reach_t0():
+    t0, d = 1e-12, 1e-9
+    with pytest.raises(ValidationError, match="TABULATED profile requires samples"):
+        TrajectoryProfile(d=d, t0=t0, shape=Shape.TABULATED)
+    t = np.linspace(0.0, 0.5 * t0, 100)
+    short = np.column_stack([t, d * np.sin(math.pi * t / t0) ** 2])
+    with pytest.raises(ValidationError, match=r"samples must cover exactly \[0, t0\]"):
+        TrajectoryProfile(d=d, t0=t0, shape=Shape.TABULATED, samples=short)
+
+
 def test_velocity_vanishes_outside_motion_window():
     profile = _sin2_profile()
     t = np.array([-1e-13, 0.5e-12, 2e-12])
@@ -274,6 +284,18 @@ def test_long_wavelength_gate_warns():
     assert f.warnings and "long-wavelength" in f.warnings[0]
     safe = gauss_legendre_grid(0.1 * CODATA.c / profile.d, 64)
     assert displacement_from_trajectory(profile, Q, safe).warnings == ()
+
+
+def test_grid_and_amplitude_shapes_are_checked():
+    with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
+        gauss_legendre_grid(1.0, 1)
+    with pytest.raises(ValidationError, match="1-D arrays of equal length"):
+        ModeGrid(omega_nodes=np.array([1.0, 2.0]), weights=np.array([1.0]))
+    with pytest.raises(ValidationError, match="1-D complex array"):
+        DisplacementFunction(np.zeros((2, 2), dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="values must be finite"):
+            DisplacementFunction(np.array([0.0, bad]))
 
 
 def test_grid_validation():

@@ -718,6 +718,14 @@ def test_cubic_spline_is_scipys(end, samples, uniform):
                        rtol=1e-12, atol=1e-12 * np.sum(np.abs(y)) * np.diff(x).max())
 
 
+def test_spline_fourier_rejects_vector_values_and_descending_breakpoints():
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValidationError, match="must be scalar-valued"):
+        spline_fourier(PPoly(np.zeros((4, 4, 2)), x), 1.0)
+    with pytest.raises(ValidationError, match="breakpoints must be strictly increasing"):
+        spline_fourier(PPoly(np.zeros((4, 4)), x[::-1]), 1.0)
+
+
 def test_cubic_spline_rejects_too_few_knots_and_unknown_ends():
     x = np.linspace(0.0, 1.0, 4)
     with pytest.raises(ValidationError, match="at least 4 knots"):
